@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Check that the benchmark is steady: two interleaved sets of seeded runs.
 
-    python3 perfbench/agree.py [--runs 10] [--workloads a,b] [--seconds S]
+    python3 perfbench/agree.py [--runs 10]
 
-Run from the root of a checkout. For every workload it makes `--runs` runs
-in each of two sets, set A on seeds 1..runs and set B on seeds
-101..100+runs, alternating A and B run by run (batches minutes apart
-drift, so the sets interleave). For each end-to-end metric of
-BENCHMARK.json it prints each set's spread (interquartile range over
+Run from the root of a checkout. For every workload of BENCHMARK.json it
+makes `--runs` runs of its run_seconds in each of two sets, set A on seeds
+1..runs and set B on seeds 101..100+runs, alternating A and B run by run
+(batches minutes apart drift, so the sets interleave). For each
+end-to-end metric it prints each set's spread (interquartile range over
 median, as statistics.quantiles(values, n=4) gives the quartiles) and how
 much worse set B's median is than set A's, against the metric's bound.
 A spread or drift above a third of the bound is flagged; the exit code is
-1 when any spread (setup_s excepted) or any drift exceeds the bound.
+1 when any spread or any drift exceeds the bound.
 """
 
 import argparse
@@ -47,16 +47,12 @@ def worse_by(first, second, better):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--workloads", default=None)
-    parser.add_argument("--seconds", type=float, default=None)
-    parser.add_argument("--verbose", action="store_true", help="print every run's value")
     args = parser.parse_args()
     with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json")) as f:
         bench = json.load(f)
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     ok = True
-    for workload in workloads:
+    for workload in [w["name"] for w in bench["workloads"]]:
         sets = {"A": [], "B": []}
         for i in range(args.runs):
             sets["A"].append(run_once(bench["command"], workload, 1 + i, seconds))
@@ -68,18 +64,16 @@ def main():
             sa, sb = spread(a), spread(b)
             drift = worse_by(statistics.median(a), statistics.median(b), metric["better"])
             flags = []
-            if name != "setup_s" and max(sa, sb) > bound:
+            if max(sa, sb) > bound:
                 flags.append("SPREAD>BOUND")
                 ok = False
-            elif name != "setup_s" and max(sa, sb) > bound / 3:
+            elif max(sa, sb) > bound / 3:
                 flags.append("spread>bound/3")
             if drift > bound:
                 flags.append("DRIFT>BOUND")
                 ok = False
             elif drift > bound / 3:
                 flags.append("drift>bound/3")
-            if args.verbose:
-                print(f"  A {[round(v, 4) for v in a]}\n  B {[round(v, 4) for v in b]}")
             print(f"{workload:11} {name:12} median A {statistics.median(a):12.4f} "
                   f"B {statistics.median(b):12.4f}  spread A {sa:.3f} B {sb:.3f}  "
                   f"B worse by {drift:+.3f}  bound {bound}  {' '.join(flags)}", flush=True)

@@ -17,6 +17,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rbqa_access::{execute_with_backend, Plan, Schema, ShardedBackend};
 use rbqa_adapt::{execute_plan_adaptive, AdaptiveWindow};
 use rbqa_api::{RequestBuilder, ServiceApi, WireServer};
@@ -28,9 +30,7 @@ use rbqa_service::{AnswerRequest, AnswerResponse, CatalogId, QueryService};
 use rbqa_workloads::scenarios::movie_services;
 
 use crate::ledger::{set_residual, set_trace_overhead, Ledger, Metered};
-use crate::{
-    end_to_end, micros_since, time_is_up, timed_setup, Latencies, Outcome, Rng, RunConfig,
-};
+use crate::{end_to_end, micros_since, segmented, time_is_up, Latencies, Outcome, RunConfig};
 
 /// Movies and actors in the generated world (about 5×10³ facts with the
 /// 1–4 cast entries per movie). At 2×10⁴ facts every request copies and
@@ -81,7 +81,7 @@ impl Bench {
         );
         let service = Arc::new(QueryService::new());
         let err = |e: rbqa_service::ServiceError| e.to_string();
-        let mut rng = Rng::new(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut keys = Vec::with_capacity(KEYS);
         for k in 0..KEYS {
             // Every bound's schema has the same signature, so the world and
@@ -94,8 +94,8 @@ impl Bench {
             service
                 .attach_dataset(catalog, world.clone())
                 .map_err(err)?;
-            let a = rng.below(MOVIES);
-            let b = (a + 1 + rng.below(MOVIES - 1)) % MOVIES;
+            let a = rng.gen_range(0..MOVIES);
+            let b = (a + rng.gen_range(1..MOVIES)) % MOVIES;
             let text = [a, b].map(|m| format!("Q(n) :- Cast('movie{m}', c), Actor(c, n)"));
             let mut sig = schema.signature().clone();
             let mut parse = |t: &str| parse_cq(t, &mut sig, &mut values).map_err(|e| e.to_string());
@@ -157,15 +157,18 @@ fn check(response: &AnswerResponse, expected: &[Vec<Value>]) -> (bool, usize) {
 }
 
 pub fn run(config: &RunConfig) -> Result<Outcome, String> {
-    let (bench, setup_s) = timed_setup(|| Bench::setup(config.seed))?;
-    let expected = bench.expected_rows()?;
+    let setup = || Bench::setup(config.seed);
     if config.trace {
+        let bench = setup()?;
+        let expected = bench.expected_rows()?;
         return run_ledger(&bench, &expected, config);
     }
+    // Every set-up builds the same world and keys from the seed, so one
+    // set of expected rows checks every segment.
+    let expected = setup()?.expected_rows()?;
     let mut latencies = Latencies::new(config.seed);
     let (mut failed, mut calls) = (0u64, 0usize);
-    let start = Instant::now();
-    loop {
+    let (_, setup_s) = segmented(config.seconds, setup, |bench: &mut Bench| {
         for (k, want) in expected.iter().enumerate() {
             let t = Instant::now();
             let response = bench.request(k).submit();
@@ -179,10 +182,7 @@ pub fn run(config: &RunConfig) -> Result<Outcome, String> {
                 Err(_) => failed += 1,
             }
         }
-        if time_is_up(start, config.seconds) {
-            break;
-        }
-    }
+    })?;
     let attempted = latencies.count();
     let per_req = calls as f64 / attempted as f64;
     Ok(Outcome {
@@ -190,7 +190,7 @@ pub fn run(config: &RunConfig) -> Result<Outcome, String> {
         failed,
         metrics: end_to_end(setup_s, &latencies)?,
         notes: vec![format!(
-            "backend_calls_per_req {per_req} over {} passes of {KEYS} unions",
+            "backend_calls_per_req {per_req} calls over {} passes of {KEYS} unions",
             attempted / KEYS as u64
         )],
     })
@@ -249,24 +249,25 @@ fn run_ledger(
     loop {
         for (k, want) in expected.iter().enumerate() {
             let schema = &bench.keys[k].schema;
-            let t = Instant::now();
-            let response = bench.request(k).submit();
-            let t_req = micros_since(t);
+            // End to end, untraced and traced; their order alternates so
+            // that neither always runs on warm caches.
+            let timed = |trace: bool| {
+                let t = Instant::now();
+                let response = bench.request(k).with_trace(trace).submit();
+                (micros_since(t), response)
+            };
+            let traced_early = (attempted % 2 == 1).then(|| timed(true));
+            let (t_req, response) = timed(false);
+            let (t_traced, traced_response) = traced_early.unwrap_or_else(|| timed(true));
+            traced_response.map_err(|e| e.to_string())?;
             untraced.push(t_req);
+            traced.push(t_traced);
             attempted += 1;
             let response = response.map_err(|e| e.to_string())?;
             let (ok, c) = check(&response, want);
             failed += u64::from(!ok);
             hits += u64::from(response.cache_hit);
             ledger.add("backend_calls_per_req", c as f64);
-
-            let t = Instant::now();
-            bench
-                .request(k)
-                .with_trace(true)
-                .submit()
-                .map_err(|e| e.to_string())?;
-            traced.push(micros_since(t));
 
             let t = Instant::now();
             let handled = session.handle_line(&lines[k]);

@@ -12,6 +12,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use rbqa_access::{Plan, Schema};
 use rbqa_api::{RequestBuilder, ServiceApi};
 use rbqa_chase::Budget;
@@ -31,9 +33,7 @@ use rbqa_service::{CatalogId, QueryService};
 use rbqa_workloads::random::{RandomClass, RandomSchemaConfig};
 
 use crate::ledger::{set_residual, set_trace_overhead, Ledger};
-use crate::{
-    end_to_end, micros_since, time_is_up, timed_setup, Latencies, Outcome, Rng, RunConfig,
-};
+use crate::{end_to_end, micros_since, segmented, time_is_up, Latencies, Outcome, RunConfig};
 
 /// Generated schemas per corpus.
 pub const CASES: usize = 64;
@@ -104,7 +104,7 @@ impl Case {
 /// cycle through each row's relation counts, so every seed decides the
 /// same mix of sizes; the seed draws each case's generator seed.
 pub fn corpus(family: Family, seed: u64) -> Vec<Case> {
-    let mut rng = Rng::new(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     (0..CASES)
         .map(|i| {
             let row = &rows(family)[i % 2];
@@ -189,16 +189,15 @@ impl Bench {
 }
 
 pub fn run(family: Family, config: &RunConfig) -> Result<Outcome, String> {
-    let (bench, setup_s) = timed_setup(|| Bench::setup(family, config.seed))?;
+    let setup = || Bench::setup(family, config.seed);
     if config.trace {
-        return run_ledger(&bench, config);
+        return run_ledger(&setup()?, config);
     }
-    let n = bench.cases.len();
+    let n = CASES;
     let mut latencies = Latencies::new(config.seed);
     // Verdicts per case; `None` marks an error or an unexpected cache hit.
     let mut got: Vec<Vec<Option<Answerability>>> = vec![Vec::new(); n];
-    let start = Instant::now();
-    loop {
+    let (bench, setup_s) = segmented(config.seconds, setup, |bench: &mut Bench| {
         for (i, verdicts) in got.iter_mut().enumerate() {
             let t = Instant::now();
             let response = bench.request(i).submit();
@@ -209,10 +208,7 @@ pub fn run(family: Family, config: &RunConfig) -> Result<Outcome, String> {
             });
         }
         bench.service.clear_cache();
-        if time_is_up(start, config.seconds) {
-            break;
-        }
-    }
+    })?;
     let metrics = end_to_end(setup_s, &latencies)?;
     let expected = bench.reference_verdicts();
     let failed = got
@@ -330,22 +326,25 @@ fn run_ledger(bench: &Bench, config: &RunConfig) -> Result<Outcome, String> {
     let start = Instant::now();
     loop {
         for (i, case) in bench.cases.iter().enumerate() {
-            // End to end, untraced then traced, each on a cleared cache.
-            service.clear_cache();
-            let t = Instant::now();
-            let response = bench.request(i).submit();
-            let t_req = micros_since(t);
+            // End to end, untraced and traced, each on a cleared cache; their
+            // order alternates so that neither always runs on warm caches.
+            let timed = |trace: bool| {
+                service.clear_cache();
+                let t = Instant::now();
+                let response = bench.request(i).with_trace(trace).submit();
+                (micros_since(t), response)
+            };
+            let traced_early = (attempted % 2 == 1).then(|| timed(true));
+            let (t_req, response) = timed(false);
+            let (t_traced, traced_response) = traced_early.unwrap_or_else(|| timed(true));
             untraced.push(t_req);
+            traced.push(t_traced);
             attempted += 1;
             match response {
                 Ok(r) if !r.cache_hit && r.summary.answerability == expected[i] => {}
                 _ => failed += 1,
             }
-            service.clear_cache();
-            let t = Instant::now();
-            let response = bench.request(i).with_trace(true).submit();
-            traced.push(micros_since(t));
-            let trace = response
+            let trace = traced_response
                 .map_err(|e| e.to_string())?
                 .trace
                 .ok_or("a traced request returned no trace")?;

@@ -24,11 +24,12 @@ pub mod serve;
 
 use std::time::{Duration, Instant};
 
-/// A run sets up at least this many times, and until set-ups have taken
-/// [`SETUP_MIN_SECONDS`] in all; `setup_s` is the median. Set-ups of a few
-/// milliseconds need the extra repetitions for a steady median.
-pub const SETUP_MIN_REPS: usize = 5;
-pub const SETUP_MIN_SECONDS: f64 = 1.0;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Length of one segment of a timed loop: a run sets its workload up
+/// afresh at the start of every segment (see [`segmented`]).
+pub const SEGMENT_SECONDS: f64 = 1.0;
 
 /// The four workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,40 +124,6 @@ pub fn run(config: &RunConfig) -> Result<Outcome, String> {
     }
 }
 
-/// SplitMix64: a tiny seeded generator, so inputs depend only on `--seed`.
-#[derive(Debug, Clone)]
-pub struct Rng(u64);
-
-impl Rng {
-    pub fn new(seed: u64) -> Self {
-        Rng(seed ^ 0x243F_6A88_85A3_08D3)
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n` (`n > 0`).
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// Uniform in `lo..=hi`.
-    pub fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + self.below(hi - lo + 1)
-    }
-
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            items.swap(i, self.below(i + 1));
-        }
-    }
-}
-
 /// Microseconds elapsed since `start`, with sub-microsecond digits.
 pub fn micros_since(start: Instant) -> f64 {
     start.elapsed().as_nanos() as f64 / 1000.0
@@ -174,23 +141,40 @@ pub fn quantile(samples: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
-/// Runs `setup` repeatedly (see [`SETUP_MIN_REPS`]) and keeps the last
-/// result; returns it with the median set-up time in seconds. Each earlier
-/// result is dropped outside the timed interval of the next.
-pub fn timed_setup<T>(mut setup: impl FnMut() -> Result<T, String>) -> Result<(T, f64), String> {
-    let mut times: Vec<f64> = Vec::new();
-    let mut kept = None;
-    while times.len() < SETUP_MIN_REPS || times.iter().sum::<f64>() < SETUP_MIN_SECONDS {
-        drop(kept.take());
+/// Runs a workload's timed loop in segments of [`SEGMENT_SECONDS`] until
+/// `seconds` of passes in all. Each segment sets the workload up afresh,
+/// outside the timed requests and after the previous set-up is dropped,
+/// then calls `pass` until the segment is over. Returns the last set-up,
+/// for the answer check, and the median set-up time in seconds.
+///
+/// The host's speed regimes last seconds, so set-ups made back to back
+/// at the start of a run land in one regime and their median moves with
+/// it; spread over the run, they see the same mix of regimes as the timed
+/// requests.
+pub fn segmented<T>(
+    seconds: f64,
+    mut setup: impl FnMut() -> Result<T, String>,
+    mut pass: impl FnMut(&mut T),
+) -> Result<(T, f64), String> {
+    let mut setup_times = Vec::new();
+    let mut measured = 0.0;
+    loop {
         let start = Instant::now();
-        let value = setup()?;
-        times.push(start.elapsed().as_secs_f64());
-        kept = Some(value);
+        let mut bench = setup()?;
+        setup_times.push(start.elapsed().as_secs_f64());
+        let segment = Instant::now();
+        let length = SEGMENT_SECONDS.min(seconds - measured);
+        loop {
+            pass(&mut bench);
+            if time_is_up(segment, length) {
+                break;
+            }
+        }
+        measured += segment.elapsed().as_secs_f64();
+        if measured >= seconds {
+            return Ok((bench, quantile(&setup_times, 0.5)));
+        }
     }
-    Ok((
-        kept.expect("at least one set-up ran"),
-        quantile(&times, 0.5),
-    ))
 }
 
 /// Peak resident set size of this process in MB (`VmHWM`).
@@ -216,7 +200,7 @@ pub const RESERVOIR: usize = 1 << 16;
 pub struct Latencies {
     samples: Vec<f64>,
     seen: u64,
-    rng: Rng,
+    rng: StdRng,
 }
 
 impl Latencies {
@@ -224,7 +208,7 @@ impl Latencies {
         Latencies {
             samples: Vec::with_capacity(RESERVOIR),
             seen: 0,
-            rng: Rng::new(seed),
+            rng: StdRng::seed_from_u64(seed),
         }
     }
 
@@ -233,7 +217,7 @@ impl Latencies {
         if self.samples.len() < RESERVOIR {
             self.samples.push(micros);
         } else {
-            let slot = self.rng.next_u64() % self.seen;
+            let slot = self.rng.gen_range(0..self.seen);
             if let Some(s) = self.samples.get_mut(slot as usize) {
                 *s = micros;
             }

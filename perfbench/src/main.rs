@@ -40,9 +40,9 @@ fn parse_args(args: &[String]) -> Result<RunConfig, String> {
     }
     Ok(RunConfig {
         workload: workload.ok_or("--workload is required")?,
-        seed: seed.unwrap_or(1),
-        seconds: seconds.unwrap_or(10.0),
-        trace: trace.unwrap_or(false),
+        seed: seed.ok_or("--seed is required")?,
+        seconds: seconds.ok_or("--seconds is required")?,
+        trace: trace.ok_or("--trace is required")?,
     })
 }
 

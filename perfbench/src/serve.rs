@@ -13,15 +13,16 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use rbqa_api::{response_to_json, ServiceApi, WireClient, WireServer};
 use rbqa_logic::canonical_ucq_code;
 use rbqa_net::{NetServer, ServerConfig, ServerHandle};
 use rbqa_service::{QueryService, RequestMode};
 
 use crate::ledger::{set_residual, set_trace_overhead, Ledger};
-use crate::{
-    end_to_end, micros_since, time_is_up, timed_setup, Latencies, Outcome, Rng, RunConfig,
-};
+use crate::{end_to_end, micros_since, segmented, time_is_up, Latencies, Outcome, RunConfig};
 
 /// Resident keys per run.
 pub const KEYS: usize = 256;
@@ -105,30 +106,30 @@ pub struct Key {
 }
 
 impl Key {
-    fn generate(rng: &mut Rng) -> Key {
-        let catalog = rng.below(SHAPES.len());
+    fn generate(rng: &mut StdRng) -> Key {
+        let catalog = rng.gen_range(0..SHAPES.len());
         let shape = &SHAPES[catalog];
-        let boolean = rng.below(2) == 0;
-        let count = if rng.below(10) < 7 {
+        let boolean = rng.gen_range(0..2) == 0;
+        let count = if rng.gen_range(0..10) < 7 {
             1
         } else {
-            rng.range(2, 3)
+            rng.gen_range(2..=3)
         };
         let disjuncts = (0..count)
             .map(|_| {
-                let atoms = rng.range(1, 5);
+                let atoms: usize = rng.gen_range(1..=5);
                 let pool = atoms + 1;
                 let atoms = (0..atoms)
                     .map(|a| {
-                        let rel = rng.below(shape.relations.len());
+                        let rel = rng.gen_range(0..shape.relations.len());
                         let terms = (0..shape.relations[rel].1)
                             .map(|p| {
                                 if a == 0 && p == 0 {
                                     Term::Var(0)
-                                } else if rng.below(10) == 0 {
-                                    Term::Const(rng.below(shape.constants.len()))
+                                } else if rng.gen_range(0..10) == 0 {
+                                    Term::Const(rng.gen_range(0..shape.constants.len()))
                                 } else {
-                                    Term::Var(rng.below(pool))
+                                    Term::Var(rng.gen_range(0..pool))
                                 }
                             })
                             .collect();
@@ -143,7 +144,7 @@ impl Key {
             .collect();
         Key {
             catalog,
-            synthesize: rng.below(2) == 0,
+            synthesize: rng.gen_range(0..2) == 0,
             disjuncts,
             fingerprint: String::new(),
             answerable: String::new(),
@@ -160,22 +161,22 @@ impl Key {
 
     /// The query text. With `respell`, variables get fresh names and atoms
     /// and disjuncts are permuted: an α-equivalent spelling of the key.
-    fn query_text(&self, rng: &mut Rng, respell: bool) -> String {
+    fn query_text(&self, rng: &mut StdRng, respell: bool) -> String {
         let shape = &SHAPES[self.catalog];
         let mut order: Vec<usize> = (0..self.disjuncts.len()).collect();
         if respell {
-            rng.shuffle(&mut order);
+            order.shuffle(rng);
         }
         let parts: Vec<String> = order
             .iter()
             .map(|&d| {
                 let disjunct = &self.disjuncts[d];
-                let salt = if respell { rng.below(1000) } else { 0 };
+                let salt = if respell { rng.gen_range(0..1000) } else { 0 };
                 let mut names: Vec<usize> = (0..MAX_VARS).collect();
                 let mut atoms: Vec<usize> = (0..disjunct.atoms.len()).collect();
                 if respell {
-                    rng.shuffle(&mut names);
-                    rng.shuffle(&mut atoms);
+                    names.shuffle(rng);
+                    atoms.shuffle(rng);
                 }
                 let var = |v: usize| format!("v{salt}_{}", names[v]);
                 let body: Vec<String> = atoms
@@ -262,7 +263,7 @@ impl Bench {
         }
         // Warm-up: decide each candidate once; a candidate whose
         // fingerprint is already resident is dropped.
-        let mut rng = Rng::new(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut keys: Vec<Key> = Vec::with_capacity(KEYS);
         let mut candidates = 0;
         while keys.len() < KEYS {
@@ -300,16 +301,15 @@ impl Bench {
 }
 
 pub fn run(config: &RunConfig) -> Result<Outcome, String> {
-    let (mut bench, setup_s) = timed_setup(|| Bench::setup(config.seed))?;
+    let setup = || Bench::setup(config.seed);
     if config.trace {
-        return run_ledger(&mut bench, config);
+        return run_ledger(&mut setup()?, config);
     }
-    let mut rng = Rng::new(config.seed.wrapping_add(1));
+    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
     let mut latencies = Latencies::new(config.seed);
     let mut failed = 0;
-    let start = Instant::now();
-    while !time_is_up(start, config.seconds) {
-        let key = &bench.keys[rng.below(bench.keys.len())];
+    let (_, setup_s) = segmented(config.seconds, setup, |bench: &mut Bench| {
+        let key = &bench.keys[rng.gen_range(0..bench.keys.len())];
         let line = key.line(&key.query_text(&mut rng, true));
         let t = Instant::now();
         let response = bench.client.request(&line);
@@ -317,12 +317,12 @@ pub fn run(config: &RunConfig) -> Result<Outcome, String> {
         if !response.is_ok_and(|r| key.answered_by(&r)) {
             failed += 1;
         }
-    }
+    })?;
     Ok(Outcome {
         attempted: latencies.count(),
         failed,
         metrics: end_to_end(setup_s, &latencies)?,
-        notes: vec![format!("{} resident keys", bench.keys.len())],
+        notes: vec![format!("{KEYS} resident keys")],
     })
 }
 
@@ -337,21 +337,48 @@ fn run_ledger(bench: &mut Bench, config: &RunConfig) -> Result<Outcome, String> 
         }
     }
     let io = |e: std::io::Error| format!("connection failed: {e}");
-    let mut rng = Rng::new(config.seed.wrapping_add(1));
+    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
     let mut ledger = Ledger::default();
     let (mut traced, mut untraced) = (Vec::new(), Vec::new());
     let (mut attempted, mut failed, mut hits) = (0u64, 0u64, 0u64);
     let (mut covered, mut handle_gap) = (0.0, 0.0);
     let start = Instant::now();
     while !time_is_up(start, config.seconds) {
-        let key = bench.keys[rng.below(bench.keys.len())].clone();
+        let key = bench.keys[rng.gen_range(0..bench.keys.len())].clone();
         let text = key.query_text(&mut rng, true);
         let line = key.line(&text);
 
+        // The same line with the connection's tracing on, just before or
+        // just after the untraced round trip by turns, so that neither
+        // always runs on warm caches. The toggles are synced with `ping`
+        // outside the timed round trip.
+        let traced_rtt = |client: &mut WireClient| {
+            client.send_line("option obs.trace on").map_err(io)?;
+            client.sync().map_err(io)?;
+            let t = Instant::now();
+            let response = client.request(&line).map_err(io)?;
+            let micros = micros_since(t);
+            client.send_line("option obs.trace off").map_err(io)?;
+            client.sync().map_err(io)?;
+            if !key.answered_by(&response) {
+                return Err(format!("traced request missed resident key `{line}`"));
+            }
+            Ok(micros)
+        };
+        let traced_early = if attempted % 2 == 1 {
+            Some(traced_rtt(&mut bench.client)?)
+        } else {
+            None
+        };
         let t = Instant::now();
         let response = bench.client.request(&line).map_err(io)?;
         let t_rtt = micros_since(t);
+        let t_traced = match traced_early {
+            Some(t) => t,
+            None => traced_rtt(&mut bench.client)?,
+        };
         untraced.push(t_rtt);
+        traced.push(t_traced);
         attempted += 1;
         if !key.answered_by(&response) {
             failed += 1;
@@ -416,19 +443,6 @@ fn run_ledger(bench: &mut Bench, config: &RunConfig) -> Result<Outcome, String> 
         let t = Instant::now();
         black_box(response_to_json(&answer, mode, catalog, &request.values));
         let t_render = micros_since(t);
-
-        // The same line with the connection's tracing on; the toggles are
-        // synced with `ping` outside the timed round trip.
-        bench.client.send_line("option obs.trace on").map_err(io)?;
-        bench.client.sync().map_err(io)?;
-        let t = Instant::now();
-        let response = bench.client.request(&line).map_err(io)?;
-        traced.push(micros_since(t));
-        bench.client.send_line("option obs.trace off").map_err(io)?;
-        bench.client.sync().map_err(io)?;
-        if !key.answered_by(&response) {
-            return Err(format!("traced request missed resident key `{line}`"));
-        }
 
         ledger.add("net.rtt_us", t_rtt);
         ledger.add("net.transport_us", t_rtt - t_handle);
