@@ -9,7 +9,8 @@ makes `--runs` runs of its run_seconds in each of two sets, set A on seeds
 (batches minutes apart drift, so the sets interleave). For each
 end-to-end metric it prints each set's spread (interquartile range over
 median, as statistics.quantiles(values, n=4) gives the quartiles) and how
-much worse set B's median is than set A's, against the metric's bound.
+much worse set B's median is than set A's, against the metric's bound,
+and the mean wall time of one run.
 A spread or drift above a third of the bound is flagged; the exit code is
 1 when any spread or any drift exceeds the bound.
 """
@@ -20,6 +21,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -54,9 +56,12 @@ def main():
     ok = True
     for workload in [w["name"] for w in bench["workloads"]]:
         sets = {"A": [], "B": []}
+        start = time.monotonic()
         for i in range(args.runs):
             sets["A"].append(run_once(bench["command"], workload, 1 + i, seconds))
             sets["B"].append(run_once(bench["command"], workload, 101 + i, seconds))
+        print(f"{workload:11} {(time.monotonic() - start) / (2 * args.runs):.1f} s per run",
+              flush=True)
         for metric in bench["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
             a = [r[name] for r in sets["A"]]

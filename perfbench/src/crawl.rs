@@ -30,7 +30,7 @@ use rbqa_service::{AnswerRequest, AnswerResponse, CatalogId, QueryService};
 use rbqa_workloads::scenarios::movie_services;
 
 use crate::ledger::{set_residual, set_trace_overhead, Ledger, Metered};
-use crate::{end_to_end, micros_since, segmented, time_is_up, Latencies, Outcome, RunConfig};
+use crate::{micros_since, segmented, time_is_up, Outcome, RunConfig, Timer};
 
 /// Movies and actors in the generated world (about 5×10³ facts with the
 /// 1–4 cast entries per movie). At 2×10⁴ facts every request copies and
@@ -166,33 +166,40 @@ pub fn run(config: &RunConfig) -> Result<Outcome, String> {
     // Every set-up builds the same world and keys from the seed, so one
     // set of expected rows checks every segment.
     let expected = setup()?.expected_rows()?;
-    let mut latencies = Latencies::new(config.seed);
+    let mut timer = Timer::new(config.seed);
     let (mut failed, mut calls) = (0u64, 0usize);
-    let (_, setup_s) = segmented(config.seconds, setup, |bench: &mut Bench| {
-        for (k, want) in expected.iter().enumerate() {
-            let t = Instant::now();
-            let response = bench.request(k).submit();
-            latencies.push(micros_since(t));
-            match response {
-                Ok(r) => {
-                    let (ok, c) = check(&r, want);
-                    failed += u64::from(!ok);
-                    calls += c;
+    segmented(
+        config.seconds,
+        &mut timer,
+        setup,
+        |bench: &mut Bench, timer| {
+            for (k, want) in expected.iter().enumerate() {
+                let response = timer.request(|| bench.request(k).submit());
+                match response {
+                    Ok(r) => {
+                        let (ok, c) = check(&r, want);
+                        failed += u64::from(!ok);
+                        calls += c;
+                    }
+                    Err(_) => failed += 1,
                 }
-                Err(_) => failed += 1,
             }
-        }
-    })?;
-    let attempted = latencies.count();
+        },
+    )?;
+    let attempted = timer.count();
     let per_req = calls as f64 / attempted as f64;
+    let (metrics, measured) = timer.end_to_end()?;
     Ok(Outcome {
         attempted,
         failed,
-        metrics: end_to_end(setup_s, &latencies)?,
-        notes: vec![format!(
-            "backend_calls_per_req {per_req} calls over {} passes of {KEYS} unions",
-            attempted / KEYS as u64
-        )],
+        metrics,
+        notes: vec![
+            format!(
+                "backend_calls_per_req {per_req} calls over {} passes of {KEYS} unions",
+                attempted / KEYS as u64
+            ),
+            measured,
+        ],
     })
 }
 

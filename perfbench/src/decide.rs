@@ -33,7 +33,7 @@ use rbqa_service::{CatalogId, QueryService};
 use rbqa_workloads::random::{RandomClass, RandomSchemaConfig};
 
 use crate::ledger::{set_residual, set_trace_overhead, Ledger};
-use crate::{end_to_end, micros_since, segmented, time_is_up, Latencies, Outcome, RunConfig};
+use crate::{micros_since, segmented, time_is_up, Outcome, RunConfig, Timer};
 
 /// Generated schemas per corpus.
 pub const CASES: usize = 64;
@@ -194,34 +194,40 @@ pub fn run(family: Family, config: &RunConfig) -> Result<Outcome, String> {
         return run_ledger(&setup()?, config);
     }
     let n = CASES;
-    let mut latencies = Latencies::new(config.seed);
+    let mut timer = Timer::new(config.seed);
     // Verdicts per case; `None` marks an error or an unexpected cache hit.
     let mut got: Vec<Vec<Option<Answerability>>> = vec![Vec::new(); n];
-    let (bench, setup_s) = segmented(config.seconds, setup, |bench: &mut Bench| {
-        for (i, verdicts) in got.iter_mut().enumerate() {
-            let t = Instant::now();
-            let response = bench.request(i).submit();
-            latencies.push(micros_since(t));
-            verdicts.push(match response {
-                Ok(r) if !r.cache_hit => Some(r.summary.answerability),
-                _ => None,
-            });
-        }
-        bench.service.clear_cache();
-    })?;
-    let metrics = end_to_end(setup_s, &latencies)?;
+    let bench = segmented(
+        config.seconds,
+        &mut timer,
+        setup,
+        |bench: &mut Bench, timer| {
+            for (i, verdicts) in got.iter_mut().enumerate() {
+                let response = timer.request(|| bench.request(i).submit());
+                verdicts.push(match response {
+                    Ok(r) if !r.cache_hit => Some(r.summary.answerability),
+                    _ => None,
+                });
+            }
+            bench.service.clear_cache();
+        },
+    )?;
+    let (metrics, measured) = timer.end_to_end()?;
     let expected = bench.reference_verdicts();
     let failed = got
         .iter()
         .zip(&expected)
         .map(|(verdicts, want)| verdicts.iter().filter(|v| **v != Some(*want)).count() as u64)
         .sum();
-    let attempted = latencies.count();
+    let attempted = timer.count();
     Ok(Outcome {
         attempted,
         failed,
         metrics,
-        notes: vec![format!("{} passes over {n} cases", attempted / n as u64)],
+        notes: vec![
+            format!("{} passes over {n} cases", attempted / n as u64),
+            measured,
+        ],
     })
 }
 

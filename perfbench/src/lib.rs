@@ -12,20 +12,24 @@
 //!   IMDb-style world on a 4-shard backend, decisions resident.
 //!
 //! With `--trace 0` a workload times its closed loop (tracing off) and
-//! reports the end-to-end metrics; with `--trace 1` it runs the per-layer
-//! ledger ([`ledger`]), which times the public call into each crate from
-//! outside. Every answer is checked; a wrong answer counts as a failed
-//! request.
+//! reports the end-to-end metrics, scaled to a reference host speed by the
+//! benchmark's host-speed probe (`src/pace.rs`); with `--trace 1` it runs
+//! the per-layer ledger ([`ledger`]), which times the public call into
+//! each crate from outside. Every answer is checked; a wrong answer counts
+//! as a failed request.
 
 pub mod crawl;
 pub mod decide;
 pub mod ledger;
+mod pace;
 pub mod serve;
 
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::pace::Pace;
 
 /// Length of one segment of a timed loop: a run sets its workload up
 /// afresh at the start of every segment (see [`segmented`]).
@@ -73,13 +77,16 @@ pub struct RunConfig {
     pub trace: bool,
 }
 
+/// A named metric: `(name, value, unit)`.
+pub type Metric = (&'static str, f64, &'static str);
+
 /// A run's result: the answer-check tallies and the named metrics.
 #[derive(Debug, Clone)]
 pub struct Outcome {
     pub attempted: u64,
     pub failed: u64,
-    /// `(name, value, unit)`, in report order.
-    pub metrics: Vec<(&'static str, f64, &'static str)>,
+    /// In report order.
+    pub metrics: Vec<Metric>,
     /// Human-readable lines printed before the JSON result.
     pub notes: Vec<String>,
 }
@@ -143,36 +150,33 @@ pub fn quantile(samples: &[f64], q: f64) -> f64 {
 
 /// Runs a workload's timed loop in segments of [`SEGMENT_SECONDS`] until
 /// `seconds` of passes in all. Each segment sets the workload up afresh,
-/// outside the timed requests and after the previous set-up is dropped,
-/// then calls `pass` until the segment is over. Returns the last set-up,
-/// for the answer check, and the median set-up time in seconds.
+/// timed by `timer`, outside the timed requests and after the previous
+/// set-up is dropped, then calls `pass` until the segment is over.
+/// Returns the last set-up, for the answer check.
 ///
-/// The host's speed regimes last seconds, so set-ups made back to back
-/// at the start of a run land in one regime and their median moves with
-/// it; spread over the run, they see the same mix of regimes as the timed
-/// requests.
+/// The host's speed states last seconds, so set-ups made back to back at
+/// the start of a run land in one state; spread over the run, they see the
+/// same mix of states as the timed requests.
 pub fn segmented<T>(
     seconds: f64,
+    timer: &mut Timer,
     mut setup: impl FnMut() -> Result<T, String>,
-    mut pass: impl FnMut(&mut T),
-) -> Result<(T, f64), String> {
-    let mut setup_times = Vec::new();
+    mut pass: impl FnMut(&mut T, &mut Timer),
+) -> Result<T, String> {
     let mut measured = 0.0;
     loop {
-        let start = Instant::now();
-        let mut bench = setup()?;
-        setup_times.push(start.elapsed().as_secs_f64());
+        let mut bench = timer.setup(&mut setup)?;
         let segment = Instant::now();
         let length = SEGMENT_SECONDS.min(seconds - measured);
         loop {
-            pass(&mut bench);
+            pass(&mut bench, timer);
             if time_is_up(segment, length) {
                 break;
             }
         }
         measured += segment.elapsed().as_secs_f64();
         if measured >= seconds {
-            return Ok((bench, quantile(&setup_times, 0.5)));
+            return Ok(bench);
         }
     }
 }
@@ -192,58 +196,94 @@ pub fn peak_rss_mb() -> Result<f64, String> {
 /// Samples a timed loop keeps for its percentiles.
 pub const RESERVOIR: usize = 1 << 16;
 
-/// The per-request latencies of a timed loop in fixed memory: a uniform
-/// reservoir sample (Algorithm R) of at most [`RESERVOIR`] requests, exact
-/// below that. A buffer that grew with throughput would show in
-/// `peak_rss_mb` as harness memory.
+/// The timed side of an untraced run. Every request and set-up time is
+/// kept as measured and scaled to the reference host speed (see
+/// `src/pace.rs`); the end-to-end metrics are the scaled ones. Latencies
+/// are kept in fixed memory, a uniform reservoir sample (Algorithm R) of
+/// at most [`RESERVOIR`] requests, exact below that: a buffer that grew
+/// with throughput would show in `peak_rss_mb` as harness memory.
 #[derive(Debug)]
-pub struct Latencies {
-    samples: Vec<f64>,
+pub struct Timer {
+    pace: Pace,
+    /// `(scaled, measured)` request latencies in µs.
+    samples: Vec<(f64, f64)>,
     seen: u64,
     rng: StdRng,
+    /// `(scaled, measured)` set-up times in seconds.
+    setups: Vec<(f64, f64)>,
 }
 
-impl Latencies {
+impl Timer {
     pub fn new(seed: u64) -> Self {
-        Latencies {
+        Timer {
+            pace: Pace::new(),
             samples: Vec::with_capacity(RESERVOIR),
             seen: 0,
             rng: StdRng::seed_from_u64(seed),
+            setups: Vec::new(),
         }
     }
 
-    pub fn push(&mut self, micros: f64) {
+    /// Times one request, probing the host first if a probe is due.
+    pub fn request<R>(&mut self, request: impl FnOnce() -> R) -> R {
+        self.pace.tick();
+        let start = Instant::now();
+        let response = request();
+        let micros = micros_since(start);
+        let sample = (micros * self.pace.scale(), micros);
         self.seen += 1;
         if self.samples.len() < RESERVOIR {
-            self.samples.push(micros);
+            self.samples.push(sample);
         } else {
             let slot = self.rng.gen_range(0..self.seen);
             if let Some(s) = self.samples.get_mut(slot as usize) {
-                *s = micros;
+                *s = sample;
             }
         }
+        response
+    }
+
+    /// Times one set-up, right after a probe of the host.
+    fn setup<T>(&mut self, setup: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+        self.pace.probe();
+        let start = Instant::now();
+        let bench = setup()?;
+        let seconds = start.elapsed().as_secs_f64();
+        self.setups.push((seconds * self.pace.scale(), seconds));
+        Ok(bench)
     }
 
     /// Requests timed, sampled or not.
     pub fn count(&self) -> u64 {
         self.seen
     }
-}
 
-/// The end-to-end metrics of an untraced run, in BENCHMARK.json order.
-pub fn end_to_end(
-    setup_s: f64,
-    latencies: &Latencies,
-) -> Result<Vec<(&'static str, f64, &'static str)>, String> {
-    if latencies.samples.is_empty() {
-        return Err("the timed loop completed no request".into());
+    /// The end-to-end metrics, in BENCHMARK.json order, and a note with
+    /// the same times as measured.
+    pub fn end_to_end(&self) -> Result<(Vec<Metric>, String), String> {
+        if self.samples.is_empty() {
+            return Err("the timed loop completed no request".into());
+        }
+        let scaled: Vec<f64> = self.samples.iter().map(|s| s.0).collect();
+        let measured: Vec<f64> = self.samples.iter().map(|s| s.1).collect();
+        let setup_scaled: Vec<f64> = self.setups.iter().map(|s| s.0).collect();
+        let setup_measured: Vec<f64> = self.setups.iter().map(|s| s.1).collect();
+        let metrics = vec![
+            ("setup_s", quantile(&setup_scaled, 0.5), "s"),
+            ("p50_us", quantile(&scaled, 0.5), "us"),
+            ("p90_us", quantile(&scaled, 0.9), "us"),
+            ("peak_rss_mb", peak_rss_mb()?, "MB"),
+        ];
+        let note = format!(
+            "as measured: setup_s {:.4} s, p50_us {:.1} us, p90_us {:.1} us; host-speed probe median {:.1} us (reference {} us)",
+            quantile(&setup_measured, 0.5),
+            quantile(&measured, 0.5),
+            quantile(&measured, 0.9),
+            self.pace.median_us(),
+            pace::REFERENCE_US
+        );
+        Ok((metrics, note))
     }
-    Ok(vec![
-        ("setup_s", setup_s, "s"),
-        ("p50_us", quantile(&latencies.samples, 0.5), "us"),
-        ("p90_us", quantile(&latencies.samples, 0.9), "us"),
-        ("peak_rss_mb", peak_rss_mb()?, "MB"),
-    ])
 }
 
 /// Whether a loop that started at `start` has used up `seconds`.

@@ -22,7 +22,7 @@ use rbqa_net::{NetServer, ServerConfig, ServerHandle};
 use rbqa_service::{QueryService, RequestMode};
 
 use crate::ledger::{set_residual, set_trace_overhead, Ledger};
-use crate::{end_to_end, micros_since, segmented, time_is_up, Latencies, Outcome, RunConfig};
+use crate::{micros_since, segmented, time_is_up, Outcome, RunConfig, Timer};
 
 /// Resident keys per run.
 pub const KEYS: usize = 256;
@@ -306,23 +306,27 @@ pub fn run(config: &RunConfig) -> Result<Outcome, String> {
         return run_ledger(&mut setup()?, config);
     }
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
-    let mut latencies = Latencies::new(config.seed);
+    let mut timer = Timer::new(config.seed);
     let mut failed = 0;
-    let (_, setup_s) = segmented(config.seconds, setup, |bench: &mut Bench| {
-        let key = &bench.keys[rng.gen_range(0..bench.keys.len())];
-        let line = key.line(&key.query_text(&mut rng, true));
-        let t = Instant::now();
-        let response = bench.client.request(&line);
-        latencies.push(micros_since(t));
-        if !response.is_ok_and(|r| key.answered_by(&r)) {
-            failed += 1;
-        }
-    })?;
+    segmented(
+        config.seconds,
+        &mut timer,
+        setup,
+        |bench: &mut Bench, timer| {
+            let key = &bench.keys[rng.gen_range(0..bench.keys.len())];
+            let line = key.line(&key.query_text(&mut rng, true));
+            let response = timer.request(|| bench.client.request(&line));
+            if !response.is_ok_and(|r| key.answered_by(&r)) {
+                failed += 1;
+            }
+        },
+    )?;
+    let (metrics, measured) = timer.end_to_end()?;
     Ok(Outcome {
-        attempted: latencies.count(),
+        attempted: timer.count(),
         failed,
-        metrics: end_to_end(setup_s, &latencies)?,
-        notes: vec![format!("{KEYS} resident keys")],
+        metrics,
+        notes: vec![format!("{KEYS} resident keys"), measured],
     })
 }
 
