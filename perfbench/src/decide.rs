@@ -35,8 +35,9 @@ use rbqa_workloads::random::{RandomClass, RandomSchemaConfig};
 use crate::ledger::{set_residual, set_trace_overhead, Ledger};
 use crate::{micros_since, segmented, time_is_up, Outcome, RunConfig, Timer};
 
-/// Generated schemas per corpus.
-pub const CASES: usize = 64;
+/// Generated schemas per corpus. With 64, a run's `p90_us` on decide-fds
+/// still moved about ±5% with the seed (the few heaviest schemas set it).
+pub const CASES: usize = 128;
 
 /// The constraint family of a decide workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -9,10 +9,10 @@
 //!
 //! The probe is the benchmark's own code (standard library and the
 //! vendored `rand` only, no rbqa crate), so a program change does not
-//! change its work. [`Pace`] times it every [`EVERY`] of a run, between requests and
-//! never inside a timed one, and once before each set-up; a time measured
-//! while the median of the last three probes took `p` µs is reported as
-//! `time × REFERENCE_US / p`.
+//! change its work. [`Pace`] times it every [`EVERY`] of a run, between
+//! requests and never inside a timed one, and once before each set-up; a
+//! time measured while the median of the last three probes took `p` µs is
+//! reported as `time × REFERENCE_US / p`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
