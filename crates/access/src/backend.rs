@@ -21,7 +21,7 @@
 //!   [`AccessTrace`] that can be replayed later ([`ReplayBackend`]) without
 //!   the original data source;
 //! * [`BudgetedBackend`] — a thin wrapper enforcing a total call quota on
-//!   any backend (the service's rate limits are built on it).
+//!   any backend (`ExecOptions::call_budget` is built on it).
 //!
 //! A *window* (for quotas) is the lifetime of the backend value; the
 //! service constructs one backend per plan run, so quotas are per-run.
@@ -805,8 +805,8 @@ impl AccessBackend for ReplayBackend {
 }
 
 /// A decorator enforcing a hard total call quota on any backend: call
-/// `budget + 1` fails with [`AccessError::BudgetExhausted`]. The service's
-/// per-run rate limits and the API's `call_budget` option are built on it.
+/// `budget + 1` fails with [`AccessError::BudgetExhausted`]. The
+/// request's `call_budget` option is built on it.
 #[derive(Debug)]
 pub struct BudgetedBackend<B> {
     inner: B,

@@ -9,6 +9,14 @@
 //! historical entry point [`execute`] over `(&Instance, &mut dyn
 //! AccessSelection)` is preserved as a thin wrapper around the in-memory
 //! [`InstanceBackend`].
+//!
+//! [`execute_plan_adaptive`] runs the same loop with an
+//! [`AdaptiveWindow`]: a memo of every `(method, binding)` response
+//! fetched in one execution window, so a repeated access is answered
+//! without a backend call (runtime access relevance, after
+//! Benedikt–Gottlob–Senellart). Within one window the backend is
+//! idempotent (one selection cache, one seeded latency/fault stream), so
+//! a memoized response is exactly what the backend would return again.
 
 use rbqa_common::{Instance, Value};
 use rustc_hash::FxHashMap;
@@ -20,6 +28,10 @@ use crate::schema::Schema;
 use crate::selection::AccessSelection;
 
 /// The result of executing a plan: the output rows plus execution metrics.
+///
+/// The counters account *fresh backend calls only*: an access answered
+/// from an [`AdaptiveWindow`] adds to `accesses_skipped` and to nothing
+/// else.
 #[derive(Debug, Clone)]
 pub struct PlanRun {
     /// Rows of the output table, sorted for deterministic comparison.
@@ -43,14 +55,9 @@ pub struct PlanRun {
     pub wall_micros: u64,
     /// Accesses performed, per method name.
     pub calls_per_method: FxHashMap<String, usize>,
-    /// Binding-level accesses an adaptive executor answered without a
-    /// backend call (window-cache hits plus short-circuited disjuncts'
-    /// avoided accesses). Always 0 on the naive path.
+    /// Binding-level accesses answered from the [`AdaptiveWindow`] memo
+    /// without a backend call. Always 0 without a window.
     pub accesses_skipped: usize,
-    /// Whether this plan run was short-circuited as a union disjunct whose
-    /// rows were provably subsumed by already-executed disjuncts (0 or 1
-    /// per run; union metrics sum it). Always 0 on the naive path.
-    pub disjuncts_short_circuited: usize,
     /// Final contents of every temporary table (for inspection/debugging).
     pub tables: FxHashMap<String, TempTable>,
 }
@@ -60,6 +67,28 @@ impl PlanRun {
     /// output table has arity 0, as in Example 2.1).
     pub fn boolean_output(&self) -> bool {
         !self.output.is_empty()
+    }
+}
+
+/// The access memo of one execution window: the source-arity tuples of
+/// every fresh `(method, binding)` response, kept *before* output
+/// projection so different access commands sharing a binding reuse them.
+///
+/// Create one per execution window — one `Execute` request, all disjunct
+/// plans included — and drop it with the window: that scope is what
+/// makes replaying a memoized response sound.
+#[derive(Debug, Default)]
+pub struct AdaptiveWindow {
+    memo: FxHashMap<String, MethodMemo>,
+}
+
+/// One method's memo: binding → the response's source-arity tuples.
+type MethodMemo = FxHashMap<Vec<(usize, Value)>, Vec<Vec<Value>>>;
+
+impl AdaptiveWindow {
+    /// A fresh window with nothing memoized.
+    pub fn new() -> Self {
+        AdaptiveWindow::default()
     }
 }
 
@@ -77,10 +106,50 @@ pub fn execute_with_backend(
     schema: &Schema,
     backend: &mut dyn AccessBackend,
 ) -> Result<PlanRun, PlanError> {
+    run_plan(plan, schema, backend, None)
+}
+
+/// Executes `plan` like [`execute_with_backend`], answering every
+/// `(method, binding)` access `window` already memoized without a backend
+/// call and memoizing every fresh one.
+///
+/// Call this once per disjunct with one shared `window` per request to
+/// dedup accesses across a union's plans; a fresh window dedups repeated
+/// bindings within the plan only. The output rows are always exactly
+/// [`execute_with_backend`]'s.
+pub fn execute_plan_adaptive(
+    plan: &Plan,
+    schema: &Schema,
+    backend: &mut dyn AccessBackend,
+    window: &mut AdaptiveWindow,
+) -> Result<PlanRun, PlanError> {
+    run_plan(plan, schema, backend, Some(window))
+}
+
+/// Projects source-arity `tuples` through `output_map` into `out`.
+fn project_into(
+    out: &mut TempTable,
+    output_map: &[usize],
+    tuples: &[Vec<Value>],
+) -> Result<(), PlanError> {
+    for tuple in tuples {
+        out.insert(output_map.iter().map(|&p| tuple[p]).collect())?;
+    }
+    Ok(())
+}
+
+/// The one per-binding executor loop behind both entry points.
+fn run_plan(
+    plan: &Plan,
+    schema: &Schema,
+    backend: &mut dyn AccessBackend,
+    mut window: Option<&mut AdaptiveWindow>,
+) -> Result<PlanRun, PlanError> {
     plan.validate(schema)?;
     let wall_start = std::time::Instant::now();
     let mut tables: FxHashMap<String, TempTable> = FxHashMap::default();
     let mut accesses_performed = 0usize;
+    let mut accesses_skipped = 0usize;
     let mut tuples_fetched = 0usize;
     let mut tuples_matched = 0usize;
     let mut truncated_accesses = 0usize;
@@ -102,8 +171,12 @@ pub fn execute_with_backend(
             } => {
                 let mut access_span = rbqa_obs::span("access");
                 access_span.str("method", method);
-                let (fetched0, matched0, truncated0) =
-                    (tuples_fetched, tuples_matched, truncated_accesses);
+                let (fetched0, matched0, truncated0, skipped0) = (
+                    tuples_fetched,
+                    tuples_matched,
+                    truncated_accesses,
+                    accesses_skipped,
+                );
                 let m = schema
                     .method(method)
                     .ok_or_else(|| PlanError::UnknownMethod(method.clone()))?;
@@ -111,12 +184,16 @@ pub fn execute_with_backend(
                 access_span.num("bindings", bindings_table.len() as u64);
                 let input_positions = m.input_positions_vec();
                 let mut out = TempTable::new(output_map.len());
+                let mut memo = window
+                    .as_deref_mut()
+                    .map(|w| w.memo.entry(method.clone()).or_default());
                 for binding_row in bindings_table.rows() {
                     // Cooperative deadline check, once per access: a timed
                     // out request stops occupying the worker mid-plan
                     // instead of running to completion.
                     if rbqa_obs::deadline_expired() {
                         rbqa_obs::counters::add_deadline_expiry();
+                        rbqa_obs::counters::add_adaptive(accesses_skipped as u64, 0);
                         return Err(PlanError::DeadlineExceeded);
                     }
                     let binding: Vec<(usize, Value)> = input_positions
@@ -124,6 +201,11 @@ pub fn execute_with_backend(
                         .zip(input_map.iter())
                         .map(|(&pos, &col)| (pos, binding_row[col]))
                         .collect();
+                    if let Some(tuples) = memo.as_ref().and_then(|memo| memo.get(&binding)) {
+                        accesses_skipped += 1;
+                        project_into(&mut out, output_map, tuples)?;
+                        continue;
+                    }
                     let response = backend.access(m, &binding)?;
                     accesses_performed += 1;
                     *calls_per_method.entry(method.clone()).or_insert(0) += 1;
@@ -131,14 +213,17 @@ pub fn execute_with_backend(
                     tuples_matched += response.tuples_matched;
                     truncated_accesses += response.truncated as usize;
                     latency_micros += response.latency_micros;
-                    for tuple in response.tuples {
-                        let projected: Vec<Value> = output_map.iter().map(|&p| tuple[p]).collect();
-                        out.insert(projected)?;
+                    project_into(&mut out, output_map, &response.tuples)?;
+                    if let Some(memo) = memo.as_mut() {
+                        memo.insert(binding, response.tuples);
                     }
                 }
                 access_span.num("fetched", (tuples_fetched - fetched0) as u64);
                 access_span.num("matched", (tuples_matched - matched0) as u64);
                 access_span.num("truncated", (truncated_accesses - truncated0) as u64);
+                if memo.is_some() {
+                    access_span.num("pruned", (accesses_skipped - skipped0) as u64);
+                }
                 tables.insert(output.clone(), out);
             }
         }
@@ -147,6 +232,7 @@ pub fn execute_with_backend(
     let output_table = tables
         .get(plan.output_table())
         .ok_or_else(|| PlanError::UnknownTable(plan.output_table().to_owned()))?;
+    rbqa_obs::counters::add_adaptive(accesses_skipped as u64, 0);
     Ok(PlanRun {
         output: output_table.sorted_rows(),
         accesses_performed,
@@ -156,8 +242,7 @@ pub fn execute_with_backend(
         latency_micros,
         wall_micros: wall_start.elapsed().as_micros() as u64,
         calls_per_method,
-        accesses_skipped: 0,
-        disjuncts_short_circuited: 0,
+        accesses_skipped,
         tables,
     })
 }
@@ -219,10 +304,10 @@ mod tests {
         (schema, inst, vf)
     }
 
-    /// The plan of Example 1.2: ud for ids, pr per id, filter salary, return
-    /// names.
-    fn example_1_2_plan(vf: &mut ValueFactory) -> crate::plan::Plan {
-        let salary = vf.constant("10000");
+    /// The plan of Example 1.2 (with `salary` = 10000): ud for ids, pr per
+    /// id, filter salary, return names.
+    fn salary_plan(vf: &mut ValueFactory, salary: &str) -> Plan {
+        let salary = vf.constant(salary);
         PlanBuilder::new()
             .access("ids", "ud", RaExpr::unit(), vec![], vec![0])
             .access("profs", "pr", RaExpr::table("ids"), vec![0], vec![0, 1, 2])
@@ -237,7 +322,7 @@ mod tests {
     #[test]
     fn example_1_2_plan_returns_all_names_without_bound() {
         let (schema, inst, mut vf) = setup(None);
-        let plan = example_1_2_plan(&mut vf);
+        let plan = salary_plan(&mut vf, "10000");
         let mut sel = TruncatingSelection::new();
         let run = execute(&plan, &schema, &inst, &mut sel).unwrap();
         // 4 professors earn 10000.
@@ -253,7 +338,7 @@ mod tests {
         // different access selections give different outputs: the plan no
         // longer answers the query.
         let (schema, inst, mut vf) = setup(Some(2));
-        let plan = example_1_2_plan(&mut vf);
+        let plan = salary_plan(&mut vf, "10000");
         let mut first = TruncatingSelection::new();
         let run_first = execute(&plan, &schema, &inst, &mut first).unwrap();
         assert!(run_first.output.len() < 4);
@@ -307,7 +392,7 @@ mod tests {
     #[test]
     fn tables_are_available_for_inspection() {
         let (schema, inst, mut vf) = setup(None);
-        let plan = example_1_2_plan(&mut vf);
+        let plan = salary_plan(&mut vf, "10000");
         let mut sel = TruncatingSelection::new();
         let run = execute(&plan, &schema, &inst, &mut sel).unwrap();
         assert!(run.tables.contains_key("ids"));
@@ -319,7 +404,7 @@ mod tests {
     #[test]
     fn run_accounting_tracks_matches_and_truncation() {
         let (schema, inst, mut vf) = setup(Some(2));
-        let plan = example_1_2_plan(&mut vf);
+        let plan = salary_plan(&mut vf, "10000");
         let mut sel = TruncatingSelection::new();
         let run = execute(&plan, &schema, &inst, &mut sel).unwrap();
         // ud matched 5 rows but returned 2 (bound), so exactly one access
@@ -334,7 +419,7 @@ mod tests {
     #[test]
     fn backend_generic_execution_matches_the_selection_path() {
         let (schema, inst, mut vf) = setup(Some(2));
-        let plan = example_1_2_plan(&mut vf);
+        let plan = salary_plan(&mut vf, "10000");
         let mut sel = TruncatingSelection::new();
         let direct = execute(&plan, &schema, &inst, &mut sel).unwrap();
         let mut backend = crate::backend::InstanceBackend::truncating(&inst);
@@ -348,7 +433,7 @@ mod tests {
     fn backend_errors_surface_as_plan_errors() {
         use crate::backend::{AccessError, BudgetedBackend, InstanceBackend};
         let (schema, inst, mut vf) = setup(None);
-        let plan = example_1_2_plan(&mut vf);
+        let plan = salary_plan(&mut vf, "10000");
         let mut backend = BudgetedBackend::new(InstanceBackend::truncating(&inst), 2);
         let err = execute_with_backend(&plan, &schema, &mut backend).unwrap_err();
         assert_eq!(
@@ -368,5 +453,117 @@ mod tests {
             .returns("T");
         let mut sel = TruncatingSelection::new();
         assert!(execute(&plan, &schema, &inst, &mut sel).is_err());
+    }
+
+    #[test]
+    fn adaptive_matches_naive_rows_with_no_prior_state() {
+        let (schema, inst, mut vf) = setup(None);
+        let plan = salary_plan(&mut vf, "10000");
+        let mut naive_backend = InstanceBackend::truncating(&inst);
+        let naive = execute_with_backend(&plan, &schema, &mut naive_backend).unwrap();
+        let mut backend = InstanceBackend::truncating(&inst);
+        let mut window = AdaptiveWindow::new();
+        let run = execute_plan_adaptive(&plan, &schema, &mut backend, &mut window).unwrap();
+        assert_eq!(run.output, naive.output);
+        assert_eq!(run.accesses_performed, naive.accesses_performed);
+        assert_eq!(run.accesses_skipped, 0, "cold window: nothing to skip");
+        assert_eq!(run.calls_per_method, naive.calls_per_method);
+    }
+
+    #[test]
+    fn shared_window_dedups_union_disjunct_accesses() {
+        // The fixture union shape: Q(n) :- Prof(i, n, '10000') ∨ '20000'.
+        // Both disjuncts crawl the same ud + pr accesses; the second must
+        // answer every access from the window memo.
+        let (schema, inst, mut vf) = setup(None);
+        let p1 = salary_plan(&mut vf, "10000");
+        let p2 = salary_plan(&mut vf, "20000");
+        let mut backend = InstanceBackend::truncating(&inst);
+        let mut window = AdaptiveWindow::new();
+        let r1 = execute_plan_adaptive(&p1, &schema, &mut backend, &mut window).unwrap();
+        let r2 = execute_plan_adaptive(&p2, &schema, &mut backend, &mut window).unwrap();
+        assert_eq!(r1.accesses_performed, 6);
+        assert_eq!(r2.accesses_performed, 0, "all 6 accesses deduped");
+        assert_eq!(r2.accesses_skipped, 6);
+        assert_eq!(r2.tuples_fetched, 0, "memo hits account no backend traffic");
+        assert_eq!(r1.output.len(), 4);
+        assert_eq!(r2.output.len(), 1);
+        // Naive parity for both disjuncts.
+        for (plan, run) in [(&p1, &r1), (&p2, &r2)] {
+            let mut nb = InstanceBackend::truncating(&inst);
+            assert_eq!(
+                execute_with_backend(plan, &schema, &mut nb).unwrap().output,
+                run.output
+            );
+        }
+        // Repeating a plan answers every access from the memo.
+        let r3 = execute_plan_adaptive(&p1, &schema, &mut backend, &mut window).unwrap();
+        assert_eq!(r3.output, r1.output);
+        assert_eq!(r3.accesses_performed, 0);
+        assert_eq!(r3.accesses_skipped, 6);
+    }
+
+    #[test]
+    fn duplicate_bindings_within_one_access_are_deduped() {
+        // A seed table with one id listed twice through a union: the
+        // union dedups to one row, so the first run degenerates to a cold
+        // call — but a different plan asking for the same binding in the
+        // same window is answered from the memo.
+        let (schema, inst, mut vf) = setup(None);
+        let id2 = vf.constant("id2");
+        let plan = PlanBuilder::new()
+            .middleware(
+                "seed",
+                RaExpr::union(
+                    RaExpr::singleton(vec![id2]),
+                    RaExpr::project(RaExpr::singleton(vec![id2, id2]), vec![1]),
+                ),
+            )
+            .access("prof", "pr", RaExpr::table("seed"), vec![0], vec![1, 2])
+            .returns("prof");
+        let mut backend = InstanceBackend::truncating(&inst);
+        let mut window = AdaptiveWindow::new();
+        let run = execute_plan_adaptive(&plan, &schema, &mut backend, &mut window).unwrap();
+        assert_eq!(run.accesses_performed, 1);
+        let p2 = PlanBuilder::new()
+            .middleware("seed2", RaExpr::singleton(vec![id2]))
+            .access("prof2", "pr", RaExpr::table("seed2"), vec![0], vec![1, 2])
+            .returns("prof2");
+        let r2 = execute_plan_adaptive(&p2, &schema, &mut backend, &mut window).unwrap();
+        assert_eq!(r2.accesses_performed, 0);
+        assert_eq!(r2.accesses_skipped, 1);
+        assert_eq!(r2.output, run.output);
+    }
+
+    #[test]
+    fn empty_binding_sets_skip_the_access() {
+        let (schema, inst, _vf) = setup(None);
+        let plan = PlanBuilder::new()
+            .middleware(
+                "seed",
+                RaExpr::Constant {
+                    arity: 1,
+                    rows: vec![],
+                },
+            )
+            .access("prof", "pr", RaExpr::table("seed"), vec![0], vec![1])
+            .returns("prof");
+        let mut backend = InstanceBackend::truncating(&inst);
+        let mut window = AdaptiveWindow::new();
+        let run = execute_plan_adaptive(&plan, &schema, &mut backend, &mut window).unwrap();
+        assert_eq!(run.accesses_performed, 0);
+        assert!(run.output.is_empty());
+    }
+
+    #[test]
+    fn deadline_aborts_adaptive_execution() {
+        let (schema, inst, mut vf) = setup(None);
+        let plan = salary_plan(&mut vf, "10000");
+        let _guard = rbqa_obs::arm_deadline(std::time::Duration::from_micros(0));
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let mut backend = InstanceBackend::truncating(&inst);
+        let mut window = AdaptiveWindow::new();
+        let err = execute_plan_adaptive(&plan, &schema, &mut backend, &mut window).unwrap_err();
+        assert_eq!(err, PlanError::DeadlineExceeded);
     }
 }

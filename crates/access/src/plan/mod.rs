@@ -17,13 +17,13 @@
 pub mod exec;
 pub mod ra;
 
-pub use exec::{execute, execute_with_backend, PlanRun};
+pub use exec::{execute, execute_plan_adaptive, execute_with_backend, AdaptiveWindow, PlanRun};
 pub use ra::{Condition, PlanError, RaExpr, TempTable};
 
 use rustc_hash::FxHashMap;
 
 /// A single plan command.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// `output := expr` — a query middleware command.
     Middleware {
@@ -60,7 +60,7 @@ impl Command {
 }
 
 /// A monotone plan: a sequence of commands and the name of the output table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
     commands: Vec<Command>,
     output_table: String,

@@ -216,7 +216,7 @@ impl Condition {
 }
 
 /// A monotone relational algebra expression.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RaExpr {
     /// Scan of a previously produced temporary table.
     Table(String),

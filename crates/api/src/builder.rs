@@ -273,9 +273,10 @@ impl<'s> RequestBuilder<'s> {
         self
     }
 
-    /// Selects the adaptive execution mode for `Execute` requests
-    /// (`rbqa-adapt`): `On` prunes, dedups, and reorders accesses at
-    /// runtime; `Validate` additionally runs the naive executor side by
+    /// Selects the adaptive execution mode for `Execute` requests: `On`
+    /// memoizes every `(method, binding)` access for the request window
+    /// and short-circuits disjuncts identical to one that already
+    /// succeeded; `Validate` additionally runs the naive executor side by
     /// side and fails with a structured discrepancy if rows differ. Part
     /// of the fingerprint of `Execute` requests; other modes ignore it.
     pub fn adaptive(mut self, mode: rbqa_service::AdaptiveMode) -> Self {

@@ -30,8 +30,8 @@ pub enum ApiErrorCode {
     EmptyUnion,
     /// The request's disjuncts disagree on answer arity.
     UnionArityMismatch,
-    /// Plan execution exceeded its call budget (a rate limit or the
-    /// request's `call_budget` option) and failed fast.
+    /// Plan execution exceeded the request's `call_budget` option and
+    /// failed fast.
     BudgetExhausted,
     /// The execution backend was unavailable.
     BackendUnavailable,

@@ -275,9 +275,10 @@ pub fn response_to_json_with(
             .field_u128("retries", pm.retries as u128)
             .field_u128("breaker_rejections", pm.breaker_rejections as u128)
             // Adaptive execution (`option exec.adaptive`): accesses the
-            // relevance oracle answered without a backend call, and union
-            // disjuncts short-circuited as subsumed. Both 0 on the naive
-            // path; fields are append-only per the §5.1 contract.
+            // window memo answered without a backend call, and union
+            // disjuncts short-circuited as identical to an earlier one.
+            // Both 0 on the naive path; fields are append-only per the
+            // §5.1 contract.
             .field_u128("accesses_skipped", pm.accesses_skipped as u128)
             .field_u128(
                 "disjuncts_short_circuited",

@@ -29,7 +29,9 @@ fn bench_backends(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::from_parameter(label), &size, |b, _| {
                 b.iter(|| {
                     simulator
-                        .run_plan_exec(&plan, &exec)
+                        .run_plans_exec_results(&[&plan], &exec)
+                        .expect("backend builds")
+                        .remove(0)
                         .expect("plan executes")
                 })
             });

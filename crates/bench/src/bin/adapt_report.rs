@@ -1,15 +1,15 @@
 //! FIG-adapt report: naive vs adaptive plan execution over union windows.
 //!
 //! Each scenario executes one union (several disjunct plans sharing a
-//! backend window) twice — once with the naive executor and once with
-//! `rbqa-adapt` — and reports the backend-call reduction the adaptive
-//! window achieves through duplicate-binding dedup, cross-disjunct access
-//! caching and structural disjunct short-circuits. The report asserts
-//! that the two executions return byte-identical sorted row sets and
-//! that `exec.adaptive validate` (naive and adaptive side by side with a
-//! structured mismatch error) passes on every scenario; the acceptance
-//! bar is a >= 25% total-call reduction on the web-services and sharded
-//! scenarios.
+//! backend window) twice — once naively and once with `exec.adaptive on`
+//! — and reports the backend-call reduction the adaptive window achieves
+//! through its `(method, binding)` memo (duplicate bindings and accesses
+//! shared across disjuncts) and the identical-disjunct short-circuit.
+//! The report asserts that the two executions return byte-identical
+//! sorted row sets and that `exec.adaptive validate` (naive and adaptive
+//! side by side with a structured mismatch error) passes on every
+//! scenario; the acceptance bar is a >= 25% total-call reduction on the
+//! web-services and sharded scenarios.
 //!
 //! Usage:
 //!
@@ -126,7 +126,7 @@ impl ScenarioRow {
 /// without budgets or fault injection.
 fn run_union(simulator: &ServiceSimulator, plans: &[&Plan], exec: &ExecOptions) -> UnionOutcome {
     let results = simulator
-        .run_plans_exec(plans, exec)
+        .run_plans_exec_results(plans, exec)
         .expect("union executes");
     let mut outcome = UnionOutcome {
         rows: Vec::new(),
@@ -134,7 +134,8 @@ fn run_union(simulator: &ServiceSimulator, plans: &[&Plan], exec: &ExecOptions) 
         accesses_skipped: 0,
         disjuncts_short_circuited: 0,
     };
-    for (plan_rows, metrics) in results {
+    for result in results {
+        let (plan_rows, metrics) = result.expect("disjunct executes");
         outcome.rows.extend(plan_rows);
         outcome.total_calls += metrics.total_calls;
         outcome.accesses_skipped += metrics.accesses_skipped;

@@ -46,24 +46,23 @@ fn main() {
         let data = university_instance(scenario.schema.signature(), &mut scenario.values, size, 5);
         let simulator = ServiceSimulator::new(scenario.schema.clone(), data);
 
-        let baseline_rows = simulator
-            .run_plan_exec(&plan, &ExecOptions::default())
-            .expect("plan executes")
-            .0;
+        let run = |exec: &ExecOptions| {
+            let mut runs = simulator
+                .run_plans_exec_results(&[&plan], exec)
+                .expect("plan executes");
+            runs.remove(0).expect("plan executes")
+        };
+        let baseline_rows = run(&ExecOptions::default()).0;
 
         for (name, backend) in fig_backend_roster() {
             let exec = ExecOptions::with_backend(backend);
             // Warm-up run also provides rows + metrics for the parity and
             // accounting columns.
-            let (rows, metrics) = simulator
-                .run_plan_exec(&plan, &exec)
-                .expect("plan executes");
+            let (rows, metrics) = run(&exec);
             let parity = rows == baseline_rows;
             let start = Instant::now();
             for _ in 0..iters {
-                let _ = simulator
-                    .run_plan_exec(&plan, &exec)
-                    .expect("plan executes");
+                run(&exec);
             }
             let mean_us = start.elapsed().as_micros() as f64 / iters as f64;
             println!(

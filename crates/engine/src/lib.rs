@@ -14,7 +14,7 @@
 //! * [`service`] — a web-service simulator wrapping an instance behind the
 //!   schema's access methods through pluggable
 //!   [`rbqa_access::AccessBackend`]s (in-memory, simulated-remote,
-//!   sharded), with per-method call accounting and hard rate limits;
+//!   sharded), with per-method call accounting and hard call budgets;
 //! * [`validation`] — the empirical plan validation harness: execute a plan
 //!   under many access selections **and backends** over instances
 //!   satisfying the constraints and compare its output with the query's
@@ -25,6 +25,7 @@ pub mod service;
 pub mod validation;
 
 pub use dataset::{movie_instance, random_instance_satisfying, university_instance};
-pub use rbqa_adapt::AdaptiveMode;
-pub use service::{BackendSpec, ExecOptions, PlanMetrics, ServiceSimulator, MAX_SHARDS};
+pub use service::{
+    AdaptiveMode, BackendSpec, ExecOptions, PlanMetrics, ServiceSimulator, MAX_SHARDS,
+};
 pub use validation::{validate_plan, ValidationReport};

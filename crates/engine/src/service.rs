@@ -9,20 +9,22 @@
 //! per-run call budget so higher layers (`rbqa-service`, the wire
 //! protocol) can select them declaratively — and fingerprint the choice.
 //!
-//! Rate limits are **hard**: a run that exceeds the configured quota fails
-//! fast with [`rbqa_access::AccessError::BudgetExhausted`] (surfaced as
+//! Call budgets are **hard**: a window that exceeds
+//! [`ExecOptions::call_budget`] fails fast with
+//! [`rbqa_access::AccessError::BudgetExhausted`] (surfaced as
 //! `PlanError::Access`) instead of completing and setting a soft flag.
 
 use rbqa_access::backend::{
     AccessBackend, BudgetedBackend, InstanceBackend, RemoteProfile, ShardedBackend,
     SimulatedRemoteBackend,
 };
-use rbqa_access::plan::{execute_with_backend, PlanError, PlanRun};
+use rbqa_access::plan::{
+    execute_plan_adaptive, execute_with_backend, AdaptiveWindow, PlanError, PlanRun,
+};
 use rbqa_access::{
     AccessSelection, BreakerPolicy, Plan, ResilienceStats, ResilientBackend, RetryPolicy, Schema,
     TruncatingSelection,
 };
-use rbqa_adapt::{execute_plan_adaptive, AdaptiveMode, AdaptiveWindow};
 use rbqa_common::{Instance, Value};
 use rustc_hash::FxHashMap;
 
@@ -88,9 +90,10 @@ impl BackendSpec {
 pub struct ExecOptions {
     /// The backend to execute against.
     pub backend: BackendSpec,
-    /// Hard cap on the total number of accesses one run may perform; the
-    /// over-quota call fails with `BudgetExhausted`. Combines with a
-    /// simulator-level rate limit by taking the minimum.
+    /// Hard cap on the total number of accesses one execution window may
+    /// perform — every disjunct plan of a union shares it, as they would
+    /// share a real service's quota; the over-quota call fails with
+    /// `BudgetExhausted` and the window returns **no rows**.
     pub call_budget: Option<usize>,
     /// Retry retryable access faults through a [`ResilientBackend`]
     /// wrapping the whole execution window. `None` = no wrapper (every
@@ -108,13 +111,40 @@ pub struct ExecOptions {
     /// those that didn't. Off by default — then any disjunct failure
     /// fails the whole request.
     pub degraded: bool,
-    /// Adaptive execution (`rbqa-adapt`): runtime relevance pruning,
-    /// cost-ordered accesses, and disjunct short-circuiting. `Validate`
-    /// runs adaptive and naive side by side on independent backend
-    /// windows and fails with a structured discrepancy if rows differ.
-    /// Off by default — then plans execute naively, byte-identical to
-    /// the historical behaviour.
+    /// Adaptive execution: a per-window `(method, binding)` memo and the
+    /// identical-disjunct short-circuit. `Validate` runs adaptive and
+    /// naive side by side on independent backend windows and fails with
+    /// a structured discrepancy if rows differ. Off by default — then
+    /// plans execute naively, byte-identical to the historical behaviour.
     pub adaptive: AdaptiveMode,
+}
+
+/// Declarative adaptive-execution mode, carried by [`ExecOptions`] and
+/// fingerprinted through its `code()` (the segment appends only when
+/// non-default, keeping historical fingerprints byte-identical).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum AdaptiveMode {
+    /// Naive execution (the historical behaviour, and the default).
+    #[default]
+    Off,
+    /// Adaptive execution: every plan of the window runs through
+    /// [`execute_plan_adaptive`] with one shared [`AdaptiveWindow`], and
+    /// a disjunct identical to an earlier successful one reuses its rows.
+    On,
+    /// Run adaptive and naive side by side (two independent backend
+    /// windows); fail with a structured discrepancy if their rows differ.
+    Validate,
+}
+
+impl AdaptiveMode {
+    /// The canonical fingerprint segment, or `None` for the default mode.
+    pub fn code(&self) -> Option<&'static str> {
+        match self {
+            AdaptiveMode::Off => None,
+            AdaptiveMode::On => Some("adaptive"),
+            AdaptiveMode::Validate => Some("adaptive:validate"),
+        }
+    }
 }
 
 impl ExecOptions {
@@ -188,10 +218,9 @@ pub struct PlanMetrics {
     pub wall_micros: u64,
     /// Number of rows in the plan's output.
     pub output_size: usize,
-    /// Whether the run stayed within the configured rate limit. Since
-    /// over-quota runs now fail fast with `BudgetExhausted`, this is
-    /// `true` for every completed run; the field is kept for wire
-    /// compatibility.
+    /// Whether the run stayed within its call budget. Since over-quota
+    /// runs fail fast with `BudgetExhausted`, this is `true` for every
+    /// completed run; the field is kept for wire compatibility.
     pub within_rate_limit: bool,
     /// Retry attempts the resilience wrapper spent on this plan's
     /// accesses (0 without [`ExecOptions::retry`]).
@@ -199,18 +228,19 @@ pub struct PlanMetrics {
     /// Accesses rejected by an open circuit breaker during this plan
     /// (0 without [`ExecOptions::breaker`]).
     pub breaker_rejections: u64,
-    /// Binding-level accesses the adaptive executor answered from its
-    /// window cache instead of calling the backend (0 on the naive path).
+    /// Binding-level accesses answered without a backend call: window
+    /// memo hits, or all of a short-circuited disjunct's accesses (0 on
+    /// the naive path).
     pub accesses_skipped: usize,
-    /// Union disjuncts short-circuited because their rows were provably
-    /// subsumed by already-executed disjuncts (0 on the naive path).
+    /// 1 when this disjunct was short-circuited because an identical plan
+    /// already succeeded in the same window (0 on the naive path).
     pub disjuncts_short_circuited: usize,
 }
 
 impl PlanMetrics {
-    fn from_run(run: &PlanRun) -> Self {
-        PlanMetrics {
-            calls_per_method: run.calls_per_method.clone(),
+    fn from_run(run: PlanRun) -> PlanRunResult {
+        let metrics = PlanMetrics {
+            calls_per_method: run.calls_per_method,
             total_calls: run.accesses_performed,
             tuples_fetched: run.tuples_fetched,
             tuples_matched: run.tuples_matched,
@@ -222,16 +252,55 @@ impl PlanMetrics {
             retries: 0,
             breaker_rejections: 0,
             accesses_skipped: run.accesses_skipped,
-            disjuncts_short_circuited: run.disjuncts_short_circuited,
-        }
+            disjuncts_short_circuited: 0,
+        };
+        (run.output, metrics)
     }
+}
+
+/// Union short-circuit for the next plan of an adaptive window: when an
+/// earlier plan of `done` is identical and succeeded, its rows are the
+/// next plan's rows, and every access the earlier plan accounted for
+/// (fresh or memoized) is skipped.
+fn reuse_identical_disjunct(
+    plans: &[&Plan],
+    done: &[Result<PlanRunResult, PlanError>],
+) -> Option<PlanRunResult> {
+    let next = plans[done.len()];
+    let (rows, earlier) = plans
+        .iter()
+        .zip(done)
+        .find_map(|(plan, result)| match result {
+            Ok(run) if *plan == next => Some(run),
+            _ => None,
+        })?;
+    let skipped = earlier.total_calls + earlier.accesses_skipped;
+    rbqa_obs::counters::add_adaptive(skipped as u64, 1);
+    Some((
+        rows.clone(),
+        PlanMetrics {
+            calls_per_method: FxHashMap::default(),
+            total_calls: 0,
+            tuples_fetched: 0,
+            tuples_matched: 0,
+            truncated_accesses: 0,
+            latency_micros: 0,
+            wall_micros: 0,
+            output_size: rows.len(),
+            within_rate_limit: true,
+            retries: 0,
+            breaker_rejections: 0,
+            accesses_skipped: skipped,
+            disjuncts_short_circuited: 1,
+        },
+    ))
 }
 
 /// A simulated collection of web services: an instance hidden behind the
 /// access methods of a schema, as in the paper's motivating examples
 /// (Section 1). Plans are the only way to look at the data; the simulator
 /// tracks how many calls each method receives, how many tuples travel over
-/// the (simulated) wire, and enforces rate limits as hard errors.
+/// the (simulated) wire, and enforces call budgets as hard errors.
 ///
 /// The simulator is `Clone` so higher layers (the `rbqa-service` catalog)
 /// can share it across worker threads; cloning copies the schema and the
@@ -240,32 +309,12 @@ impl PlanMetrics {
 pub struct ServiceSimulator {
     schema: Schema,
     data: Instance,
-    rate_limit: Option<usize>,
 }
 
 impl ServiceSimulator {
     /// Creates a simulator over `schema` hiding `data`.
     pub fn new(schema: Schema, data: Instance) -> Self {
-        ServiceSimulator {
-            schema,
-            data,
-            rate_limit: None,
-        }
-    }
-
-    /// Sets a rate limit: the maximum total number of accesses one
-    /// *execution window* may perform before it fails with
-    /// [`rbqa_access::AccessError::BudgetExhausted`]. A window is one
-    /// [`ServiceSimulator::run_plan`]/
-    /// [`ServiceSimulator::run_plan_with_backend`] call, or one whole
-    /// [`ServiceSimulator::run_plans_exec`] request (all disjunct plans
-    /// of a union share the window, as they would share a real service's
-    /// quota). This models the per-window call quotas of real services —
-    /// and unlike the historical soft flag, an over-quota window returns
-    /// **no rows**.
-    pub fn with_rate_limit(mut self, limit: usize) -> Self {
-        self.rate_limit = Some(limit);
-        self
+        ServiceSimulator { schema, data }
     }
 
     /// The schema exposed by the services.
@@ -278,53 +327,18 @@ impl ServiceSimulator {
         &self.data
     }
 
-    /// The configured rate limit, if any.
-    pub fn rate_limit(&self) -> Option<usize> {
-        self.rate_limit
-    }
-
-    /// The effective per-run call budget: the minimum of the simulator's
-    /// rate limit and the request's own budget.
-    fn effective_budget(&self, exec_budget: Option<usize>) -> Option<usize> {
-        match (self.rate_limit, exec_budget) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        }
-    }
-
-    fn finish(run: PlanRun) -> Result<PlanRunResult, rbqa_access::plan::PlanError> {
-        let metrics = PlanMetrics::from_run(&run);
-        Ok((run.output, metrics))
-    }
-
-    /// Executes a plan against an arbitrary backend, applying the
-    /// simulator's rate limit on top, and returns the plan's output plus
-    /// the collected metrics.
-    pub fn run_plan_with_backend(
-        &self,
-        plan: &Plan,
-        backend: &mut dyn AccessBackend,
-    ) -> Result<PlanRunResult, rbqa_access::plan::PlanError> {
-        let run = match self.rate_limit {
-            Some(limit) => {
-                let mut budgeted = BudgetedBackend::new(backend, limit);
-                execute_with_backend(plan, &self.schema, &mut budgeted)?
-            }
-            None => execute_with_backend(plan, &self.schema, backend)?,
-        };
-        Self::finish(run)
-    }
-
     /// Executes a plan through the in-memory backend under the given access
-    /// selection.
+    /// selection — the way to run a plan under the paper's other access
+    /// selections (e.g. [`rbqa_access::AdversarialSelection`], Example
+    /// 1.3). Every other execution goes through
+    /// [`ServiceSimulator::run_plans_exec_results`].
     pub fn run_plan(
         &self,
         plan: &Plan,
         selection: &mut dyn AccessSelection,
-    ) -> Result<PlanRunResult, rbqa_access::plan::PlanError> {
+    ) -> Result<PlanRunResult, PlanError> {
         let mut backend = InstanceBackend::new(&self.data, selection);
-        self.run_plan_with_backend(plan, &mut backend)
+        execute_with_backend(plan, &self.schema, &mut backend).map(PlanMetrics::from_run)
     }
 
     /// Builds the backend named by `spec` over the hidden instance, with
@@ -335,10 +349,7 @@ impl ServiceSimulator {
     /// Acceptable at simulator scale; caching the shard instances per
     /// (dataset, shard count) is the obvious optimisation once datasets
     /// grow.
-    fn build_backend(
-        &self,
-        spec: BackendSpec,
-    ) -> Result<Box<dyn AccessBackend + '_>, rbqa_access::plan::PlanError> {
+    fn build_backend(&self, spec: BackendSpec) -> Result<Box<dyn AccessBackend + '_>, PlanError> {
         Ok(match spec {
             BackendSpec::Instance => Box::new(InstanceBackend::with_selection(
                 &self.data,
@@ -360,7 +371,7 @@ impl ServiceSimulator {
                 },
             )),
             BackendSpec::Sharded { shards } if shards == 0 || shards > MAX_SHARDS => {
-                return Err(rbqa_access::plan::PlanError::Malformed(format!(
+                return Err(PlanError::Malformed(format!(
                     "shard count {shards} outside 1..={MAX_SHARDS}"
                 )))
             }
@@ -370,8 +381,10 @@ impl ServiceSimulator {
         })
     }
 
-    /// Executes a set of plans deterministically under declarative
-    /// [`ExecOptions`], returning per-plan outputs and metrics.
+    /// Runs every plan of a union request under declarative
+    /// [`ExecOptions`] and returns the **per-plan** outcomes in plan
+    /// order, so degraded union execution can keep the rows of the
+    /// disjuncts that succeeded.
     ///
     /// One backend (and one call-budget window) serves the **whole set**:
     /// this is the `Execute` semantics of a union request, whose
@@ -379,25 +392,11 @@ impl ServiceSimulator {
     /// disjunct plans — not each plan separately. The shared backend also
     /// keeps accesses idempotent across plans (one selection cache, one
     /// remote latency/fault stream).
-    pub fn run_plans_exec(
-        &self,
-        plans: &[&Plan],
-        exec: &ExecOptions,
-    ) -> Result<Vec<PlanRunResult>, rbqa_access::plan::PlanError> {
-        self.run_plans_exec_results(plans, exec)?
-            .into_iter()
-            .collect()
-    }
-
-    /// Runs every plan in the set against one shared backend window but
-    /// keeps the **per-plan** outcomes apart, so degraded union execution
-    /// can keep the rows of the disjuncts that succeeded.
     ///
     /// The outer `Err` is a setup failure (e.g. an invalid shard count)
-    /// before any plan ran. Inner results are in plan order; a failed
-    /// plan does not stop the ones after it (though a shared condition —
-    /// an exhausted budget, an expired deadline — naturally fails them
-    /// too, each with its own error).
+    /// before any plan ran. A failed plan does not stop the ones after it
+    /// (though a shared condition — an exhausted budget, an expired
+    /// deadline — naturally fails them too, each with its own error).
     ///
     /// The decorator stack is `Resilient(Budgeted(base))`: retries and
     /// breaker probes spend call budget exactly like first attempts, and
@@ -407,10 +406,7 @@ impl ServiceSimulator {
         &self,
         plans: &[&Plan],
         exec: &ExecOptions,
-    ) -> Result<
-        Vec<Result<PlanRunResult, rbqa_access::plan::PlanError>>,
-        rbqa_access::plan::PlanError,
-    > {
+    ) -> Result<Vec<Result<PlanRunResult, PlanError>>, PlanError> {
         match exec.adaptive {
             AdaptiveMode::Off => self.run_plans_window(plans, exec, false),
             AdaptiveMode::On => self.run_plans_window(plans, exec, true),
@@ -456,92 +452,65 @@ impl ServiceSimulator {
     }
 
     /// Runs one execution window (one backend, one budget, one adaptive
-    /// state) over the plan set — the shared machinery behind every
+    /// memo) over the plan set — the shared machinery behind every
     /// [`AdaptiveMode`].
     fn run_plans_window(
         &self,
         plans: &[&Plan],
         exec: &ExecOptions,
         adaptive: bool,
-    ) -> Result<
-        Vec<Result<PlanRunResult, rbqa_access::plan::PlanError>>,
-        rbqa_access::plan::PlanError,
-    > {
+    ) -> Result<Vec<Result<PlanRunResult, PlanError>>, PlanError> {
         let mut window = adaptive.then(AdaptiveWindow::new);
-        let mut execute = |plan: &Plan,
-                           backend: &mut dyn AccessBackend|
-         -> Result<PlanRun, rbqa_access::plan::PlanError> {
-            match window.as_mut() {
-                Some(w) => execute_plan_adaptive(plan, &self.schema, backend, w),
+        let mut run_next = |done: &[Result<PlanRunResult, PlanError>],
+                            backend: &mut dyn AccessBackend|
+         -> Result<PlanRunResult, PlanError> {
+            let plan = plans[done.len()];
+            let run = match window.as_mut() {
                 None => execute_with_backend(plan, &self.schema, backend),
-            }
+                Some(window) => match reuse_identical_disjunct(plans, done) {
+                    Some(reused) => return Ok(reused),
+                    None => execute_plan_adaptive(plan, &self.schema, backend, window),
+                },
+            };
+            run.map(PlanMetrics::from_run)
         };
         let mut backend = self.build_backend(exec.backend)?;
         let mut budgeted;
-        let inner: &mut dyn AccessBackend = match self.effective_budget(exec.call_budget) {
+        let inner: &mut dyn AccessBackend = match exec.call_budget {
             Some(limit) => {
                 budgeted = BudgetedBackend::new(backend.as_mut(), limit);
                 &mut budgeted
             }
             None => backend.as_mut(),
         };
+        let mut results = Vec::with_capacity(plans.len());
         if exec.retry.is_none() && exec.breaker.is_none() {
-            let mut inner = inner;
-            return Ok(plans
-                .iter()
-                .map(|plan| execute(plan, &mut inner).and_then(Self::finish))
-                .collect());
+            while results.len() < plans.len() {
+                let result = run_next(&results, &mut *inner);
+                results.push(result);
+            }
+            return Ok(results);
         }
         let mut resilient =
             ResilientBackend::new(inner, exec.retry.unwrap_or_else(RetryPolicy::none));
         if let Some(policy) = exec.breaker {
             resilient = resilient.with_breaker(policy);
         }
-        let mut results = Vec::with_capacity(plans.len());
         let mut prev = ResilienceStats::default();
-        for plan in plans {
-            let result =
-                execute(plan, &mut resilient)
-                    .and_then(Self::finish)
-                    .map(|(rows, mut metrics)| {
-                        // Attribute the window's resilience activity to the
-                        // plan that incurred it by diffing the cumulative
-                        // stats around each run.
-                        let now = resilient.stats();
-                        metrics.retries = now.retries - prev.retries;
-                        metrics.breaker_rejections =
-                            now.breaker_rejections - prev.breaker_rejections;
-                        (rows, metrics)
-                    });
+        while results.len() < plans.len() {
+            let result = run_next(&results, &mut resilient).map(|(rows, mut metrics)| {
+                // Attribute the window's resilience activity to the plan
+                // that incurred it by diffing the cumulative stats around
+                // each run.
+                let now = resilient.stats();
+                metrics.retries = now.retries - prev.retries;
+                metrics.breaker_rejections = now.breaker_rejections - prev.breaker_rejections;
+                (rows, metrics)
+            });
             prev = resilient.stats();
             results.push(result);
         }
         Ok(results)
-    }
-
-    /// Executes one plan deterministically under declarative
-    /// [`ExecOptions`] (the single-plan case of
-    /// [`ServiceSimulator::run_plans_exec`]).
-    pub fn run_plan_exec(
-        &self,
-        plan: &Plan,
-        exec: &ExecOptions,
-    ) -> Result<PlanRunResult, rbqa_access::plan::PlanError> {
-        let mut results = self.run_plans_exec(&[plan], exec)?;
-        Ok(results.remove(0))
-    }
-
-    /// Executes a plan under the deterministic default options (in-memory
-    /// backend, [`TruncatingSelection`]).
-    ///
-    /// This is the execution path used by `rbqa-service` for `Execute`
-    /// requests without explicit exec options: deterministic (repeatable
-    /// responses for identical requests) and valid for any result bound.
-    pub fn run_plan_deterministic(
-        &self,
-        plan: &Plan,
-    ) -> Result<PlanRunResult, rbqa_access::plan::PlanError> {
-        self.run_plan_exec(plan, &ExecOptions::default())
     }
 }
 
@@ -549,7 +518,6 @@ impl ServiceSimulator {
 mod tests {
     use super::*;
     use crate::dataset::university_instance;
-    use rbqa_access::plan::PlanError;
     use rbqa_access::{
         AccessError, AccessMethod, Condition, PlanBuilder, RaExpr, TruncatingSelection,
     };
@@ -573,8 +541,8 @@ mod tests {
         (ServiceSimulator::new(schema, data), vf)
     }
 
-    fn salary_plan(vf: &mut ValueFactory) -> Plan {
-        let salary = vf.constant("10000");
+    fn salary_plan(vf: &mut ValueFactory, salary: &str) -> Plan {
+        let salary = vf.constant(salary);
         PlanBuilder::new()
             .access("ids", "ud", RaExpr::unit(), vec![], vec![0])
             .access("profs", "pr", RaExpr::table("ids"), vec![0], vec![0, 1, 2])
@@ -586,10 +554,19 @@ mod tests {
             .returns("names")
     }
 
+    /// Runs one plan as a single-disjunct window.
+    fn run_one(
+        sim: &ServiceSimulator,
+        plan: &Plan,
+        exec: &ExecOptions,
+    ) -> Result<PlanRunResult, PlanError> {
+        sim.run_plans_exec_results(&[plan], exec)?.remove(0)
+    }
+
     #[test]
     fn metrics_count_calls_per_method() {
         let (sim, mut vf) = setup(None, 10);
-        let plan = salary_plan(&mut vf);
+        let plan = salary_plan(&mut vf, "10000");
         let mut sel = TruncatingSelection::new();
         let (output, metrics) = sim.run_plan(&plan, &mut sel).unwrap();
         assert!(!output.is_empty());
@@ -606,53 +583,18 @@ mod tests {
     }
 
     #[test]
-    fn rate_limit_violations_fail_fast() {
+    fn call_budget_violations_fail_fast() {
         let (sim, mut vf) = setup(None, 30);
-        let sim = sim.with_rate_limit(5);
-        let plan = salary_plan(&mut vf);
-        let mut sel = TruncatingSelection::new();
-        let err = sim.run_plan(&plan, &mut sel).unwrap_err();
+        let plan = salary_plan(&mut vf, "10000");
+        let exec = ExecOptions {
+            call_budget: Some(5),
+            ..ExecOptions::default()
+        };
         assert_eq!(
-            err,
+            run_one(&sim, &plan, &exec).unwrap_err(),
             PlanError::Access(AccessError::BudgetExhausted {
                 budget: 5,
                 calls: 6
-            })
-        );
-        // The deterministic Execute path fails identically.
-        let err = sim.run_plan_deterministic(&plan).unwrap_err();
-        assert!(matches!(
-            err,
-            PlanError::Access(AccessError::BudgetExhausted { .. })
-        ));
-    }
-
-    #[test]
-    fn with_rate_limit_builder() {
-        let (sim, mut vf) = setup(None, 3);
-        let sim = sim.with_rate_limit(100);
-        assert_eq!(sim.rate_limit(), Some(100));
-        let plan = salary_plan(&mut vf);
-        let mut sel = TruncatingSelection::new();
-        let (_, metrics) = sim.run_plan(&plan, &mut sel).unwrap();
-        assert!(metrics.within_rate_limit);
-    }
-
-    #[test]
-    fn exec_call_budget_combines_with_the_rate_limit() {
-        let (sim, mut vf) = setup(None, 10);
-        let sim = sim.with_rate_limit(100);
-        let plan = salary_plan(&mut vf);
-        let exec = ExecOptions {
-            call_budget: Some(4),
-            ..ExecOptions::default()
-        };
-        let err = sim.run_plan_exec(&plan, &exec).unwrap_err();
-        assert_eq!(
-            err,
-            PlanError::Access(AccessError::BudgetExhausted {
-                budget: 4,
-                calls: 5
             })
         );
     }
@@ -661,8 +603,8 @@ mod tests {
     fn result_bound_reduces_fetched_tuples() {
         let (sim_unbounded, mut vf1) = setup(None, 20);
         let (sim_bounded, mut vf2) = setup(Some(3), 20);
-        let plan1 = salary_plan(&mut vf1);
-        let plan2 = salary_plan(&mut vf2);
+        let plan1 = salary_plan(&mut vf1, "10000");
+        let plan2 = salary_plan(&mut vf2, "10000");
         let mut sel = TruncatingSelection::new();
         let (out_full, m_full) = sim_unbounded.run_plan(&plan1, &mut sel).unwrap();
         let mut sel = TruncatingSelection::new();
@@ -676,11 +618,11 @@ mod tests {
     #[test]
     fn sharded_and_remote_backends_match_instance_rows() {
         let (sim, mut vf) = setup(None, 16);
-        let plan = salary_plan(&mut vf);
-        let (instance_rows, _) = sim.run_plan_deterministic(&plan).unwrap();
+        let plan = salary_plan(&mut vf, "10000");
+        let (instance_rows, _) = run_one(&sim, &plan, &ExecOptions::default()).unwrap();
         for shards in 1..=4 {
             let exec = ExecOptions::with_backend(BackendSpec::Sharded { shards });
-            let (rows, metrics) = sim.run_plan_exec(&plan, &exec).unwrap();
+            let (rows, metrics) = run_one(&sim, &plan, &exec).unwrap();
             assert_eq!(rows, instance_rows, "{shards} shards");
             assert_eq!(metrics.truncated_accesses, 0);
         }
@@ -690,7 +632,7 @@ mod tests {
             fault_rate_pct: 0,
             transient: false,
         });
-        let (rows, metrics) = sim.run_plan_exec(&plan, &exec).unwrap();
+        let (rows, metrics) = run_one(&sim, &plan, &exec).unwrap();
         assert_eq!(rows, instance_rows);
         assert!(
             metrics.latency_micros >= 100 * metrics.total_calls as u64,
@@ -702,31 +644,34 @@ mod tests {
     fn union_call_budget_spans_all_plans() {
         // Two plans, ~11 calls each: a 15-call budget admits the first
         // plan but must exhaust during the second — the budget is per
-        // request window, not per plan.
+        // request window, not per plan. The per-plan results keep the
+        // first plan's rows while reporting the second's failure.
         let (sim, mut vf) = setup(None, 10);
-        let plan = salary_plan(&mut vf);
+        let plan = salary_plan(&mut vf, "10000");
         let exec = ExecOptions {
             call_budget: Some(15),
             ..ExecOptions::default()
         };
-        assert!(sim.run_plans_exec(&[&plan], &exec).is_ok());
-        let err = sim.run_plans_exec(&[&plan, &plan], &exec).unwrap_err();
+        assert!(run_one(&sim, &plan, &exec).is_ok());
+        let results = sim.run_plans_exec_results(&[&plan, &plan], &exec).unwrap();
+        assert_eq!(results.len(), 2);
+        assert!(results[0].is_ok());
         assert_eq!(
-            err,
-            PlanError::Access(AccessError::BudgetExhausted {
+            results[1],
+            Err(PlanError::Access(AccessError::BudgetExhausted {
                 budget: 15,
                 calls: 16
-            })
+            }))
         );
     }
 
     #[test]
     fn zero_shard_backends_are_rejected() {
         let (sim, mut vf) = setup(None, 4);
-        let plan = salary_plan(&mut vf);
+        let plan = salary_plan(&mut vf, "10000");
         let exec = ExecOptions::with_backend(BackendSpec::Sharded { shards: 0 });
         assert!(matches!(
-            sim.run_plan_exec(&plan, &exec),
+            sim.run_plans_exec_results(&[&plan], &exec),
             Err(PlanError::Malformed(_))
         ));
     }
@@ -788,8 +733,8 @@ mod tests {
         // retries advance the per-access attempt cursor, so the run
         // converges on the same rows the in-memory backend produces.
         let (sim, mut vf) = setup(None, 12);
-        let plan = salary_plan(&mut vf);
-        let (instance_rows, _) = sim.run_plan_deterministic(&plan).unwrap();
+        let plan = salary_plan(&mut vf, "10000");
+        let (instance_rows, _) = run_one(&sim, &plan, &ExecOptions::default()).unwrap();
         let exec = ExecOptions {
             backend: BackendSpec::SimulatedRemote {
                 seed: 11,
@@ -804,7 +749,7 @@ mod tests {
             }),
             ..ExecOptions::default()
         };
-        let (rows, metrics) = sim.run_plan_exec(&plan, &exec).unwrap();
+        let (rows, metrics) = run_one(&sim, &plan, &exec).unwrap();
         assert_eq!(rows, instance_rows);
         assert!(metrics.retries > 0, "a 40% fault rate must retry");
     }
@@ -844,34 +789,18 @@ mod tests {
         // lookups: adaptive execution must halve the backend calls while
         // returning exactly the naive rows.
         let (sim, mut vf) = setup(None, 10);
-        let p1 = salary_plan(&mut vf);
-        let salary2 = vf.constant("20000");
-        let p2 = PlanBuilder::new()
-            .access("ids2", "ud", RaExpr::unit(), vec![], vec![0])
-            .access(
-                "profs2",
-                "pr",
-                RaExpr::table("ids2"),
-                vec![0],
-                vec![0, 1, 2],
-            )
-            .middleware(
-                "matching2",
-                RaExpr::select(RaExpr::table("profs2"), Condition::eq_const(2, salary2)),
-            )
-            .middleware(
-                "names2",
-                RaExpr::project(RaExpr::table("matching2"), vec![1]),
-            )
-            .returns("names2");
-        let naive = sim
-            .run_plans_exec(&[&p1, &p2], &ExecOptions::default())
-            .unwrap();
-        let adaptive_exec = ExecOptions {
-            adaptive: AdaptiveMode::On,
-            ..ExecOptions::default()
+        let plans = [salary_plan(&mut vf, "10000"), salary_plan(&mut vf, "20000")];
+        let plan_refs: Vec<&Plan> = plans.iter().collect();
+        let run = |adaptive| {
+            let exec = ExecOptions {
+                adaptive,
+                ..ExecOptions::default()
+            };
+            let results = sim.run_plans_exec_results(&plan_refs, &exec).unwrap();
+            results.into_iter().map(Result::unwrap).collect::<Vec<_>>()
         };
-        let adaptive = sim.run_plans_exec(&[&p1, &p2], &adaptive_exec).unwrap();
+        let naive = run(AdaptiveMode::Off);
+        let adaptive = run(AdaptiveMode::On);
         assert_eq!(naive[0].0, adaptive[0].0);
         assert_eq!(naive[1].0, adaptive[1].0);
         let naive_calls: usize = naive.iter().map(|(_, m)| m.total_calls).sum();
@@ -880,12 +809,51 @@ mod tests {
         assert_eq!(adaptive_calls, 11, "the second disjunct is fully deduped");
         assert_eq!(adaptive[1].1.accesses_skipped, 11);
         assert_eq!(adaptive[0].1.accesses_skipped, 0);
+        assert!(adaptive
+            .iter()
+            .all(|(_, m)| m.disjuncts_short_circuited == 0));
+    }
+
+    #[test]
+    fn identical_disjuncts_short_circuit_within_one_window() {
+        // Plan 2 repeats plan 0: it reuses plan 0's rows, performs no
+        // call, and counts every access plan 0 accounted for as skipped.
+        let (sim, mut vf) = setup(None, 10);
+        let plans = [
+            salary_plan(&mut vf, "10000"),
+            salary_plan(&mut vf, "20000"),
+            salary_plan(&mut vf, "10000"),
+        ];
+        let plan_refs: Vec<&Plan> = plans.iter().collect();
+        let exec = ExecOptions {
+            adaptive: AdaptiveMode::On,
+            ..ExecOptions::default()
+        };
+        let results = sim.run_plans_exec_results(&plan_refs, &exec).unwrap();
+        let (rows0, first) = results[0].as_ref().unwrap();
+        let (rows2, repeat) = results[2].as_ref().unwrap();
+        assert_eq!(rows2, rows0);
+        assert_eq!(repeat.total_calls, 0);
+        assert!(repeat.calls_per_method.is_empty());
+        assert_eq!(
+            repeat.accesses_skipped,
+            first.total_calls + first.accesses_skipped
+        );
+        assert_eq!(repeat.disjuncts_short_circuited, 1);
+        assert_eq!(repeat.output_size, rows0.len());
+        assert_eq!(results[1].as_ref().unwrap().1.disjuncts_short_circuited, 0);
+        // The naive window executes every plan.
+        let naive = sim
+            .run_plans_exec_results(&plan_refs, &ExecOptions::default())
+            .unwrap();
+        assert_eq!(naive[2].as_ref().unwrap().1.total_calls, first.total_calls);
+        assert_eq!(naive[2].as_ref().unwrap().1.disjuncts_short_circuited, 0);
     }
 
     #[test]
     fn validate_mode_passes_and_returns_adaptive_metrics() {
         let (sim, mut vf) = setup(None, 8);
-        let plan = salary_plan(&mut vf);
+        let plan = salary_plan(&mut vf, "10000");
         let exec = ExecOptions {
             adaptive: AdaptiveMode::Validate,
             ..ExecOptions::default()
@@ -912,7 +880,7 @@ mod tests {
                 adaptive: AdaptiveMode::Validate,
                 ..ExecOptions::default()
             };
-            assert!(sim.run_plan_exec(&plan, &exec).is_ok(), "{spec:?}");
+            assert!(run_one(&sim, &plan, &exec).is_ok(), "{spec:?}");
         }
     }
 
@@ -923,39 +891,34 @@ mod tests {
         // it and stays within budget — and validate accepts that as an
         // improvement, not a discrepancy.
         let (sim, mut vf) = setup(None, 10);
-        let plan = salary_plan(&mut vf);
-        let naive_exec = ExecOptions {
-            call_budget: Some(15),
-            ..ExecOptions::default()
-        };
-        assert!(sim.run_plans_exec(&[&plan, &plan], &naive_exec).is_err());
-        for adaptive in [AdaptiveMode::On, AdaptiveMode::Validate] {
+        let plan = salary_plan(&mut vf, "10000");
+        for adaptive in [AdaptiveMode::Off, AdaptiveMode::On, AdaptiveMode::Validate] {
             let exec = ExecOptions {
                 call_budget: Some(15),
                 adaptive,
                 ..ExecOptions::default()
             };
             let results = sim.run_plans_exec_results(&[&plan, &plan], &exec).unwrap();
-            assert!(
+            assert_eq!(
                 results.iter().all(|r| r.is_ok()),
+                adaptive != AdaptiveMode::Off,
                 "{adaptive:?}: {results:?}"
             );
         }
     }
 
     #[test]
-    fn retries_are_not_double_counted_in_calls_or_cost_model() {
-        // Satellite check: `calls_per_method` counts *logical* accesses —
-        // retried attempts happen inside one `access()` call of the
-        // Resilient decorator and must inflate neither the per-method call
-        // counts nor the adaptive cost model's EWMA sample counts.
+    fn retries_are_not_double_counted_in_calls() {
+        // `calls_per_method` counts *logical* accesses — retried attempts
+        // happen inside one `access()` call of the Resilient decorator and
+        // must not inflate the per-method call counts.
         let (sim, mut vf) = setup(None, 12);
-        let plan = salary_plan(&mut vf);
+        let plan = salary_plan(&mut vf, "10000");
         let calm = ExecOptions {
             adaptive: AdaptiveMode::On,
             ..ExecOptions::default()
         };
-        let (calm_rows, calm_metrics) = sim.run_plan_exec(&plan, &calm).unwrap();
+        let (calm_rows, calm_metrics) = run_one(&sim, &plan, &calm).unwrap();
         let faulty = ExecOptions {
             backend: BackendSpec::SimulatedRemote {
                 seed: 11,
@@ -971,7 +934,7 @@ mod tests {
             adaptive: AdaptiveMode::On,
             ..ExecOptions::default()
         };
-        let (rows, metrics) = sim.run_plan_exec(&plan, &faulty).unwrap();
+        let (rows, metrics) = run_one(&sim, &plan, &faulty).unwrap();
         assert_eq!(rows, calm_rows);
         assert!(metrics.retries > 0, "a 40% fault rate must retry");
         assert_eq!(
@@ -979,41 +942,5 @@ mod tests {
             "logical per-method call counts are retry-invariant"
         );
         assert_eq!(metrics.total_calls, calm_metrics.total_calls);
-        // The EWMA sample discipline is asserted directly at the window
-        // level: one sample per logical access.
-        let mut window = rbqa_adapt::AdaptiveWindow::new();
-        let mut backend = sim.build_backend(faulty.backend).unwrap();
-        let mut resilient = ResilientBackend::new(backend.as_mut(), faulty.retry.unwrap());
-        let run = execute_plan_adaptive(&plan, sim.schema(), &mut resilient, &mut window).unwrap();
-        let samples: u64 = ["ud", "pr"]
-            .iter()
-            .filter_map(|m| window.method_stats(m))
-            .map(|s| s.samples())
-            .sum();
-        assert_eq!(
-            samples, run.accesses_performed as u64,
-            "exactly one EWMA sample per logical access, retries excluded"
-        );
-        assert!(resilient.stats().retries > 0);
-    }
-
-    #[test]
-    fn degraded_per_plan_results_survive_a_budget_wall() {
-        // Two plans sharing a 15-call window: plan 1 completes, plan 2
-        // hits the wall — per-plan results keep the first plan's rows
-        // while reporting the second's failure.
-        let (sim, mut vf) = setup(None, 10);
-        let plan = salary_plan(&mut vf);
-        let exec = ExecOptions {
-            call_budget: Some(15),
-            ..ExecOptions::default()
-        };
-        let results = sim.run_plans_exec_results(&[&plan, &plan], &exec).unwrap();
-        assert_eq!(results.len(), 2);
-        assert!(results[0].is_ok());
-        assert!(matches!(
-            results[1],
-            Err(PlanError::Access(AccessError::BudgetExhausted { .. }))
-        ));
     }
 }

@@ -44,14 +44,12 @@ pub struct CounterSnapshot {
     /// Cooperative aborts taken because the request deadline expired
     /// (chase rounds, plan accesses, cache waits).
     pub deadline_expiries: u64,
-    /// Binding-level accesses the adaptive executor answered from its
-    /// window cache instead of calling the backend (`rbqa-adapt`).
+    /// Binding-level accesses answered from an adaptive window's memo
+    /// instead of calling the backend (short-circuited disjuncts'
+    /// avoided accesses included).
     pub adaptive_skips: u64,
-    /// Times the adaptive executor ran a commutable access command ahead
-    /// of the plan's static order because the cost model preferred it.
-    pub adaptive_reorders: u64,
-    /// Union disjuncts short-circuited entirely because their rows were
-    /// provably subsumed by already-emitted disjuncts.
+    /// Union disjuncts short-circuited entirely because an identical plan
+    /// already ran in the same window.
     pub adaptive_short_circuits: u64,
 }
 
@@ -71,7 +69,6 @@ struct Counters {
     breaker_rejections: Cell<u64>,
     deadline_expiries: Cell<u64>,
     adaptive_skips: Cell<u64>,
-    adaptive_reorders: Cell<u64>,
     adaptive_short_circuits: Cell<u64>,
 }
 
@@ -92,7 +89,6 @@ thread_local! {
             breaker_rejections: Cell::new(0),
             deadline_expiries: Cell::new(0),
             adaptive_skips: Cell::new(0),
-            adaptive_reorders: Cell::new(0),
             adaptive_short_circuits: Cell::new(0),
         }
     };
@@ -115,7 +111,6 @@ pub(crate) fn reset() {
         c.breaker_rejections.set(0);
         c.deadline_expiries.set(0);
         c.adaptive_skips.set(0);
-        c.adaptive_reorders.set(0);
         c.adaptive_short_circuits.set(0);
     });
 }
@@ -137,7 +132,6 @@ pub(crate) fn snapshot() -> CounterSnapshot {
         breaker_rejections: c.breaker_rejections.get(),
         deadline_expiries: c.deadline_expiries.get(),
         adaptive_skips: c.adaptive_skips.get(),
-        adaptive_reorders: c.adaptive_reorders.get(),
         adaptive_short_circuits: c.adaptive_short_circuits.get(),
     })
 }
@@ -247,15 +241,14 @@ pub fn add_breaker(opens: u64, rejections: u64) {
     add!(breaker_rejections, rejections);
 }
 
-/// Flushes adaptive-execution activity (cache-served accesses, cost-model
-/// reorders, short-circuited union disjuncts) batched by one plan run.
+/// Flushes adaptive-execution activity (memo-served accesses,
+/// short-circuited union disjuncts) batched by one plan run.
 #[inline]
-pub fn add_adaptive(skips: u64, reorders: u64, short_circuits: u64) {
-    if !enabled() || (skips == 0 && reorders == 0 && short_circuits == 0) {
+pub fn add_adaptive(skips: u64, short_circuits: u64) {
+    if !enabled() || (skips == 0 && short_circuits == 0) {
         return;
     }
     add!(adaptive_skips, skips);
-    add!(adaptive_reorders, reorders);
     add!(adaptive_short_circuits, short_circuits);
 }
 

@@ -1,53 +1,52 @@
 //! Trace exporters: a JSON dump (the wire `trace` block) and a
 //! Chrome-`trace_event` document loadable in `about:tracing` / Perfetto.
 
-use crate::json::{array, string, Obj};
+use crate::json::{json_array, json_string, JsonObject};
 use crate::tracer::{Phase, SpanRecord, Trace};
 
 fn span_args_json(span: &SpanRecord) -> Option<String> {
     if span.num_args.is_empty() && span.str_args.is_empty() {
         return None;
     }
-    let mut obj = Obj::new();
+    let mut obj = JsonObject::new();
     for (k, v) in &span.str_args {
-        obj = obj.str(k, v);
+        obj = obj.field_str(k, v);
     }
     for (k, v) in &span.num_args {
-        obj = obj.u64(k, *v);
+        obj = obj.field_u128(k, (*v).into());
     }
     Some(obj.finish())
 }
 
 fn phases_json(trace: &Trace) -> String {
-    let mut obj = Obj::new();
+    let mut obj = JsonObject::new();
     for phase in Phase::ALL {
-        obj = obj.u64(phase.name(), trace.phase_micros(phase));
+        obj = obj.field_u128(phase.name(), trace.phase_micros(phase).into());
     }
     obj.finish()
 }
 
 fn counters_json(trace: &Trace) -> String {
     let c = &trace.counters;
-    Obj::new()
-        .u64("trigger_firings", c.trigger_firings)
-        .raw(
+    JsonObject::new()
+        .field_u128("trigger_firings", c.trigger_firings.into())
+        .field_raw(
             "firings_per_tgd",
-            &array(c.firings_per_tgd.iter().map(|n| n.to_string())),
+            &json_array(c.firings_per_tgd.iter().map(|n| n.to_string())),
         )
-        .u64("chase_rounds", c.chase_rounds)
-        .u64("fd_passes", c.fd_passes)
-        .u64("fd_unifications", c.fd_unifications)
-        .u64("saturation_iters", c.saturation_iters)
-        .u64("posting_probes", c.posting_probes)
-        .u64("backtracks", c.backtracks)
-        .u64("retry_attempts", c.retry_attempts)
-        .u64("retry_backoff_micros", c.retry_backoff_micros)
-        .u64("breaker_opens", c.breaker_opens)
-        .u64("breaker_rejections", c.breaker_rejections)
-        .u64("deadline_expiries", c.deadline_expiries)
-        .u64("adaptive_skips", c.adaptive_skips)
-        .u64("adaptive_reorders", c.adaptive_reorders)
-        .u64("adaptive_short_circuits", c.adaptive_short_circuits)
+        .field_u128("chase_rounds", c.chase_rounds.into())
+        .field_u128("fd_passes", c.fd_passes.into())
+        .field_u128("fd_unifications", c.fd_unifications.into())
+        .field_u128("saturation_iters", c.saturation_iters.into())
+        .field_u128("posting_probes", c.posting_probes.into())
+        .field_u128("backtracks", c.backtracks.into())
+        .field_u128("retry_attempts", c.retry_attempts.into())
+        .field_u128("retry_backoff_micros", c.retry_backoff_micros.into())
+        .field_u128("breaker_opens", c.breaker_opens.into())
+        .field_u128("breaker_rejections", c.breaker_rejections.into())
+        .field_u128("deadline_expiries", c.deadline_expiries.into())
+        .field_u128("adaptive_skips", c.adaptive_skips.into())
+        .field_u128("adaptive_short_circuits", c.adaptive_short_circuits.into())
         .finish()
 }
 
@@ -56,24 +55,24 @@ fn counters_json(trace: &Trace) -> String {
 /// timestamps are microseconds relative to the trace's start.
 pub fn trace_to_json(trace: &Trace) -> String {
     let spans = trace.spans.iter().map(|s| {
-        let mut obj = Obj::new()
-            .str("name", s.name)
-            .u64("ts", s.start_nanos / 1_000)
-            .u64("dur", s.dur_nanos / 1_000)
-            .u64("depth", s.depth as u64);
+        let mut obj = JsonObject::new()
+            .field_str("name", s.name)
+            .field_u128("ts", (s.start_nanos / 1_000).into())
+            .field_u128("dur", (s.dur_nanos / 1_000).into())
+            .field_u128("depth", s.depth as u128);
         if let Some(args) = span_args_json(s) {
-            obj = obj.raw("args", &args);
+            obj = obj.field_raw("args", &args);
         }
         obj.finish()
     });
-    Obj::new()
-        .u64("total_micros", trace.total_nanos / 1_000)
-        .bool("balanced", trace.balanced)
-        .u64("dropped_spans", trace.dropped_spans)
-        .u64("max_depth", trace.max_depth as u64)
-        .raw("phases_micros", &phases_json(trace))
-        .raw("counters", &counters_json(trace))
-        .raw("spans", &array(spans.collect::<Vec<_>>()))
+    JsonObject::new()
+        .field_u128("total_micros", (trace.total_nanos / 1_000).into())
+        .field_bool("balanced", trace.balanced)
+        .field_u128("dropped_spans", trace.dropped_spans.into())
+        .field_u128("max_depth", trace.max_depth as u128)
+        .field_raw("phases_micros", &phases_json(trace))
+        .field_raw("counters", &counters_json(trace))
+        .field_raw("spans", &json_array(spans.collect::<Vec<_>>()))
         .finish()
 }
 
@@ -86,37 +85,37 @@ pub fn trace_to_json(trace: &Trace) -> String {
 pub fn chrome_trace(traces: &[(String, &Trace)]) -> String {
     let mut events: Vec<String> = Vec::new();
     for (tid, (label, trace)) in traces.iter().enumerate() {
-        let tid = tid as u64;
+        let tid = tid as u128;
         events.push(
-            Obj::new()
-                .str("name", "thread_name")
-                .str("ph", "M")
-                .u64("pid", 1)
-                .u64("tid", tid)
-                .raw("args", &Obj::new().str("name", label).finish())
+            JsonObject::new()
+                .field_str("name", "thread_name")
+                .field_str("ph", "M")
+                .field_u128("pid", 1)
+                .field_u128("tid", tid)
+                .field_raw("args", &JsonObject::new().field_str("name", label).finish())
                 .finish(),
         );
         for span in &trace.spans {
-            let mut obj = Obj::new()
-                .str("name", span.name)
-                .str("cat", "rbqa")
-                .str("ph", "X")
-                .u64("ts", span.start_nanos / 1_000)
-                .u64("dur", (span.dur_nanos / 1_000).max(1))
-                .u64("pid", 1)
-                .u64("tid", tid);
+            let mut obj = JsonObject::new()
+                .field_str("name", span.name)
+                .field_str("cat", "rbqa")
+                .field_str("ph", "X")
+                .field_u128("ts", (span.start_nanos / 1_000).into())
+                .field_u128("dur", (span.dur_nanos / 1_000).max(1).into())
+                .field_u128("pid", 1)
+                .field_u128("tid", tid);
             if let Some(args) = span_args_json(span) {
-                obj = obj.raw("args", &args);
+                obj = obj.field_raw("args", &args);
             }
             events.push(obj.finish());
         }
     }
     format!(
         "{{{}:{},{}:{}}}",
-        string("traceEvents"),
-        array(events),
-        string("displayTimeUnit"),
-        string("ms")
+        json_string("traceEvents"),
+        json_array(events),
+        json_string("displayTimeUnit"),
+        json_string("ms")
     )
 }
 

@@ -43,7 +43,7 @@ pub mod counters;
 pub mod deadline;
 pub mod export;
 pub mod hist;
-mod json;
+pub mod json;
 pub mod server;
 pub mod tracer;
 

@@ -325,9 +325,8 @@ pub enum ServiceError {
     EmptyUnion,
     /// The request's disjuncts disagree on answer arity.
     UnionArityMismatch,
-    /// Plan execution exceeded its call budget (a simulator rate limit or
-    /// the request's own `call_budget`): the over-quota run fails fast
-    /// instead of returning (partial) rows.
+    /// Plan execution exceeded the request's `call_budget`: the
+    /// over-quota run fails fast instead of returning (partial) rows.
     BudgetExhausted {
         /// The quota in force.
         budget: usize,

@@ -107,7 +107,7 @@ fn dedup_disjuncts(
 
 /// Sums two per-run plan metrics: union execution runs one plan per
 /// disjunct and the response reports the aggregate (calls and tuples are
-/// additive; the rate-limit flag is conjunctive).
+/// additive; the deprecated `within_rate_limit` flag is conjunctive).
 fn merge_plan_metrics(mut acc: PlanMetrics, other: PlanMetrics) -> PlanMetrics {
     for (method, calls) in other.calls_per_method {
         *acc.calls_per_method.entry(method).or_insert(0) += calls;

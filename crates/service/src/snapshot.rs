@@ -458,7 +458,14 @@ impl<'a> Cursor<'a> {
             1 => {
                 let arity = self.u32()? as usize;
                 let n_rows = self.u32()? as usize;
-                if arity.saturating_mul(n_rows) > self.bytes.len() - self.at {
+                // Bound the row count before allocating for it: every
+                // value takes at least one byte, and an arity-0 table
+                // holds at most one distinct row.
+                let max_rows = match arity {
+                    0 => 1,
+                    _ => (self.bytes.len() - self.at) / arity,
+                };
+                if n_rows > max_rows {
                     return None;
                 }
                 let mut rows = Vec::with_capacity(n_rows);
@@ -715,6 +722,25 @@ mod tests {
         let mut bad_tag = encoded.clone();
         bad_tag[0] = 9;
         assert!(decode_decision(&bad_tag, &mut ValueFactory::new()).is_none());
+
+        // An arity-0 constant claiming u32::MAX rows: no byte bounds an
+        // empty row, so the count itself must be rejected before any
+        // allocation is sized by it.
+        let unit_plan = Arc::new(Plan::new(
+            vec![Command::Middleware {
+                output: "t".into(),
+                expr: RaExpr::unit(),
+            }],
+            "t".into(),
+        ));
+        let mut huge_unit =
+            encode_decision(&sample_summary(), &[unit_plan], &|v| values.display(v));
+        // The record ends with the unit constant's tag, arity 0 and row
+        // count 1; patch the row count.
+        let n_rows_at = huge_unit.len() - 4;
+        assert_eq!(&huge_unit[n_rows_at..], &1u32.to_le_bytes()[..]);
+        huge_unit[n_rows_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_decision(&huge_unit, &mut ValueFactory::new()).is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Web-service integration scenarios modelled on the paper's motivating
 //! examples (Section 1): a ChEBI-style chemistry service whose lookups are
 //! capped at 5000 rows, and an IMDb-style movie catalogue whose title
-//! listing is capped at 10000 rows with rate-limited calls.
+//! listing is capped at 10000 rows and every run has a call budget.
 //!
 //! For each service we ask which queries can still be answered *completely*
 //! through the interfaces, and we execute a plan against the simulator to
@@ -62,7 +62,7 @@ fn main() {
     // 3-shard hash federation, and a simulated remote with 150µs base
     // latency per call. All three must return the same names.
     let data = movie_instance(movies.schema.signature(), &mut movies.values, 200, 40, 11);
-    let services = ServiceSimulator::new(movies.schema.clone(), data).with_rate_limit(50);
+    let services = ServiceSimulator::new(movies.schema.clone(), data);
     let movie0 = movies.values.constant("movie0");
     let plan = PlanBuilder::new()
         .middleware("seed", RaExpr::singleton(vec![movie0]))
@@ -82,7 +82,7 @@ fn main() {
         )
         .middleware("names", RaExpr::project(RaExpr::table("actors"), vec![1]))
         .returns("names");
-    println!("\n  Cast of movie0 through each backend (rate limit 50 calls/run):");
+    println!("\n  Cast of movie0 through each backend (call budget 50 calls/run):");
     for (label, backend) in [
         ("instance", BackendSpec::Instance),
         ("sharded:3", BackendSpec::Sharded { shards: 3 }),
@@ -96,8 +96,13 @@ fn main() {
             },
         ),
     ] {
-        let exec = ExecOptions::with_backend(backend);
-        let (names, metrics) = services.run_plan_exec(&plan, &exec).unwrap();
+        let exec = ExecOptions {
+            backend,
+            call_budget: Some(50),
+            ..ExecOptions::default()
+        };
+        let mut runs = services.run_plans_exec_results(&[&plan], &exec).unwrap();
+        let (names, metrics) = runs.remove(0).unwrap();
         println!(
             "    {:<10} {} actors, {} calls, {} tuples fetched ({} matched), simulated latency {} µs",
             label,
@@ -116,7 +121,10 @@ fn main() {
         call_budget: Some(1),
         ..ExecOptions::default()
     };
-    match services.run_plan_exec(&plan, &starved) {
+    match services
+        .run_plans_exec_results(&[&plan], &starved)
+        .and_then(|mut runs| runs.remove(0))
+    {
         Err(PlanError::Access(AccessError::BudgetExhausted { budget, calls })) => println!(
             "  With a budget of {budget} calls the crawl fails fast on call {calls} — no partial \
              answers."

@@ -7,7 +7,6 @@
 //! hand-assembled request structs.
 
 pub use rbqa_access as access;
-pub use rbqa_adapt as adapt;
 pub use rbqa_api as api;
 pub use rbqa_chase as chase;
 pub use rbqa_common as common;

@@ -1,32 +1,31 @@
-//! Differential property test: adaptive execution (`rbqa-adapt`) is
-//! row-equivalent to naive execution.
+//! Differential property test: adaptive execution (`exec.adaptive on`)
+//! is row-equivalent to naive execution.
 //!
 //! For random university instances, random union shapes (one to three
-//! salary-crawl disjuncts, duplicates included so the structural
+//! salary-crawl disjuncts, duplicates included so the identical-disjunct
 //! short-circuit fires) and every backend family — in-memory instance,
 //! sharded federations of 1..=4 shards, the fault-injecting simulated
 //! remote (with retries), and a recorded-trace replay — the adaptive
 //! executor must return exactly the naive row set for every disjunct
-//! where both succeed. Failures may only ever tilt in adaptive's favour:
-//! the window cache lets adaptive fit inside a call budget the naive run
-//! exhausts (that asymmetry is the feature), while the reverse direction
-//! — adaptive failing where naive succeeded, or any row divergence — is
-//! a bug, and `exec.adaptive validate` must never report a structured
-//! [`PlanError::AdaptiveMismatch`]. A final case drives a deadline abort
-//! mid-schedule: with several commutable accesses ready to reorder, an
-//! expired deadline must surface as `DeadlineExceeded`, not as a
-//! mismatch or a partial row set.
+//! where both succeed, and account for exactly the naive calls: each one
+//! either performed or skipped. Failures may only ever tilt in adaptive's
+//! favour: the window memo lets adaptive fit inside a call budget the
+//! naive run exhausts (that asymmetry is the feature), while the reverse
+//! direction — adaptive failing where naive succeeded, or any row
+//! divergence — is a bug, and `exec.adaptive validate` must never report
+//! a structured [`PlanError::AdaptiveMismatch`]. A final case drives a
+//! deadline abort: an expired deadline must surface as
+//! `DeadlineExceeded`, not as a mismatch or a partial row set.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
-use rbqa::access::plan::{execute_with_backend, PlanError};
+use rbqa::access::plan::{execute_plan_adaptive, execute_with_backend, AdaptiveWindow, PlanError};
 use rbqa::access::{
     Condition, InstanceBackend, Plan, PlanBuilder, RaExpr, RecordingBackend, RetryPolicy,
 };
-use rbqa::adapt::{execute_plan_adaptive, AdaptiveMode, AdaptiveWindow};
 use rbqa::common::ValueFactory;
-use rbqa::engine::{university_instance, BackendSpec, ExecOptions, ServiceSimulator};
+use rbqa::engine::{university_instance, AdaptiveMode, BackendSpec, ExecOptions, ServiceSimulator};
 use rbqa::workloads::scenarios;
 
 const SALARIES: [&str; 3] = ["10000", "20000", "30000"];
@@ -99,10 +98,16 @@ proptest! {
         let adaptive = simulator.run_plans_exec_results(&plan_refs, &exec).unwrap();
         for (index, (n_res, a_res)) in naive.iter().zip(&adaptive).enumerate() {
             match (n_res, a_res) {
-                (Ok((n_rows, _)), Ok((a_rows, _))) => prop_assert_eq!(
-                    n_rows, a_rows,
-                    "disjunct {} rows diverged", index
-                ),
+                (Ok((n_rows, n_metrics)), Ok((a_rows, a_metrics))) => {
+                    prop_assert_eq!(n_rows, a_rows, "disjunct {} rows diverged", index);
+                    // The fresh-calls-only accounting contract: every
+                    // naive call is either performed or skipped.
+                    prop_assert_eq!(
+                        n_metrics.total_calls,
+                        a_metrics.total_calls + a_metrics.accesses_skipped,
+                        "disjunct {} call accounting diverged", index
+                    );
+                }
                 (Ok(_), Err(e)) => prop_assert!(
                     false,
                     "disjunct {} failed only under adaptive execution: {}", index, e
@@ -127,9 +132,9 @@ proptest! {
 
     /// Replay parity: a trace recorded from a naive run replays through
     /// the adaptive executor with identical rows. The replay backend is
-    /// keyed by (method, binding), so adaptive's reordering and skipping
-    /// must stay within the recorded access set — a cache miss on an
-    /// unrecorded access would fail the replay outright.
+    /// keyed by (method, binding), so adaptive's skipping must stay
+    /// within the recorded access set — a miss on an unrecorded access
+    /// would fail the replay outright.
     #[test]
     fn adaptive_replays_recorded_traces_with_identical_rows(
         n in 5usize..30,
@@ -162,12 +167,11 @@ proptest! {
     }
 }
 
-/// An expired deadline aborts the adaptive schedule even when the cost
-/// model has commutable accesses queued for reordering, and surfaces as
-/// `DeadlineExceeded` in both naive and adaptive (validate returns the
-/// adaptive error, never a mismatch).
+/// An expired deadline aborts both executions of a validated union and
+/// surfaces as `DeadlineExceeded` in naive and adaptive alike (validate
+/// returns the adaptive error, never a mismatch).
 #[test]
-fn deadline_abort_mid_reorder_is_a_timeout_not_a_mismatch() {
+fn deadline_abort_is_a_timeout_not_a_mismatch() {
     let mut scenario = scenarios::university(None);
     let plans = [
         salary_crawl(&mut scenario.values, "10000"),
