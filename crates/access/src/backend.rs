@@ -11,9 +11,7 @@
 //! * [`InstanceBackend`] — the in-memory store plus an
 //!   [`AccessSelection`]: exactly the pre-refactor execution semantics;
 //! * [`SimulatedRemoteBackend`] — wraps any backend with deterministic
-//!   seeded latency, fault injection with a configurable retry policy, and
-//!   a per-window call quota enforced as a hard
-//!   [`AccessError::BudgetExhausted`];
+//!   seeded latency and fault injection with a configurable retry policy;
 //! * [`ShardedBackend`] — partitions each relation's rows across N child
 //!   backends, fans every access out, merges + dedups, and re-applies the
 //!   method's [`crate::ResultBound`] to the merged output;
@@ -21,10 +19,12 @@
 //!   [`AccessTrace`] that can be replayed later ([`ReplayBackend`]) without
 //!   the original data source;
 //! * [`BudgetedBackend`] — a thin wrapper enforcing a total call quota on
-//!   any backend (`ExecOptions::call_budget` is built on it).
+//!   any backend, as a hard [`AccessError::BudgetExhausted`]
+//!   (`ExecOptions::call_budget` is built on it; it is the only quota).
 //!
 //! A *window* (for quotas) is the lifetime of the backend value; the
-//! service constructs one backend per plan run, so quotas are per-run.
+//! service constructs one backend per Execute request, shared by all its
+//! disjunct plans, so quotas are per request.
 
 use rbqa_common::{Instance, Value};
 use rustc_hash::FxHashMap;
@@ -287,7 +287,7 @@ impl AccessBackend for InstanceBackend<'_> {
 }
 
 /// Configuration of a [`SimulatedRemoteBackend`]: deterministic seeded
-/// latency and faults, a per-window call quota, and the retry policy.
+/// latency and faults, and the retry policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemoteProfile {
     /// Seed of the deterministic latency/fault draws. Draws are keyed by
@@ -310,9 +310,6 @@ pub struct RemoteProfile {
     /// repeating the identical access (or request) replays the identical
     /// faults.
     pub fault_rate_pct: u8,
-    /// Hard per-window call quota (every attempt, including retries,
-    /// consumes one call); `None` disables the quota.
-    pub call_quota: Option<usize>,
     /// The internal retry policy: a faulted access is retried up to
     /// [`RetryPolicy::retries`] times before the error surfaces, and the
     /// policy's deterministic backoff is accounted into the latency of a
@@ -337,7 +334,6 @@ impl Default for RemoteProfile {
             jitter_micros: 50,
             per_tuple_latency_micros: 2,
             fault_rate_pct: 0,
-            call_quota: None,
             retry: RetryPolicy::with_retries(2),
             transient_faults: false,
         }
@@ -387,8 +383,8 @@ pub(crate) fn access_key_hash(method: &str, binding: &[(usize, Value)]) -> u64 {
 }
 
 /// A simulated remote service: any inner backend wrapped with
-/// deterministic seeded latency, fault injection with retries, and a hard
-/// per-window call quota.
+/// deterministic seeded latency and fault injection with retries. It has
+/// no quota of its own; wrap it in a [`BudgetedBackend`] for one.
 ///
 /// Latency is *accounted*, not slept: each successful access reports
 /// `base + jitter + per_tuple * returned` microseconds in its
@@ -402,7 +398,6 @@ pub(crate) fn access_key_hash(method: &str, binding: &[(usize, Value)]) -> u64 {
 pub struct SimulatedRemoteBackend<B> {
     inner: B,
     profile: RemoteProfile,
-    calls: usize,
     faults_injected: usize,
     /// With `transient_faults`: per-access-key next attempt number, so a
     /// repeated access continues the draw sequence rather than replaying
@@ -416,15 +411,9 @@ impl<B: AccessBackend> SimulatedRemoteBackend<B> {
         SimulatedRemoteBackend {
             inner,
             profile,
-            calls: 0,
             faults_injected: 0,
             fault_cursor: FxHashMap::default(),
         }
-    }
-
-    /// Calls consumed in the current window (every attempt counts).
-    pub fn calls(&self) -> usize {
-        self.calls
     }
 
     /// Faults injected so far (including ones hidden by retries).
@@ -432,27 +421,9 @@ impl<B: AccessBackend> SimulatedRemoteBackend<B> {
         self.faults_injected
     }
 
-    /// Resets the call window (quota and counters only; draws are keyed
-    /// by access, so a fresh window replays identical outcomes for
-    /// identical accesses).
-    pub fn reset_window(&mut self) {
-        self.calls = 0;
-    }
-
     /// The wrapped backend.
     pub fn inner(&self) -> &B {
         &self.inner
-    }
-
-    fn consume_call(&mut self) -> Result<(), AccessError> {
-        self.calls += 1;
-        match self.profile.call_quota {
-            Some(quota) if self.calls > quota => Err(AccessError::BudgetExhausted {
-                budget: quota,
-                calls: self.calls,
-            }),
-            _ => Ok(()),
-        }
     }
 
     /// A deterministic draw in `[0, bound)` for the given access key,
@@ -486,7 +457,6 @@ impl<B: AccessBackend> AccessBackend for SimulatedRemoteBackend<B> {
         let mut attempt = first_attempt;
         let mut backoff_micros: u64 = 0;
         loop {
-            self.consume_call()?;
             let faulted = self.profile.fault_rate_pct > 0
                 && self.draw(key, attempt, SALT_FAULT, 100) < self.profile.fault_rate_pct as u64;
             if faulted {
@@ -915,27 +885,9 @@ mod tests {
     }
 
     #[test]
-    fn remote_backend_enforces_quota_and_retries() {
+    fn remote_backend_retries_then_surfaces_deterministic_faults() {
         let (method, inst, mut vf) = setup(None);
         let a = vf.constant("a");
-        let profile = RemoteProfile {
-            call_quota: Some(2),
-            ..RemoteProfile::default()
-        };
-        let mut backend = SimulatedRemoteBackend::new(InstanceBackend::truncating(&inst), profile);
-        backend.access(&method, &[(0, a)]).unwrap();
-        backend.access(&method, &[(0, a)]).unwrap();
-        let err = backend.access(&method, &[(0, a)]).unwrap_err();
-        assert_eq!(
-            err,
-            AccessError::BudgetExhausted {
-                budget: 2,
-                calls: 3
-            }
-        );
-        backend.reset_window();
-        assert!(backend.access(&method, &[(0, a)]).is_ok());
-
         // 100% faults: retries are consumed, then the error surfaces as
         // permanent (the draws are deterministic — retrying the identical
         // access replays the identical faults).
@@ -952,8 +904,7 @@ mod tests {
         };
         assert!(detail.contains("after 3 attempt(s)"), "detail: {detail}");
         assert!(detail.contains("fault key 0x"), "detail: {detail}");
-        assert_eq!(backend.calls(), 3, "initial attempt + 2 retries");
-        assert_eq!(backend.faults_injected(), 3);
+        assert_eq!(backend.faults_injected(), 3, "initial attempt + 2 retries");
     }
 
     #[test]

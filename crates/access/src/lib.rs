@@ -16,7 +16,7 @@
 //! * [`accessible`] — the accessible-part fixpoint `AccPart(σ, I)`
 //!   (Section 3);
 //! * [`backend`] — pluggable data-source backends ([`AccessBackend`]):
-//!   in-memory, simulated-remote (latency/faults/quotas), sharded, and
+//!   in-memory, simulated-remote (latency/faults), sharded, and
 //!   recording/replay, with per-call accounting and a structured
 //!   [`AccessError`] taxonomy;
 //! * [`resilience`] — retry/backoff policies with deterministic seeded

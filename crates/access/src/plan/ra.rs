@@ -29,19 +29,6 @@ pub enum PlanError {
     /// The request's deadline expired mid-execution and the plan run was
     /// aborted cooperatively (checked before every access).
     DeadlineExceeded,
-    /// `exec.adaptive validate` found the adaptive executor's rows
-    /// differing from the naive executor's for the same plan — the
-    /// structured discrepancy report of the side-by-side run.
-    AdaptiveMismatch {
-        /// Index of the divergent plan within the request's plan set.
-        plan_index: usize,
-        /// Row count the naive executor produced (`None`: it failed).
-        naive_rows: Option<usize>,
-        /// Row count the adaptive executor produced (`None`: it failed).
-        adaptive_rows: Option<usize>,
-        /// Human-readable description of the divergence.
-        detail: String,
-    },
 }
 
 impl fmt::Display for PlanError {
@@ -59,23 +46,6 @@ impl fmt::Display for PlanError {
             PlanError::Access(e) => write!(f, "access failed: {e}"),
             PlanError::DeadlineExceeded => {
                 write!(f, "plan execution aborted: request deadline expired")
-            }
-            PlanError::AdaptiveMismatch {
-                plan_index,
-                naive_rows,
-                adaptive_rows,
-                detail,
-            } => {
-                let fmt_rows = |r: &Option<usize>| match r {
-                    Some(n) => format!("{n} rows"),
-                    None => "failed".to_owned(),
-                };
-                write!(
-                    f,
-                    "adaptive validation mismatch on plan {plan_index}: naive {}, adaptive {} ({detail})",
-                    fmt_rows(naive_rows),
-                    fmt_rows(adaptive_rows)
-                )
             }
         }
     }

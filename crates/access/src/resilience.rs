@@ -80,10 +80,12 @@ impl RetryPolicy {
     }
 
     /// The default policy with `retries` retries after the first attempt
-    /// (the shape of the old `max_retries: usize` knob).
+    /// (the shape of the old `max_retries: usize` knob). The attempt count
+    /// saturates at `u32::MAX`; the window's retry budget caps real
+    /// retries long before that.
     pub fn with_retries(retries: usize) -> Self {
         RetryPolicy {
-            max_attempts: retries as u32 + 1,
+            max_attempts: u32::try_from(retries).unwrap_or(u32::MAX).saturating_add(1),
             ..RetryPolicy::default()
         }
     }
@@ -478,6 +480,16 @@ mod tests {
         // Third access: budget spent — exactly one attempt, no retries.
         assert!(backend.access(&m, &[]).is_err());
         assert_eq!(backend.inner().calls, 8);
+    }
+
+    #[test]
+    fn with_retries_saturates_instead_of_overflowing() {
+        assert_eq!(RetryPolicy::with_retries(2).max_attempts, 3);
+        assert_eq!(
+            RetryPolicy::with_retries(u32::MAX as usize).max_attempts,
+            u32::MAX
+        );
+        assert_eq!(RetryPolicy::with_retries(usize::MAX).max_attempts, u32::MAX);
     }
 
     #[test]

@@ -276,9 +276,8 @@ impl<'s> RequestBuilder<'s> {
     /// Selects the adaptive execution mode for `Execute` requests: `On`
     /// memoizes every `(method, binding)` access for the request window
     /// and short-circuits disjuncts identical to one that already
-    /// succeeded; `Validate` additionally runs the naive executor side by
-    /// side and fails with a structured discrepancy if rows differ. Part
-    /// of the fingerprint of `Execute` requests; other modes ignore it.
+    /// succeeded. Part of the fingerprint of `Execute` requests; other
+    /// modes ignore it.
     pub fn adaptive(mut self, mode: rbqa_service::AdaptiveMode) -> Self {
         self.exec.adaptive = mode;
         self
@@ -660,17 +659,12 @@ mod tests {
         };
         let on = build(AdaptiveMode::On, true);
         assert_eq!(on.exec.adaptive, AdaptiveMode::On);
-        // Off, on, and validate are three distinct Execute cache keys.
+        // Off and on are two distinct Execute cache keys.
         let f_off = service
             .fingerprint_of(&build(AdaptiveMode::Off, true))
             .unwrap();
         let f_on = service.fingerprint_of(&on).unwrap();
-        let f_validate = service
-            .fingerprint_of(&build(AdaptiveMode::Validate, true))
-            .unwrap();
         assert_ne!(f_off, f_on);
-        assert_ne!(f_off, f_validate);
-        assert_ne!(f_on, f_validate);
         // Decide normalises exec options away: the adaptive flag must not
         // fragment the decision cache.
         assert_eq!(

@@ -53,10 +53,9 @@ pub enum ApiErrorCode {
     /// `exec.deadline`). The deadline is cooperative and propagated: the
     /// chase aborts between rounds, plan execution between accesses, and
     /// cache waiters give up — an aborted computation caches *nothing*
-    /// (the in-flight slot is vacated, never poisoned). A request that
-    /// finished its work but overran a `net.timeout` without an armed
-    /// in-flight deadline still lands its result in the cache and only
-    /// the response is replaced by this error.
+    /// (the in-flight slot is vacated, never poisoned). This is the only
+    /// source of the code: a request that completes is answered, and a
+    /// resident cache hit is served even at an expired deadline.
     RequestTimeout,
     /// `poll`/`fetch` referenced a `query_id` no batch enqueue on this
     /// server produced (or one whose result was already evicted).
@@ -191,8 +190,8 @@ mod tests {
         let e: ApiError = unavailable.clone().into();
         assert_eq!(e.code, ApiErrorCode::BackendUnavailable);
         assert_eq!(e.code.as_str(), unavailable.code());
-        // A mid-flight deadline abort maps onto the same stable code the
-        // wire layer's post-hoc `net.timeout` check uses.
+        // A mid-flight deadline abort, armed by `exec.deadline` or
+        // `net.timeout`, is the wire's `REQUEST_TIMEOUT`.
         let e: ApiError = ServiceError::DeadlineExceeded.into();
         assert_eq!(e.code, ApiErrorCode::RequestTimeout);
         assert_eq!(e.code.as_str(), ServiceError::DeadlineExceeded.code());

@@ -36,7 +36,8 @@
 //! * `option exec.backend instance|sharded:N|remote [seed=S] [latency=L]
 //!   [faults=P] [transient]` selects the data-source backend `execute`
 //!   requests run against (`transient` makes remote faults retryable,
-//!   with fresh fault coins per retry), and `option exec.calls K|none`
+//!   with fresh fault coins per retry; `latency` is at most
+//!   `MAX_LATENCY_MICROS`), and `option exec.calls K|none`
 //!   caps the number of accesses one request may perform across all its
 //!   disjunct plans (the over-quota run fails with `BUDGET_EXHAUSTED`).
 //!   Both are stream-scoped and part of the fingerprint of `execute`
@@ -54,13 +55,20 @@
 //!   `failed_disjuncts` block of per-disjunct error codes instead of
 //!   failing outright. Off by default; never affects what is cached
 //!   (only decisions and plans are cached, never rows).
+//! * `option exec.adaptive on|off` runs `execute` requests adaptively:
+//!   one `(method, binding)` memo serves every access of the request's
+//!   disjunct plans, and a disjunct identical to an earlier successful
+//!   one reuses its rows. The rows are those of `off` (the default); only
+//!   the backend calls drop. Fingerprinted only when `on`.
 //! * `option exec.deadline MICROS|off` arms an in-flight cooperative
 //!   deadline on every subsequent request: the chase aborts between
 //!   rounds, plan execution between accesses, and cache waits time out,
 //!   answering `REQUEST_TIMEOUT` — an aborted computation caches
-//!   nothing. Combines with `net.timeout` by taking the tighter bound.
-//!   Not fingerprinted (a deadline changes how long we try, not the
-//!   answer).
+//!   nothing. A resident `decide`/`synthesize` hit needs none of that
+//!   work and is served even at an expired deadline (an `execute` hit
+//!   still runs its plans, access by access). Combines with `net.timeout`
+//!   by taking the tighter bound. Not fingerprinted (a deadline changes
+//!   how long we try, not the answer).
 //! * `option obs.trace on|off` attaches a per-request `trace` block
 //!   (spans, kernel counters, exclusive per-phase timings) to every
 //!   subsequent response. Stream-scoped and **never** part of the
@@ -71,12 +79,12 @@
 //!   enqueues on the server's background materializer and immediately
 //!   returns `{"query_id":N,"state":"queued"}`, to be tracked with the
 //!   `poll N` / `fetch N` verbs (states `queued|running|done|error`).
-//! * `option net.timeout SECS|none` arms a cooperative per-request
-//!   deadline: the limit is propagated in-flight (like `exec.deadline`)
-//!   so over-limit work is abandoned mid-pipeline with `REQUEST_TIMEOUT`
-//!   and caches nothing; a request that finishes just past the limit
-//!   still has its response replaced by the error (its completed result
-//!   stays cached).
+//! * `option net.timeout SECS|none` arms the same in-flight deadline as
+//!   `exec.deadline`, in whole seconds: over-limit work is abandoned
+//!   mid-pipeline with `REQUEST_TIMEOUT` and caches nothing, and a
+//!   resident `decide`/`synthesize` hit is served. A request that
+//!   completes is answered, however long it took. A limit past the
+//!   clock's range is no limit.
 //! * `option cache.bytes BYTES|none` re-points the decision cache's byte
 //!   budget. **Service-global**, not per-session: every connection shares
 //!   the one cache, so the budget disciplines them all; shrinking evicts
@@ -108,7 +116,7 @@
 //! `output_location`.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rbqa_access::{AccessMethod, Schema};
 use rbqa_chase::Budget;
@@ -745,14 +753,13 @@ impl WireServer {
                     ["exec.adaptive", switch] => {
                         self.exec.adaptive = match *switch {
                             "on" => rbqa_service::AdaptiveMode::On,
-                            "validate" => rbqa_service::AdaptiveMode::Validate,
                             "off" => rbqa_service::AdaptiveMode::Off,
                             other => {
                                 return Err(ApiError::new(
                                     ApiErrorCode::ProtocolError,
                                     format!(
                                         "bad adaptive switch `{other}` \
-                                         (usage: option exec.adaptive on|validate|off)"
+                                         (usage: option exec.adaptive on|off)"
                                     ),
                                 ))
                             }
@@ -835,7 +842,7 @@ impl WireServer {
                     }
                     _ => Err(ApiError::new(
                         ApiErrorCode::ProtocolError,
-                        "usage: option budget generous|small|tiny | option exec.backend instance|sharded:N|remote [seed=S] [latency=L] [faults=P] [transient] | option exec.calls K|none | option exec.retry RETRIES|off | option exec.breaker K:C|off | option exec.degraded on|off | option exec.adaptive on|validate|off | option exec.deadline MICROS|off | option obs.trace on|off | option mode interactive|batch | option cache.bytes BYTES|none | option net.timeout SECS|none",
+                        "usage: option budget generous|small|tiny | option exec.backend instance|sharded:N|remote [seed=S] [latency=L] [faults=P] [transient] | option exec.calls K|none | option exec.retry RETRIES|off | option exec.breaker K:C|off | option exec.degraded on|off | option exec.adaptive on|off | option exec.deadline MICROS|off | option obs.trace on|off | option mode interactive|batch | option cache.bytes BYTES|none | option net.timeout SECS|none",
                     )),
                 }
             }
@@ -883,28 +890,7 @@ impl WireServer {
                             .finish(),
                     ));
                 }
-                let started = Instant::now();
-                let outcome = self.service.submit(&request);
-                if let Some(limit) = self.net_timeout {
-                    // Post-hoc backstop behind the in-flight deadline:
-                    // the armed deadline aborts over-limit work between
-                    // chase rounds / accesses, but a request that
-                    // *finishes* just past the limit still reports the
-                    // breach here (its completed result stays cached).
-                    let elapsed = started.elapsed();
-                    if elapsed >= limit {
-                        return Err(ApiError::new(
-                            ApiErrorCode::RequestTimeout,
-                            format!(
-                                "request exceeded net.timeout ({}s) after {}ms; \
-                                 completed work was cached",
-                                limit.as_secs(),
-                                elapsed.as_millis()
-                            ),
-                        ));
-                    }
-                }
-                let response = outcome.map_err(ApiError::from)?;
+                let response = self.service.submit(&request).map_err(ApiError::from)?;
                 let id = self
                     .service
                     .catalog_by_name(&internal)
@@ -1167,6 +1153,15 @@ fn parse_backend_spec(tokens: &[&str]) -> Result<BackendSpec, ApiError> {
                     seed = v.parse().map_err(|_| usage())?;
                 } else if let Some(v) = opt.strip_prefix("latency=") {
                     latency_micros = v.parse().map_err(|_| usage())?;
+                    if latency_micros > rbqa_service::MAX_LATENCY_MICROS {
+                        return Err(ApiError::new(
+                            ApiErrorCode::ProtocolError,
+                            format!(
+                                "latency= is in microseconds (0-{})",
+                                rbqa_service::MAX_LATENCY_MICROS
+                            ),
+                        ));
+                    }
                 } else if let Some(v) = opt.strip_prefix("faults=") {
                     fault_rate_pct = v.parse().map_err(|_| usage())?;
                     if fault_rate_pct > 100 {
@@ -1437,20 +1432,18 @@ fact Udirectory('8', 'sidest', '556')
              {union}\
              option exec.adaptive on\n\
              {union}\
-             option exec.adaptive validate\n\
-             {union}\
              option exec.adaptive off\n\
              {union}"
         );
         let outputs = server.handle_stream(&stream);
-        assert_eq!(outputs.len(), 4, "{outputs:?}");
+        assert_eq!(outputs.len(), 3, "{outputs:?}");
         for out in &outputs {
             assert!(out.contains("\"rows\":[[\"ada\"],[\"alan\"]]"), "{out}");
             assert!(out.contains("\"accesses_skipped\""), "{out}");
             assert!(out.contains("\"disjuncts_short_circuited\""), "{out}");
         }
         // The two disjuncts crawl the same Prof/Udirectory frontier;
-        // adaptive (and validate) serve the repeats from the window cache.
+        // adaptive execution serves the repeats from the window cache.
         let field = |out: &str, key: &str| -> u64 {
             let tail =
                 &out[out.find(key).unwrap_or_else(|| panic!("{key} in {out}")) + key.len()..];
@@ -1460,20 +1453,19 @@ fact Udirectory('8', 'sidest', '556')
         };
         let naive_calls = field(&outputs[0], "\"total_calls\":");
         assert_eq!(field(&outputs[0], "\"accesses_skipped\":"), 0);
-        for adaptive in [&outputs[1], &outputs[2]] {
-            let calls = field(adaptive, "\"total_calls\":");
-            let skipped = field(adaptive, "\"accesses_skipped\":");
-            assert!(
-                calls * 2 <= naive_calls,
-                "adaptive made {calls} calls vs naive {naive_calls}"
-            );
-            assert_eq!(calls + skipped, naive_calls, "{adaptive}");
-        }
-        // The adaptive flag is part of the Execute fingerprint: on,
-        // validate, and off are three distinct cache entries (off rode
-        // the first request's entry).
-        assert_eq!(server.service().metrics().decisions_computed, 3);
-        assert!(outputs[3].contains("\"cache_hit\":true"), "{}", outputs[3]);
+        let adaptive = &outputs[1];
+        let calls = field(adaptive, "\"total_calls\":");
+        let skipped = field(adaptive, "\"accesses_skipped\":");
+        assert!(
+            calls * 2 <= naive_calls,
+            "adaptive made {calls} calls vs naive {naive_calls}"
+        );
+        assert_eq!(calls + skipped, naive_calls, "{adaptive}");
+        // The adaptive flag is part of the Execute fingerprint: on and
+        // off are two distinct cache entries (off rode the first
+        // request's entry).
+        assert_eq!(server.service().metrics().decisions_computed, 2);
+        assert!(outputs[2].contains("\"cache_hit\":true"), "{}", outputs[2]);
     }
 
     #[test]
@@ -1615,26 +1607,6 @@ fact Udirectory('8', 'sidest', '556')
     }
 
     #[test]
-    fn exec_deadline_zero_times_out_and_off_disarms() {
-        let mut server = WireServer::new();
-        let stream = format!(
-            "{PREAMBLE}\
-             option exec.deadline 0\n\
-             decide uni Q() :- Udirectory(i, a, p)\n\
-             option exec.deadline off\n\
-             decide uni Q() :- Udirectory(i, a, p)\n"
-        );
-        let outputs = server.handle_stream(&stream);
-        assert_eq!(outputs.len(), 2, "{outputs:?}");
-        assert!(
-            outputs[0].contains("\"code\":\"REQUEST_TIMEOUT\""),
-            "{}",
-            outputs[0]
-        );
-        assert!(outputs[1].contains("\"status\":\"ok\""), "{}", outputs[1]);
-    }
-
-    #[test]
     fn stats_verb_reports_resilience_counters() {
         let mut server = WireServer::new();
         server.handle_line("rbqa/1");
@@ -1660,6 +1632,8 @@ fact Udirectory('8', 'sidest', '556')
             "option exec.backend sharded:x",
             "option exec.backend sharded:4000000000",
             "option exec.backend remote faults=200",
+            "option exec.backend remote latency=60000001",
+            "option exec.backend remote latency=18446744073709551615",
             "option exec.backend remote bogus=1",
             "option exec.calls many",
             "option exec.retry lots",
@@ -1668,6 +1642,7 @@ fact Udirectory('8', 'sidest', '556')
             "option exec.breaker k:c",
             "option exec.degraded maybe",
             "option exec.adaptive maybe",
+            "option exec.adaptive validate",
             "option exec.deadline soon",
             "option obs.trace maybe",
         ] {
@@ -1783,30 +1758,53 @@ fact Udirectory('8', 'sidest', '556')
     }
 
     #[test]
-    fn net_timeout_zero_replaces_responses_and_none_disarms() {
-        let mut server = WireServer::new();
-        let stream = format!(
-            "{PREAMBLE}\
-             option net.timeout 0\n\
-             decide uni Q() :- Udirectory(i, a, p)\n\
-             option net.timeout none\n\
-             decide uni Q() :- Udirectory(i, a, p)\n\
-             decide uni Q() :- Udirectory(i, a, p)\n"
-        );
-        let outputs = server.handle_stream(&stream);
-        assert_eq!(outputs.len(), 3, "{outputs:?}");
-        assert!(
-            outputs[0].contains("\"code\":\"REQUEST_TIMEOUT\""),
-            "{}",
-            outputs[0]
-        );
-        // In-flight propagation: the expired deadline aborted the chase
-        // before anything landed in the cache, so the re-ask after
-        // disarming recomputes from a vacated (never poisoned) slot…
-        assert!(outputs[1].contains("\"status\":\"ok\""), "{}", outputs[1]);
-        assert!(outputs[1].contains("\"cache_hit\":false"), "{}", outputs[1]);
-        // …and then serves hits normally.
-        assert!(outputs[2].contains("\"cache_hit\":true"), "{}", outputs[2]);
+    fn zero_deadline_aborts_misses_serves_hits_and_disarms() {
+        // `exec.deadline` and `net.timeout` arm the one in-flight
+        // deadline, so both spellings behave identically.
+        for (arm, disarm) in [
+            ("exec.deadline 0", "exec.deadline off"),
+            ("net.timeout 0", "net.timeout none"),
+        ] {
+            let mut server = WireServer::new();
+            let stream = format!(
+                "{PREAMBLE}\
+                 decide uni Q() :- Udirectory(i, a, p)\n\
+                 option {arm}\n\
+                 decide uni Q() :- Udirectory(i, a, p)\n\
+                 decide uni Q() :- Prof(i, n, s)\n\
+                 option {disarm}\n\
+                 decide uni Q() :- Prof(i, n, s)\n\
+                 decide uni Q() :- Prof(i, n, s)\n"
+            );
+            let outputs = server.handle_stream(&stream);
+            assert_eq!(outputs.len(), 5, "{arm}: {outputs:?}");
+            // A resident hit needs no chase: it is served even at the
+            // deadline.
+            assert!(
+                outputs[1].contains("\"cache_hit\":true"),
+                "{arm}: {}",
+                outputs[1]
+            );
+            // A miss needs the chase, which the expired deadline aborts…
+            assert!(
+                outputs[2].contains("\"code\":\"REQUEST_TIMEOUT\""),
+                "{arm}: {}",
+                outputs[2]
+            );
+            // …before anything landed in the cache, so after disarming the
+            // re-ask recomputes from a vacated (never poisoned) slot…
+            assert!(
+                outputs[3].contains("\"cache_hit\":false"),
+                "{arm}: {}",
+                outputs[3]
+            );
+            // …and then serves hits normally.
+            assert!(
+                outputs[4].contains("\"cache_hit\":true"),
+                "{arm}: {}",
+                outputs[4]
+            );
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! EXPERIMENTS.md ("Benchmark methodology") before regenerating it.
 
 use rbqa_bench::{chase_engine_cases, measure_chase_case, ChaseMeasurement};
-use rbqa_chase::ChaseEngine;
+use rbqa_chase::{chase, chase_naive};
 use std::collections::BTreeMap;
 
 struct CaseRow {
@@ -64,8 +64,8 @@ fn main() {
 
     let mut rows: Vec<CaseRow> = Vec::new();
     for case in &cases {
-        let naive = measure_chase_case(case, ChaseEngine::Naive, iters);
-        let semi = measure_chase_case(case, ChaseEngine::SemiNaive, iters);
+        let naive = measure_chase_case(case, chase_naive, iters);
+        let semi = measure_chase_case(case, chase, iters);
         assert_eq!(
             naive.completion, semi.completion,
             "engines disagree on completion for {}",

@@ -168,11 +168,10 @@ pub fn records_to_json_pretty(records: &[DecisionRecord]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Chase-engine comparison harness (fig_chase_engine, chase_report,
-// BENCH_chase.json)
+// Chase-engine comparison harness (chase_report, BENCH_chase.json)
 // ---------------------------------------------------------------------------
 
-use rbqa_chase::{chase, ChaseConfig, ChaseEngine, Completion};
+use rbqa_chase::{ChaseConfig, ChaseOutcome, Completion};
 use rbqa_common::Instance;
 use rbqa_core::{fd_simplification, AmondetProblem, AxiomStyle};
 use rbqa_logic::constraints::ConstraintSet;
@@ -274,8 +273,6 @@ pub fn chase_engine_cases(quick: bool) -> Vec<ChaseCase> {
 /// Mean wall-clock time and chase statistics of one engine on one case.
 #[derive(Debug, Clone)]
 pub struct ChaseMeasurement {
-    /// The engine measured.
-    pub engine: ChaseEngine,
     /// Mean duration over `iters` runs, in microseconds.
     pub mean_micros: f64,
     /// Number of timed runs.
@@ -290,13 +287,18 @@ pub struct ChaseMeasurement {
     pub facts: usize,
 }
 
-/// Runs `case` with `engine` `iters` times (after one warm-up run) and
-/// reports the mean duration plus the saturation statistics.
-pub fn measure_chase_case(case: &ChaseCase, engine: ChaseEngine, iters: usize) -> ChaseMeasurement {
-    let config = ChaseConfig::with_budget(case.budget).with_engine(engine);
+/// Runs `case` with `engine` (`rbqa_chase::chase` or the
+/// `rbqa_chase::chase_naive` oracle) `iters` times (after one warm-up run)
+/// and reports the mean duration plus the saturation statistics.
+pub fn measure_chase_case(
+    case: &ChaseCase,
+    engine: fn(&Instance, &ConstraintSet, &mut ValueFactory, ChaseConfig) -> ChaseOutcome,
+    iters: usize,
+) -> ChaseMeasurement {
+    let config = ChaseConfig::with_budget(case.budget);
     let run = || {
         let mut vf = case.values.clone();
-        chase(&case.start, &case.constraints, &mut vf, config)
+        engine(&case.start, &case.constraints, &mut vf, config)
     };
     let mut outcome = run(); // warm-up, also the stats sample
     let start = std::time::Instant::now();
@@ -305,7 +307,6 @@ pub fn measure_chase_case(case: &ChaseCase, engine: ChaseEngine, iters: usize) -
     }
     let mean_micros = start.elapsed().as_micros() as f64 / iters.max(1) as f64;
     ChaseMeasurement {
-        engine,
         mean_micros,
         iters,
         completion: outcome.completion,
@@ -316,8 +317,7 @@ pub fn measure_chase_case(case: &ChaseCase, engine: ChaseEngine, iters: usize) -
 }
 
 // ---------------------------------------------------------------------------
-// Homomorphism-kernel comparison harness (fig_hom_kernel, hom_report,
-// BENCH_hom.json)
+// Homomorphism-kernel comparison harness (hom_report, BENCH_hom.json)
 // ---------------------------------------------------------------------------
 
 use rbqa_logic::homomorphism::{self, KernelMode};
@@ -677,8 +677,7 @@ pub fn hook_crossings(trace: &Trace) -> u64 {
 
 /// The Example 1.2 crawling plan over the university scenario: list the
 /// directory, look each professor up by id, filter on salary, return
-/// names. Shared by the `fig_backend` bench and the `backend_report`
-/// binary so both always measure the same workload.
+/// names. Shared by the `backend_report` and `adapt_report` binaries.
 pub fn example_1_2_salary_plan(values: &mut ValueFactory) -> rbqa_access::Plan {
     use rbqa_access::{Condition, PlanBuilder, RaExpr};
     let salary = values.constant("10000");
@@ -695,8 +694,7 @@ pub fn example_1_2_salary_plan(values: &mut ValueFactory) -> rbqa_access::Plan {
 
 /// The backend roster measured by FIG-backend (label, spec): the
 /// in-memory baseline, two shard counts, and the zero-fault simulated
-/// remote. One definition keeps the criterion bench and the CI-smoked
-/// report on the same configurations.
+/// remote.
 pub fn fig_backend_roster() -> Vec<(&'static str, rbqa_engine::BackendSpec)> {
     use rbqa_engine::BackendSpec;
     vec![

@@ -1,15 +1,18 @@
 //! The restricted chase engine with FD (EGD) handling, depth tracking and
 //! budgets.
 //!
-//! Two interchangeable engines implement the same restricted-chase
-//! semantics (selected via [`ChaseConfig::engine`]):
+//! Two engines implement the same restricted-chase semantics:
 //!
-//! * [`ChaseEngine::Naive`] — the textbook engine: every round re-enumerates
-//!   all body homomorphisms of all TGDs against the full instance;
-//! * [`ChaseEngine::SemiNaive`] (the default) — the delta-driven engine of
+//! * [`chase`] — the delta-driven (semi-naive) engine of
 //!   [`crate::seminaive`]: a round only re-evaluates rules whose body
 //!   mentions a relation that gained facts, and homomorphism search is
-//!   seeded from the newly derived facts.
+//!   seeded from the newly derived facts. Every caller in the workspace
+//!   runs this one.
+//! * [`chase_naive`] — the textbook engine: every round re-enumerates all
+//!   body homomorphisms of all TGDs against the full instance. It is the
+//!   differential oracle of the tests and the benchmark baseline; no option
+//!   reaches it. It shares `fire_trigger` and the FD fixpoint with the
+//!   semi-naive engine, so depth bookkeeping and budget checks cannot drift.
 //!
 //! Both engines produce the same [`Completion`] and homomorphically
 //! equivalent instances whenever the budget does not truncate enumeration
@@ -83,34 +86,6 @@ impl DepthMap {
     }
 }
 
-/// Which chase implementation to run. Both engines implement the restricted
-/// chase and agree on [`Completion`] away from the enumeration cap (see the
-/// module docs); they differ only in how triggers are found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChaseEngine {
-    /// Re-enumerate every body homomorphism of every TGD each round.
-    /// Quadratic in the number of rounds; kept as the differential-testing
-    /// baseline and for the benchmark ablation.
-    Naive,
-    /// Delta-driven (semi-naive) evaluation with indexed trigger matching:
-    /// each round only considers triggers with at least one body atom
-    /// matching a fact derived in the previous round. See
-    /// [`crate::seminaive`].
-    #[default]
-    SemiNaive,
-}
-
-impl ChaseEngine {
-    /// Stable lowercase name, used in benchmark reports and cache
-    /// fingerprints.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ChaseEngine::Naive => "naive",
-            ChaseEngine::SemiNaive => "seminaive",
-        }
-    }
-}
-
 /// Configuration of a chase run.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaseConfig {
@@ -119,8 +94,6 @@ pub struct ChaseConfig {
     /// Whether FDs are chased (value unification). When `false`, FDs in the
     /// constraint set are ignored.
     pub apply_fds: bool,
-    /// Which engine runs the TGD rounds.
-    pub engine: ChaseEngine,
 }
 
 impl Default for ChaseConfig {
@@ -128,29 +101,22 @@ impl Default for ChaseConfig {
         ChaseConfig {
             budget: Budget::default(),
             apply_fds: true,
-            engine: ChaseEngine::default(),
         }
     }
 }
 
 impl ChaseConfig {
-    /// Config with the given budget, FD chasing enabled and the default
-    /// (semi-naive) engine.
+    /// Config with the given budget and FD chasing enabled.
     pub fn with_budget(budget: Budget) -> Self {
         ChaseConfig {
             budget,
             ..ChaseConfig::default()
         }
     }
-
-    /// Returns a copy using the given engine.
-    pub fn with_engine(mut self, engine: ChaseEngine) -> Self {
-        self.engine = engine;
-        self
-    }
 }
 
-/// Runs the restricted chase of `constraints` on `instance`.
+/// Runs the restricted chase of `constraints` on `instance` with the
+/// semi-naive engine.
 ///
 /// * TGDs are fired on active triggers only, with fresh nulls drawn from
 ///   `values` for existentially quantified head variables.
@@ -193,13 +159,7 @@ pub fn chase(
     config: ChaseConfig,
 ) -> ChaseOutcome {
     let mut obs = rbqa_obs::phase_span("chase", rbqa_obs::Phase::Chase);
-    obs.str("engine", config.engine.as_str());
-    let outcome = match config.engine {
-        ChaseEngine::Naive => chase_naive(instance, constraints, values, config),
-        ChaseEngine::SemiNaive => {
-            crate::seminaive::chase_seminaive(instance, constraints, values, config)
-        }
-    };
+    let outcome = crate::seminaive::chase_seminaive(instance, constraints, values, config);
     rbqa_obs::counters::add_chase_rounds(outcome.stats.rounds as u64);
     obs.num("rounds", outcome.stats.rounds as u64);
     obs.num("firings", outcome.stats.tgd_firings as u64);
@@ -209,7 +169,12 @@ pub fn chase(
 
 /// The naive engine: each round enumerates all body homomorphisms of all
 /// TGDs against the full current instance.
-fn chase_naive(
+///
+/// The differential oracle for [`chase`], called directly by the tests and
+/// the chase benchmark; it is quadratic in the number of rounds and no
+/// production path runs it. Same semantics, same [`Completion`] away from
+/// the enumeration cap (see the module docs).
+pub fn chase_naive(
     instance: &Instance,
     constraints: &ConstraintSet,
     values: &mut ValueFactory,
@@ -382,8 +347,8 @@ pub(crate) enum FireResult {
 /// the existential variables and inserts every head atom. Newly inserted
 /// rows are also recorded in `new_rows` when provided (the semi-naive
 /// engine's delta). `scratch` is a reusable tuple buffer — the firing path
-/// materialises no `Fact` at all. Shared by both engines so that depth
-/// bookkeeping and budget checks cannot drift apart.
+/// materialises no `Fact` at all. Shared by [`chase`] and [`chase_naive`] so
+/// that depth bookkeeping and budget checks cannot drift apart.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fire_trigger(
     tgd: &rbqa_logic::Tgd,
@@ -657,10 +622,13 @@ mod tests {
         (sig, r, s)
     }
 
+    /// A chase entry point: [`chase`] or the [`chase_naive`] oracle.
+    type Engine = fn(&Instance, &ConstraintSet, &mut ValueFactory, ChaseConfig) -> ChaseOutcome;
+
     /// Runs every engine-parametrised test under both engines.
-    fn both_engines(check: impl Fn(ChaseEngine)) {
-        check(ChaseEngine::Naive);
-        check(ChaseEngine::SemiNaive);
+    fn both_engines(check: impl Fn(Engine)) {
+        check(chase_naive);
+        check(chase);
     }
 
     #[test]
@@ -676,12 +644,7 @@ mod tests {
             let mut constraints = ConstraintSet::new();
             constraints.push_tgd(inclusion_dependency(&sig, r, &[1], s, &[0]));
 
-            let out = chase(
-                &inst,
-                &constraints,
-                &mut vf,
-                ChaseConfig::default().with_engine(engine),
-            );
+            let out = engine(&inst, &constraints, &mut vf, ChaseConfig::default());
             assert!(out.is_saturated());
             assert_eq!(out.instance.relation_len(s), 1);
             assert_eq!(out.stats.tgd_firings, 1);
@@ -708,12 +671,7 @@ mod tests {
             let mut constraints = ConstraintSet::new();
             constraints.push_tgd(inclusion_dependency(&sig, r, &[1], s, &[0]));
 
-            let out = chase(
-                &inst,
-                &constraints,
-                &mut vf,
-                ChaseConfig::default().with_engine(engine),
-            );
+            let out = engine(&inst, &constraints, &mut vf, ChaseConfig::default());
             assert!(out.is_saturated());
             assert_eq!(out.stats.tgd_firings, 0);
             assert_eq!(out.instance.len(), 2);
@@ -736,11 +694,11 @@ mod tests {
             constraints.push_tgd(inclusion_dependency(&sig, s, &[1], r, &[0]));
 
             let budget = Budget::small().with_max_depth(6);
-            let out = chase(
+            let out = engine(
                 &inst,
                 &constraints,
                 &mut vf,
-                ChaseConfig::with_budget(budget).with_engine(engine),
+                ChaseConfig::with_budget(budget),
             );
             assert_eq!(out.completion, Completion::DepthCapped);
             assert!(out.stats.max_depth_reached <= 6);
@@ -765,12 +723,7 @@ mod tests {
             let mut constraints = ConstraintSet::new();
             constraints.push_fd(Fd::new(s, vec![0], 1));
 
-            let out = chase(
-                &inst,
-                &constraints,
-                &mut vf,
-                ChaseConfig::default().with_engine(engine),
-            );
+            let out = engine(&inst, &constraints, &mut vf, ChaseConfig::default());
             assert!(out.is_saturated());
             assert_eq!(out.instance.len(), 1);
             assert!(out.instance.contains(s, &[a, b]));
@@ -793,12 +746,7 @@ mod tests {
             let mut constraints = ConstraintSet::new();
             constraints.push_fd(Fd::new(s, vec![0], 1));
 
-            let out = chase(
-                &inst,
-                &constraints,
-                &mut vf,
-                ChaseConfig::default().with_engine(engine),
-            );
+            let out = engine(&inst, &constraints, &mut vf, ChaseConfig::default());
             assert!(out.is_fd_failure());
         });
     }
@@ -821,9 +769,8 @@ mod tests {
             let config = ChaseConfig {
                 budget: Budget::default(),
                 apply_fds: false,
-                engine,
             };
-            let out = chase(&inst, &constraints, &mut vf, config);
+            let out = engine(&inst, &constraints, &mut vf, config);
             assert!(out.is_saturated());
             assert_eq!(out.instance.len(), 2);
         });
@@ -848,23 +795,13 @@ mod tests {
             let mut with_s = Instance::new(sig.clone());
             with_s.insert(r, vec![a, b]).unwrap();
             with_s.insert(s, vec![a, c]).unwrap();
-            let out = chase(
-                &with_s,
-                &constraints,
-                &mut vf,
-                ChaseConfig::default().with_engine(engine),
-            );
+            let out = engine(&with_s, &constraints, &mut vf, ChaseConfig::default());
             assert!(out.is_saturated());
             assert_eq!(out.instance.len(), 2);
 
             let mut without_s = Instance::new(sig.clone());
             without_s.insert(r, vec![a, b]).unwrap();
-            let out = chase(
-                &without_s,
-                &constraints,
-                &mut vf,
-                ChaseConfig::default().with_engine(engine),
-            );
+            let out = engine(&without_s, &constraints, &mut vf, ChaseConfig::default());
             assert!(out.is_saturated());
             assert_eq!(out.instance.relation_len(s), 1);
         });
@@ -890,12 +827,7 @@ mod tests {
             let mut constraints = ConstraintSet::new();
             constraints.push_tgd(b.build());
 
-            let out = chase(
-                &inst,
-                &constraints,
-                &mut vf,
-                ChaseConfig::default().with_engine(engine),
-            );
+            let out = engine(&inst, &constraints, &mut vf, ChaseConfig::default());
             assert!(out.is_saturated());
             // Closure of a 3-edge chain has 3 + 2 + 1 = 6 edges.
             assert_eq!(out.instance.relation_len(r), 6);
@@ -933,11 +865,11 @@ mod tests {
             // 64 homs < trigger_limit = 100 + 2: saturates.
             let roomy = Budget::generous().with_max_facts(100);
             assert_eq!(roomy.trigger_limit(), 102);
-            let out = chase(
+            let out = engine(
                 &inst,
                 &constraints,
                 &mut vf,
-                ChaseConfig::with_budget(roomy).with_engine(engine),
+                ChaseConfig::with_budget(roomy),
             );
             assert!(out.is_saturated());
             assert_eq!(out.instance.len(), 16);
@@ -945,11 +877,11 @@ mod tests {
             // 64 homs >= trigger_limit = 30 + 2: explicit exhaustion.
             let tight = Budget::generous().with_max_facts(30);
             assert_eq!(tight.trigger_limit(), 32);
-            let out = chase(
+            let out = engine(
                 &inst,
                 &constraints,
                 &mut vf,
-                ChaseConfig::with_budget(tight).with_engine(engine),
+                ChaseConfig::with_budget(tight),
             );
             assert_eq!(out.completion, Completion::BudgetExhausted);
         });
@@ -968,7 +900,7 @@ mod tests {
         constraints.push_tgd(inclusion_dependency(&sig, r, &[1], s, &[0]));
         constraints.push_tgd(inclusion_dependency(&sig, s, &[1], r, &[0]));
 
-        let run = |engine: ChaseEngine, max_rounds: usize| {
+        let run = |engine: Engine, max_rounds: usize| {
             let mut vf = ValueFactory::new();
             let a = vf.constant("a");
             let b = vf.constant("b");
@@ -977,16 +909,16 @@ mod tests {
             let budget = Budget::generous()
                 .with_max_depth(4)
                 .with_max_rounds(max_rounds);
-            chase(
+            engine(
                 &inst,
                 &constraints,
                 &mut vf,
-                ChaseConfig::with_budget(budget).with_engine(engine),
+                ChaseConfig::with_budget(budget),
             )
         };
         for max_rounds in [5, 6, 50] {
-            let naive = run(ChaseEngine::Naive, max_rounds);
-            let semi = run(ChaseEngine::SemiNaive, max_rounds);
+            let naive = run(chase_naive, max_rounds);
+            let semi = run(chase, max_rounds);
             assert_eq!(naive.completion, semi.completion, "max_rounds={max_rounds}");
             assert_eq!(
                 naive.stats.rounds, semi.stats.rounds,
@@ -1020,17 +952,17 @@ mod tests {
         constraints.push_tgd(b.build());
 
         let budget = Budget::generous().with_max_facts(1000);
-        let naive = chase(
+        let naive = chase_naive(
             &inst,
             &constraints,
             &mut vf.clone(),
-            ChaseConfig::with_budget(budget).with_engine(ChaseEngine::Naive),
+            ChaseConfig::with_budget(budget),
         );
         let semi = chase(
             &inst,
             &constraints,
             &mut vf.clone(),
-            ChaseConfig::with_budget(budget).with_engine(ChaseEngine::SemiNaive),
+            ChaseConfig::with_budget(budget),
         );
         assert_eq!(naive.completion, Completion::BudgetExhausted);
         assert_eq!(semi.completion, Completion::Saturated);
@@ -1038,12 +970,5 @@ mod tests {
         // fact finished the closure before its enumeration cap tripped.
         assert_eq!(semi.instance.relation_len(r), 210);
         assert_eq!(naive.instance.relation_len(r), 210);
-    }
-
-    #[test]
-    fn engine_default_is_seminaive() {
-        assert_eq!(ChaseConfig::default().engine, ChaseEngine::SemiNaive);
-        assert_eq!(ChaseEngine::Naive.as_str(), "naive");
-        assert_eq!(ChaseEngine::SemiNaive.as_str(), "seminaive");
     }
 }

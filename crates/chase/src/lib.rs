@@ -29,25 +29,25 @@
 //!
 //! ## Two engines, one semantics
 //!
-//! [`ChaseConfig::engine`] selects between two implementations of the same
-//! restricted-chase semantics:
+//! Two implementations of the same restricted-chase semantics:
 //!
-//! * [`ChaseEngine::Naive`] — the textbook engine: each round re-enumerates
-//!   every body homomorphism of every TGD against the full instance.
-//!   `O(rounds × |hom space|)`; kept as the differential baseline and for
-//!   the benchmark ablation (`fig_chase_engine`).
-//! * [`ChaseEngine::SemiNaive`] (default) — the delta-driven engine of
-//!   [`seminaive`]: per-relation indexes, a TGD→relation dependency map,
-//!   and delta-restricted trigger search (at least one body atom must match
-//!   a fact derived in the previous round). 5–10× faster on the
-//!   chase-heavy Table-1 suites (see `BENCH_chase.json`).
+//! * [`chase`] — the delta-driven (semi-naive) engine of [`seminaive`]:
+//!   per-relation indexes, a TGD→relation dependency map, and
+//!   delta-restricted trigger search (at least one body atom must match a
+//!   fact derived in the previous round). 5–10× faster on the chase-heavy
+//!   Table-1 suites (see `BENCH_chase.json`). This is the engine every
+//!   caller runs.
+//! * [`chase_naive`] — the textbook engine: each round re-enumerates every
+//!   body homomorphism of every TGD against the full instance.
+//!   `O(rounds × |hom space|)`; kept only as the differential oracle of the
+//!   tests and the baseline of `chase_report`. No option selects it.
 //!
 //! Both report the same [`Completion`] and produce homomorphically
 //! equivalent instances; `tests/chase_differential.rs` (repo root) checks
 //! this on 256 random schema/constraint cases:
 //!
 //! ```
-//! use rbqa_chase::{chase, Budget, ChaseConfig, ChaseEngine};
+//! use rbqa_chase::{chase, chase_naive, Budget, ChaseConfig};
 //! use rbqa_common::{Instance, Signature, ValueFactory};
 //! use rbqa_logic::constraints::tgd::inclusion_dependency;
 //! use rbqa_logic::constraints::ConstraintSet;
@@ -66,19 +66,9 @@
 //! let mut instance = Instance::new(sig);
 //! instance.insert(r, vec![a, b]).unwrap();
 //!
-//! let budget = Budget::generous().with_max_depth(4);
-//! let naive = chase(
-//!     &instance,
-//!     &constraints,
-//!     &mut values.clone(),
-//!     ChaseConfig::with_budget(budget).with_engine(ChaseEngine::Naive),
-//! );
-//! let semi = chase(
-//!     &instance,
-//!     &constraints,
-//!     &mut values.clone(),
-//!     ChaseConfig::with_budget(budget).with_engine(ChaseEngine::SemiNaive),
-//! );
+//! let config = ChaseConfig::with_budget(Budget::generous().with_max_depth(4));
+//! let naive = chase_naive(&instance, &constraints, &mut values.clone(), config);
+//! let semi = chase(&instance, &constraints, &mut values.clone(), config);
 //! // Same completion (the depth cap stopped both), same instance size here
 //! // (one new fact per depth level).
 //! assert_eq!(naive.completion, semi.completion);
@@ -93,6 +83,6 @@ pub mod termination;
 pub mod trigger;
 
 pub use budget::Budget;
-pub use engine::{chase, ChaseConfig, ChaseEngine};
+pub use engine::{chase, chase_naive, ChaseConfig};
 pub use result::{ChaseOutcome, ChaseStats, Completion};
 pub use termination::is_weakly_acyclic;

@@ -242,9 +242,7 @@ fn group_delta(delta: &RowSet) -> FxHashMap<RelationId, Vec<u32>> {
     by_rel
 }
 
-/// The delta-driven restricted chase. Entry point used by
-/// [`crate::engine::chase`] when [`ChaseConfig::engine`] is
-/// [`crate::ChaseEngine::SemiNaive`].
+/// The delta-driven restricted chase, run by [`crate::engine::chase`].
 pub(crate) fn chase_seminaive(
     instance: &Instance,
     constraints: &ConstraintSet,

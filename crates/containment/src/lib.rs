@@ -25,14 +25,8 @@
 //!   an expanded signature.
 //!
 //! Every procedure takes a [`rbqa_chase::ChaseConfig`], so callers choose
-//! the budget **and the engine** (naive or the default delta-driven
-//! semi-naive one — see [`rbqa_chase::ChaseEngine`]). Both engines are
-//! sound; whenever both finish within budget they agree on the verdict.
-//! Near the budget edge they may differ in the sound direction only: the
-//! semi-naive engine enumerates strictly less per round, so it can return
-//! a definitive verdict where the naive engine exhausts its budget and
-//! reports [`Verdict::Unknown`] — which is also why the engine choice is
-//! part of the service-layer cache fingerprint.
+//! the budget; the chase itself is always the delta-driven semi-naive
+//! engine ([`rbqa_chase::chase`]).
 //!
 //! ```
 //! use rbqa_chase::{Budget, ChaseConfig};

@@ -18,7 +18,7 @@
 //! IDs); otherwise the result is [`Answerability::Unknown`].
 
 use rbqa_access::{Plan, Schema};
-use rbqa_chase::{Budget, ChaseConfig, ChaseEngine};
+use rbqa_chase::{Budget, ChaseConfig};
 use rbqa_common::ValueFactory;
 use rbqa_containment::linearization::LinearizedSchema;
 use rbqa_containment::saturation::MethodSignature;
@@ -64,10 +64,6 @@ pub enum Strategy {
 pub struct AnswerabilityOptions {
     /// Budget for the underlying chase.
     pub budget: Budget,
-    /// Which chase engine runs the containment checks (default:
-    /// [`ChaseEngine::SemiNaive`]; the naive engine is kept for
-    /// differential testing and benchmark ablations).
-    pub chase_engine: ChaseEngine,
     /// When set, bypass the class dispatch and use the given AMonDet
     /// axiomatisation style directly with the generic chase (used by the
     /// simplification-ablation benchmark).
@@ -83,7 +79,6 @@ impl Default for AnswerabilityOptions {
     fn default() -> Self {
         AnswerabilityOptions {
             budget: Budget::generous(),
-            chase_engine: ChaseEngine::default(),
             axiom_style_override: None,
             synthesize_plan: false,
             crawl_rounds: 0,
@@ -94,7 +89,7 @@ impl Default for AnswerabilityOptions {
 impl AnswerabilityOptions {
     /// The chase configuration implied by these options (FD chasing on).
     pub fn chase_config(&self) -> ChaseConfig {
-        ChaseConfig::with_budget(self.budget).with_engine(self.chase_engine)
+        ChaseConfig::with_budget(self.budget)
     }
 }
 

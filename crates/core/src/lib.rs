@@ -42,7 +42,6 @@ pub use finite::{
     decide_finite_monotone_answerability, FiniteAnswerabilityResult, FiniteReduction,
 };
 pub use plan_synthesis::synthesize_crawling_plan;
-pub use rbqa_chase::ChaseEngine;
 pub use simplification::{
     choice_simplification, existence_check_simplification, fd_simplification, SimplificationKind,
 };

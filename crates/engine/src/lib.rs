@@ -26,6 +26,7 @@ pub mod validation;
 
 pub use dataset::{movie_instance, random_instance_satisfying, university_instance};
 pub use service::{
-    AdaptiveMode, BackendSpec, ExecOptions, PlanMetrics, ServiceSimulator, MAX_SHARDS,
+    AdaptiveMode, BackendSpec, ExecOptions, PlanMetrics, ServiceSimulator, MAX_LATENCY_MICROS,
+    MAX_SHARDS,
 };
 pub use validation::{validate_plan, ValidationReport};

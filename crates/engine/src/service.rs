@@ -34,6 +34,12 @@ use rustc_hash::FxHashMap;
 /// comfortably covers every realistic federation at simulator scale.
 pub const MAX_SHARDS: usize = 64;
 
+/// Upper bound on the simulated base latency per call a request may name
+/// (one minute). Latency is accounted, not slept, and summed in `u64`
+/// per access and per window, so an unchecked wire-supplied value would
+/// overflow those sums.
+pub const MAX_LATENCY_MICROS: u64 = 60_000_000;
+
 /// Which data-source backend executes a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendSpec {
@@ -45,7 +51,7 @@ pub enum BackendSpec {
     SimulatedRemote {
         /// Seed of the latency/fault stream.
         seed: u64,
-        /// Base per-call latency, microseconds.
+        /// Base per-call latency, microseconds (`0..=MAX_LATENCY_MICROS`).
         latency_micros: u64,
         /// Percentage (0–100) of calls that fault before retries.
         fault_rate_pct: u8,
@@ -112,16 +118,14 @@ pub struct ExecOptions {
     /// fails the whole request.
     pub degraded: bool,
     /// Adaptive execution: a per-window `(method, binding)` memo and the
-    /// identical-disjunct short-circuit. `Validate` runs adaptive and
-    /// naive side by side on independent backend windows and fails with
-    /// a structured discrepancy if rows differ. Off by default — then
-    /// plans execute naively, byte-identical to the historical behaviour.
+    /// identical-disjunct short-circuit. Off by default — then plans
+    /// execute naively, byte-identical to the historical behaviour.
     pub adaptive: AdaptiveMode,
 }
 
 /// Declarative adaptive-execution mode, carried by [`ExecOptions`] and
-/// fingerprinted through its `code()` (the segment appends only when
-/// non-default, keeping historical fingerprints byte-identical).
+/// fingerprinted through [`ExecOptions::code`] (an `|adaptive` segment
+/// appends only for `On`, keeping historical fingerprints byte-identical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdaptiveMode {
     /// Naive execution (the historical behaviour, and the default).
@@ -131,20 +135,6 @@ pub enum AdaptiveMode {
     /// [`execute_plan_adaptive`] with one shared [`AdaptiveWindow`], and
     /// a disjunct identical to an earlier successful one reuses its rows.
     On,
-    /// Run adaptive and naive side by side (two independent backend
-    /// windows); fail with a structured discrepancy if their rows differ.
-    Validate,
-}
-
-impl AdaptiveMode {
-    /// The canonical fingerprint segment, or `None` for the default mode.
-    pub fn code(&self) -> Option<&'static str> {
-        match self {
-            AdaptiveMode::Off => None,
-            AdaptiveMode::On => Some("adaptive"),
-            AdaptiveMode::Validate => Some("adaptive:validate"),
-        }
-    }
 }
 
 impl ExecOptions {
@@ -175,9 +165,8 @@ impl ExecOptions {
         if self.degraded {
             code.push_str("|degraded");
         }
-        if let Some(adaptive) = self.adaptive.code() {
-            code.push('|');
-            code.push_str(adaptive);
+        if self.adaptive == AdaptiveMode::On {
+            code.push_str("|adaptive");
         }
         code
     }
@@ -185,16 +174,6 @@ impl ExecOptions {
 
 /// One plan run's result: the output rows plus the collected metrics.
 pub type PlanRunResult = (Vec<Vec<Value>>, PlanMetrics);
-
-/// Summarises how two sorted row sets diverge, for the
-/// [`PlanError::AdaptiveMismatch`] discrepancy report.
-fn describe_row_divergence(naive: &[Vec<Value>], adaptive: &[Vec<Value>]) -> String {
-    let naive_set: rustc_hash::FxHashSet<&Vec<Value>> = naive.iter().collect();
-    let adaptive_set: rustc_hash::FxHashSet<&Vec<Value>> = adaptive.iter().collect();
-    let naive_only = naive.iter().filter(|r| !adaptive_set.contains(r)).count();
-    let adaptive_only = adaptive.iter().filter(|r| !naive_set.contains(r)).count();
-    format!("{naive_only} rows only in naive output, {adaptive_only} rows only in adaptive output")
-}
 
 /// Execution metrics for one plan run against the simulated services.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -355,6 +334,13 @@ impl ServiceSimulator {
                 &self.data,
                 Box::new(TruncatingSelection::new()),
             )),
+            BackendSpec::SimulatedRemote { latency_micros, .. }
+                if latency_micros > MAX_LATENCY_MICROS =>
+            {
+                return Err(PlanError::Malformed(format!(
+                    "simulated latency {latency_micros}us above {MAX_LATENCY_MICROS}us"
+                )))
+            }
             BackendSpec::SimulatedRemote {
                 seed,
                 latency_micros,
@@ -391,7 +377,8 @@ impl ServiceSimulator {
     /// `call_budget` caps the request's total accesses across all
     /// disjunct plans — not each plan separately. The shared backend also
     /// keeps accesses idempotent across plans (one selection cache, one
-    /// remote latency/fault stream).
+    /// remote latency/fault stream). Under [`AdaptiveMode::On`] one
+    /// [`AdaptiveWindow`] memo serves the whole set as well.
     ///
     /// The outer `Err` is a setup failure (e.g. an invalid shard count)
     /// before any plan ran. A failed plan does not stop the ones after it
@@ -407,60 +394,10 @@ impl ServiceSimulator {
         plans: &[&Plan],
         exec: &ExecOptions,
     ) -> Result<Vec<Result<PlanRunResult, PlanError>>, PlanError> {
-        match exec.adaptive {
-            AdaptiveMode::Off => self.run_plans_window(plans, exec, false),
-            AdaptiveMode::On => self.run_plans_window(plans, exec, true),
-            AdaptiveMode::Validate => {
-                // Two independent windows (each with its own backend and
-                // call budget), naive first, then adaptive; per-plan
-                // outcomes are compared row-for-row.
-                let naive = self.run_plans_window(plans, exec, false)?;
-                let adaptive = self.run_plans_window(plans, exec, true)?;
-                Ok(naive
-                    .into_iter()
-                    .zip(adaptive)
-                    .enumerate()
-                    .map(|(plan_index, pair)| match pair {
-                        (Ok((n_rows, _)), Ok((a_rows, a_metrics))) => {
-                            if n_rows == a_rows {
-                                Ok((a_rows, a_metrics))
-                            } else {
-                                Err(PlanError::AdaptiveMismatch {
-                                    plan_index,
-                                    naive_rows: Some(n_rows.len()),
-                                    adaptive_rows: Some(a_rows.len()),
-                                    detail: describe_row_divergence(&n_rows, &a_rows),
-                                })
-                            }
-                        }
-                        (Ok((n_rows, _)), Err(e)) => Err(PlanError::AdaptiveMismatch {
-                            plan_index,
-                            naive_rows: Some(n_rows.len()),
-                            adaptive_rows: None,
-                            detail: format!("adaptive execution failed where naive succeeded: {e}"),
-                        }),
-                        // Adaptive skipping can keep a plan inside a call
-                        // budget or deadline the naive run blew through —
-                        // succeeding with fewer resources is the feature,
-                        // not a discrepancy.
-                        (Err(_), ok @ Ok(_)) => ok,
-                        (Err(_), Err(e)) => Err(e),
-                    })
-                    .collect())
-            }
-        }
-    }
-
-    /// Runs one execution window (one backend, one budget, one adaptive
-    /// memo) over the plan set — the shared machinery behind every
-    /// [`AdaptiveMode`].
-    fn run_plans_window(
-        &self,
-        plans: &[&Plan],
-        exec: &ExecOptions,
-        adaptive: bool,
-    ) -> Result<Vec<Result<PlanRunResult, PlanError>>, PlanError> {
-        let mut window = adaptive.then(AdaptiveWindow::new);
+        let mut window = match exec.adaptive {
+            AdaptiveMode::Off => None,
+            AdaptiveMode::On => Some(AdaptiveWindow::new()),
+        };
         let mut run_next = |done: &[Result<PlanRunResult, PlanError>],
                             backend: &mut dyn AccessBackend|
          -> Result<PlanRunResult, PlanError> {
@@ -666,14 +603,24 @@ mod tests {
     }
 
     #[test]
-    fn zero_shard_backends_are_rejected() {
+    fn out_of_range_backends_are_rejected() {
         let (sim, mut vf) = setup(None, 4);
         let plan = salary_plan(&mut vf, "10000");
-        let exec = ExecOptions::with_backend(BackendSpec::Sharded { shards: 0 });
-        assert!(matches!(
-            sim.run_plans_exec_results(&[&plan], &exec),
-            Err(PlanError::Malformed(_))
-        ));
+        for backend in [
+            BackendSpec::Sharded { shards: 0 },
+            BackendSpec::SimulatedRemote {
+                seed: 0,
+                latency_micros: u64::MAX,
+                fault_rate_pct: 0,
+                transient: false,
+            },
+        ] {
+            let exec = ExecOptions::with_backend(backend);
+            assert!(matches!(
+                sim.run_plans_exec_results(&[&plan], &exec),
+                Err(PlanError::Malformed(_))
+            ));
+        }
     }
 
     #[test]
@@ -763,15 +710,6 @@ mod tests {
             ..ExecOptions::default()
         };
         assert_eq!(on.code(), "backend:instance|calls:none|adaptive");
-        let validate = ExecOptions {
-            adaptive: AdaptiveMode::Validate,
-            call_budget: Some(9),
-            ..ExecOptions::default()
-        };
-        assert_eq!(
-            validate.code(),
-            "backend:instance|calls:9|adaptive:validate"
-        );
         let stacked = ExecOptions {
             degraded: true,
             adaptive: AdaptiveMode::On,
@@ -851,48 +789,13 @@ mod tests {
     }
 
     #[test]
-    fn validate_mode_passes_and_returns_adaptive_metrics() {
-        let (sim, mut vf) = setup(None, 8);
-        let plan = salary_plan(&mut vf, "10000");
-        let exec = ExecOptions {
-            adaptive: AdaptiveMode::Validate,
-            ..ExecOptions::default()
-        };
-        let results = sim.run_plans_exec_results(&[&plan, &plan], &exec).unwrap();
-        assert!(results.iter().all(|r| r.is_ok()));
-        let (_, metrics) = results[1].as_ref().unwrap();
-        assert_eq!(
-            metrics.disjuncts_short_circuited, 1,
-            "the identical second disjunct short-circuits"
-        );
-        // Validate also passes across every backend spec.
-        for spec in [
-            BackendSpec::Sharded { shards: 3 },
-            BackendSpec::SimulatedRemote {
-                seed: 5,
-                latency_micros: 20,
-                fault_rate_pct: 0,
-                transient: false,
-            },
-        ] {
-            let exec = ExecOptions {
-                backend: spec,
-                adaptive: AdaptiveMode::Validate,
-                ..ExecOptions::default()
-            };
-            assert!(run_one(&sim, &plan, &exec).is_ok(), "{spec:?}");
-        }
-    }
-
-    #[test]
     fn adaptive_skipping_stays_inside_budgets_naive_exhausts() {
         // Two identical disjuncts, ~11 calls each, under a 15-call window:
         // naive exhausts on the second disjunct, adaptive short-circuits
-        // it and stays within budget — and validate accepts that as an
-        // improvement, not a discrepancy.
+        // it and stays within budget.
         let (sim, mut vf) = setup(None, 10);
         let plan = salary_plan(&mut vf, "10000");
-        for adaptive in [AdaptiveMode::Off, AdaptiveMode::On, AdaptiveMode::Validate] {
+        for adaptive in [AdaptiveMode::Off, AdaptiveMode::On] {
             let exec = ExecOptions {
                 call_budget: Some(15),
                 adaptive,

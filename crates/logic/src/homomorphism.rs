@@ -24,9 +24,8 @@
 //! * **The [`mod@reference`] kernel**. The original backtracking join, kept as
 //!   the executable specification: the differential property test in
 //!   `tests/hom_kernel_differential.rs` pins the compiled kernel against it
-//!   on random queries and instances, and the benchmark harness
-//!   (`fig_hom_kernel`, `hom_report`) uses it as the speedup baseline via
-//!   [`set_kernel_mode`].
+//!   on random queries and instances, and the `hom_report` benchmark
+//!   binary uses it as the speedup baseline via [`set_kernel_mode`].
 //!
 //! The free functions ([`find_homomorphism`], [`holds`],
 //! [`all_homomorphisms`], [`all_homomorphisms_seeded`]) are the stable

@@ -34,15 +34,17 @@ thread_local! {
 /// the guard that disarms it (restoring any previously armed deadline)
 /// on drop. If a *tighter* deadline is already armed, the existing one
 /// is kept — an outer timeout can only shrink, never extend, inner work.
+/// A budget that reaches past the monotonic clock's range (such as
+/// `Duration::MAX`) can never expire, so it arms no deadline of its own.
 pub fn arm_deadline(budget: Duration) -> DeadlineGuard {
-    let proposed = Instant::now() + budget;
+    let proposed = Instant::now().checked_add(budget);
     DEADLINE.with(|d| {
         let prev = d.get();
-        let effective = match prev {
-            Some(existing) if existing <= proposed => existing,
-            _ => proposed,
+        let effective = match (prev, proposed) {
+            (Some(existing), Some(proposed)) => Some(existing.min(proposed)),
+            (existing, proposed) => existing.or(proposed),
         };
-        d.set(Some(effective));
+        d.set(effective);
         DeadlineGuard { prev }
     })
 }
@@ -114,6 +116,23 @@ mod tests {
             assert_eq!(deadline_remaining(), Some(Duration::ZERO));
         }
         assert!(!deadline_expired());
+    }
+
+    #[test]
+    fn deadline_beyond_the_clock_range_is_no_deadline() {
+        {
+            let _guard = arm_deadline(Duration::MAX);
+            assert!(!deadline_armed());
+            assert!(!deadline_expired());
+            assert_eq!(deadline_remaining(), None);
+        }
+        // Under a finite outer deadline the unbounded inner arm keeps it.
+        let _outer = arm_deadline(Duration::ZERO);
+        {
+            let _inner = arm_deadline(Duration::MAX);
+            assert!(deadline_expired());
+        }
+        assert!(deadline_expired());
     }
 
     #[test]

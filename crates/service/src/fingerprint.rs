@@ -152,13 +152,14 @@ pub fn exec_options_code(exec: &ExecOptions) -> String {
 }
 
 /// Canonical code of the decision options (everything that can change the
-/// cached outcome: the budget, the chase engine, a forced axiom style, and
-/// plan synthesis parameters).
+/// cached outcome: the budget, a forced axiom style, and plan synthesis
+/// parameters).
 ///
-/// The engine is part of the code even though both engines are
-/// semantically equivalent: budget-exhausted prefixes (and hence `Unknown`
-/// verdicts near the budget edge) can differ between engines, so cached
-/// entries must not be shared across them.
+/// The `engine:seminaive` segment is a constant. It names the only chase
+/// engine a request can run, and it stays in the code because fingerprints
+/// are persisted in snapshot files and pinned by
+/// `fixtures/chaos/faults.expected`: dropping it would re-key every
+/// persisted decision.
 pub fn options_code(options: &AnswerabilityOptions) -> String {
     let style = match options.axiom_style_override {
         None => "auto".to_owned(),
@@ -167,12 +168,11 @@ pub fn options_code(options: &AnswerabilityOptions) -> String {
         Some(AxiomStyle::NaiveCardinality { cap }) => format!("naive:{cap}"),
     };
     format!(
-        "budget:{}/{}/{}/{}|engine:{}|style:{}|plan:{}/{}",
+        "budget:{}/{}/{}/{}|engine:seminaive|style:{}|plan:{}/{}",
         options.budget.max_facts,
         options.budget.max_rounds,
         options.budget.max_depth,
         options.budget.max_nulls,
-        options.chase_engine.as_str(),
         style,
         options.synthesize_plan,
         options.crawl_rounds,

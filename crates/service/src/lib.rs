@@ -63,7 +63,7 @@ pub use fingerprint::{request_fingerprint, schema_fingerprint, Fingerprint};
 // API layers need not depend on `rbqa-engine` directly.
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use rbqa_access::{BreakerPolicy, RetryPolicy};
-pub use rbqa_engine::{AdaptiveMode, BackendSpec, ExecOptions, MAX_SHARDS};
+pub use rbqa_engine::{AdaptiveMode, BackendSpec, ExecOptions, MAX_LATENCY_MICROS, MAX_SHARDS};
 pub use request::{AnswerRequest, AnswerResponse, DisjunctFailure, RequestMode, ServiceError};
 pub use service::{
     rebase_constants, rebase_cq_constants, CachedDecision, QueryService, ServiceConfig,

@@ -128,7 +128,7 @@ pub fn experiment_suites() -> Vec<ExperimentSuite> {
         ExperimentSuite {
             id: "FIG-plan-exec",
             paper_reference: "Section 1 motivation: complete answers from result-bounded services",
-            bench_target: "fig_plan_execution",
+            bench_target: "plan_exec_report",
             workloads: Vec::new(), // scenario-driven (university / movies)
             result_bounds: vec![10, 100, 1000],
         },

@@ -27,7 +27,7 @@ pub mod prelude {
     pub use rbqa_api::{
         ApiError, ApiErrorCode, RequestBuilder, ServiceApi, WireServer, DISJUNCT_SEPARATOR,
     };
-    pub use rbqa_chase::{Budget, ChaseEngine};
+    pub use rbqa_chase::Budget;
     pub use rbqa_common::{Signature, ValueFactory};
     pub use rbqa_core::{Answerability, AnswerabilityOptions};
     pub use rbqa_logic::parser::{parse_cq, parse_fd, parse_tgd};

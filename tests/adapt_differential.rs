@@ -12,10 +12,10 @@
 //! favour: the window memo lets adaptive fit inside a call budget the
 //! naive run exhausts (that asymmetry is the feature), while the reverse
 //! direction — adaptive failing where naive succeeded, or any row
-//! divergence — is a bug, and `exec.adaptive validate` must never report
-//! a structured [`PlanError::AdaptiveMismatch`]. A final case drives a
-//! deadline abort: an expired deadline must surface as
-//! `DeadlineExceeded`, not as a mismatch or a partial row set.
+//! divergence — is a bug. This test, not a production mode, is where the
+//! two executors are compared. A final case drives a deadline abort: an
+//! expired deadline must surface as `DeadlineExceeded` under both
+//! executors, never as a partial row set.
 
 use std::time::Duration;
 
@@ -118,16 +118,6 @@ proptest! {
                 (Err(_), _) => {}
             }
         }
-
-        // The built-in differential: validate mode re-runs both executors
-        // on fresh windows and must never report a structured mismatch.
-        exec.adaptive = AdaptiveMode::Validate;
-        let validated = simulator.run_plans_exec_results(&plan_refs, &exec).unwrap();
-        for result in &validated {
-            if let Err(e @ PlanError::AdaptiveMismatch { .. }) = result {
-                prop_assert!(false, "validate reported a mismatch: {e}");
-            }
-        }
     }
 
     /// Replay parity: a trace recorded from a naive run replays through
@@ -167,9 +157,9 @@ proptest! {
     }
 }
 
-/// An expired deadline aborts both executions of a validated union and
-/// surfaces as `DeadlineExceeded` in naive and adaptive alike (validate
-/// returns the adaptive error, never a mismatch).
+/// An expired deadline aborts every disjunct of a union and surfaces as
+/// `DeadlineExceeded` in naive and adaptive execution alike, never as a
+/// partial row set.
 #[test]
 fn deadline_abort_is_a_timeout_not_a_mismatch() {
     let mut scenario = scenarios::university(None);
@@ -181,15 +171,17 @@ fn deadline_abort_is_a_timeout_not_a_mismatch() {
     let data = university_instance(scenario.schema.signature(), &mut scenario.values, 25, 7);
     let simulator = ServiceSimulator::new(scenario.schema.clone(), data);
 
-    let mut exec = ExecOptions::with_backend(BackendSpec::Sharded { shards: 3 });
-    exec.adaptive = AdaptiveMode::Validate;
     let _guard = rbqa::obs::arm_deadline(Duration::ZERO);
     std::thread::sleep(Duration::from_millis(1));
-    let results = simulator.run_plans_exec_results(&plan_refs, &exec).unwrap();
-    for result in results {
-        match result {
-            Err(PlanError::DeadlineExceeded) => {}
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
+    for adaptive in [AdaptiveMode::Off, AdaptiveMode::On] {
+        let mut exec = ExecOptions::with_backend(BackendSpec::Sharded { shards: 3 });
+        exec.adaptive = adaptive;
+        let results = simulator.run_plans_exec_results(&plan_refs, &exec).unwrap();
+        for result in results {
+            match result {
+                Err(PlanError::DeadlineExceeded) => {}
+                other => panic!("{adaptive:?}: expected DeadlineExceeded, got {other:?}"),
+            }
         }
     }
 }

@@ -17,7 +17,7 @@
 //! semantics, derivation-depth accounting and budget behaviour.
 
 use proptest::prelude::*;
-use rbqa::chase::{chase, Budget, ChaseConfig, ChaseEngine, Completion};
+use rbqa::chase::{chase, chase_naive, Budget, ChaseConfig, Completion};
 use rbqa::common::{Instance, Signature, Value, ValueFactory};
 use rbqa::logic::constraints::tgd::{inclusion_dependency, TgdBuilder};
 use rbqa::logic::constraints::ConstraintSet;
@@ -149,18 +149,9 @@ fn assert_engines_agree(
 ) {
     let mut vf_naive = vf.clone();
     let mut vf_semi = vf.clone();
-    let naive = chase(
-        inst,
-        constraints,
-        &mut vf_naive,
-        ChaseConfig::with_budget(budget).with_engine(ChaseEngine::Naive),
-    );
-    let semi = chase(
-        inst,
-        constraints,
-        &mut vf_semi,
-        ChaseConfig::with_budget(budget).with_engine(ChaseEngine::SemiNaive),
-    );
+    let config = ChaseConfig::with_budget(budget);
+    let naive = chase_naive(inst, constraints, &mut vf_naive, config);
+    let semi = chase(inst, constraints, &mut vf_semi, config);
 
     prop_assert_eq!(
         naive.completion,
