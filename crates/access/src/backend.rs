@@ -11,7 +11,8 @@
 //! * [`InstanceBackend`] — the in-memory store plus an
 //!   [`AccessSelection`]: exactly the pre-refactor execution semantics;
 //! * [`SimulatedRemoteBackend`] — wraps any backend with deterministic
-//!   seeded latency and fault injection with a configurable retry policy;
+//!   seeded latency and fault injection (it never retries: re-driving a
+//!   failed access is [`crate::ResilientBackend`]'s job alone);
 //! * [`ShardedBackend`] — partitions each relation's rows across N child
 //!   backends, fans every access out, merges + dedups, and re-applies the
 //!   method's [`crate::ResultBound`] to the merged output;
@@ -30,7 +31,6 @@ use rbqa_common::{Instance, Value};
 use rustc_hash::FxHashMap;
 
 use crate::method::AccessMethod;
-use crate::resilience::RetryPolicy;
 use crate::selection::{AccessSelection, TruncatingSelection};
 
 /// The outcome of one access: the selected tuples plus per-call accounting.
@@ -287,7 +287,7 @@ impl AccessBackend for InstanceBackend<'_> {
 }
 
 /// Configuration of a [`SimulatedRemoteBackend`]: deterministic seeded
-/// latency and faults, and the retry policy.
+/// latency and faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemoteProfile {
     /// Seed of the deterministic latency/fault draws. Draws are keyed by
@@ -302,27 +302,23 @@ pub struct RemoteProfile {
     pub jitter_micros: u64,
     /// Additional latency per returned tuple, microseconds.
     pub per_tuple_latency_micros: u64,
-    /// Percentage (0–100) of attempts that fault before the retry policy
-    /// applies. An access whose retries are all faulted surfaces an
-    /// [`AccessError::Unavailable`] whose `detail` names the attempts
-    /// made and the access's fault key. With `transient_faults` off the
-    /// error is **non-retryable**: the draws are deterministic, so
-    /// repeating the identical access (or request) replays the identical
-    /// faults.
+    /// Percentage (0–100) of calls that fault. Each call makes exactly
+    /// one fault draw, and a faulted call surfaces an
+    /// [`AccessError::Unavailable`] at once, whose `detail` names the
+    /// access's fault key. With `transient_faults` off the error is
+    /// **non-retryable**: the draw is attempt 0 of a deterministic
+    /// sequence, so repeating the identical access (or request) replays
+    /// the identical fault.
     pub fault_rate_pct: u8,
-    /// The internal retry policy: a faulted access is retried up to
-    /// [`RetryPolicy::retries`] times before the error surfaces, and the
-    /// policy's deterministic backoff is accounted into the latency of a
-    /// success that needed retries.
-    pub retry: RetryPolicy,
-    /// Make surfaced faults **transient**: the error is marked
-    /// `retryable: true` and the backend advances a per-access attempt
-    /// cursor, so a later identical access continues the deterministic
-    /// draw sequence instead of replaying the same fault forever. This
-    /// is what lets an outer [`crate::resilience::ResilientBackend`]
-    /// actually clear faults; it stays off by default because it
-    /// deliberately relaxes strict per-access idempotence (outcomes
-    /// still replay exactly for the same seed and call sequence).
+    /// Make faults **transient**: the error is marked `retryable: true`
+    /// and the backend advances a per-access attempt cursor, so a later
+    /// identical access continues the deterministic draw sequence instead
+    /// of replaying the same fault forever. This is what lets an outer
+    /// [`crate::resilience::ResilientBackend`] actually clear faults (and
+    /// charge every retry to the call budget beneath it); it stays off by
+    /// default because it deliberately relaxes strict per-access
+    /// idempotence (outcomes still replay exactly for the same seed and
+    /// call sequence).
     pub transient_faults: bool,
 }
 
@@ -334,7 +330,6 @@ impl Default for RemoteProfile {
             jitter_micros: 50,
             per_tuple_latency_micros: 2,
             fault_rate_pct: 0,
-            retry: RetryPolicy::with_retries(2),
             transient_faults: false,
         }
     }
@@ -383,8 +378,12 @@ pub(crate) fn access_key_hash(method: &str, binding: &[(usize, Value)]) -> u64 {
 }
 
 /// A simulated remote service: any inner backend wrapped with
-/// deterministic seeded latency and fault injection with retries. It has
-/// no quota of its own; wrap it in a [`BudgetedBackend`] for one.
+/// deterministic seeded latency and fault injection. Each call makes one
+/// fault draw, and a faulted call surfaces its error at once without
+/// touching the inner backend. It neither retries nor keeps a quota:
+/// wrap it in a [`crate::ResilientBackend`] for retries and a
+/// [`BudgetedBackend`] for a quota, so that every attempt is a counted
+/// call.
 ///
 /// Latency is *accounted*, not slept: each successful access reports
 /// `base + jitter + per_tuple * returned` microseconds in its
@@ -398,7 +397,6 @@ pub(crate) fn access_key_hash(method: &str, binding: &[(usize, Value)]) -> u64 {
 pub struct SimulatedRemoteBackend<B> {
     inner: B,
     profile: RemoteProfile,
-    faults_injected: usize,
     /// With `transient_faults`: per-access-key next attempt number, so a
     /// repeated access continues the draw sequence rather than replaying
     /// the surfaced fault.
@@ -411,19 +409,8 @@ impl<B: AccessBackend> SimulatedRemoteBackend<B> {
         SimulatedRemoteBackend {
             inner,
             profile,
-            faults_injected: 0,
             fault_cursor: FxHashMap::default(),
         }
-    }
-
-    /// Faults injected so far (including ones hidden by retries).
-    pub fn faults_injected(&self) -> usize {
-        self.faults_injected
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
     }
 
     /// A deterministic draw in `[0, bound)` for the given access key,
@@ -446,61 +433,44 @@ impl<B: AccessBackend> AccessBackend for SimulatedRemoteBackend<B> {
         binding: &[(usize, Value)],
     ) -> Result<AccessResponse, AccessError> {
         let key = access_key_hash(method.name(), binding);
-        // Transient mode resumes the draw sequence where the last
-        // surfaced fault on this access left off; otherwise attempts
-        // always start at 0 (strict idempotence).
-        let first_attempt: u64 = if self.profile.transient_faults {
+        // Transient mode draws at the attempt cursor that the last fault
+        // on this access advanced; otherwise every call draws attempt 0
+        // (strict idempotence).
+        let attempt = if self.profile.transient_faults {
             self.fault_cursor.get(&key).copied().unwrap_or(0)
         } else {
             0
         };
-        let mut attempt = first_attempt;
-        let mut backoff_micros: u64 = 0;
-        loop {
-            let faulted = self.profile.fault_rate_pct > 0
-                && self.draw(key, attempt, SALT_FAULT, 100) < self.profile.fault_rate_pct as u64;
-            if faulted {
-                self.faults_injected += 1;
-                let retries_so_far = (attempt - first_attempt) as u32;
-                if retries_so_far < self.profile.retry.retries() {
-                    attempt += 1;
-                    backoff_micros += self.profile.retry.backoff_micros(key, retries_so_far + 1);
-                    continue;
-                }
-                let attempts_made = attempt - first_attempt + 1;
-                if self.profile.transient_faults {
-                    // Advance the cursor so the next identical access
-                    // draws fresh outcomes — the fault is transient, an
-                    // outer retry may clear it.
-                    self.fault_cursor.insert(key, attempt + 1);
-                    return Err(AccessError::Unavailable {
-                        retryable: true,
-                        detail: format!(
-                            "simulated transient fault on `{}` after {attempts_made} attempt(s) \
-                             (fault key {key:#018x})",
-                            method.name(),
-                        ),
-                    });
-                }
-                // Not retryable: the draws are deterministic per (seed,
-                // access, attempt), so repeating the identical access can
-                // only replay the identical faults.
+        let faulted = self.profile.fault_rate_pct > 0
+            && self.draw(key, attempt, SALT_FAULT, 100) < self.profile.fault_rate_pct as u64;
+        if faulted {
+            if self.profile.transient_faults {
+                // The next identical access draws the next attempt: an
+                // outer retry may clear the fault.
+                self.fault_cursor.insert(key, attempt + 1);
                 return Err(AccessError::Unavailable {
-                    retryable: false,
+                    retryable: true,
                     detail: format!(
-                        "simulated fault on `{}` after {attempts_made} attempt(s) \
-                         (fault key {key:#018x}, deterministic for this seed/access)",
+                        "simulated transient fault on `{}` at attempt {attempt} \
+                         (fault key {key:#018x})",
                         method.name(),
                     ),
                 });
             }
-            let mut response = self.inner.access(method, binding)?;
-            response.latency_micros += self.profile.base_latency_micros
-                + self.draw(key, attempt, SALT_JITTER, self.profile.jitter_micros)
-                + self.profile.per_tuple_latency_micros * response.tuples.len() as u64
-                + backoff_micros;
-            return Ok(response);
+            return Err(AccessError::Unavailable {
+                retryable: false,
+                detail: format!(
+                    "simulated fault on `{}` (fault key {key:#018x}, \
+                     deterministic for this seed/access)",
+                    method.name(),
+                ),
+            });
         }
+        let mut response = self.inner.access(method, binding)?;
+        response.latency_micros += self.profile.base_latency_micros
+            + self.draw(key, attempt, SALT_JITTER, self.profile.jitter_micros)
+            + self.profile.per_tuple_latency_micros * response.tuples.len() as u64;
+        Ok(response)
     }
 
     fn label(&self) -> &str {
@@ -885,26 +855,30 @@ mod tests {
     }
 
     #[test]
-    fn remote_backend_retries_then_surfaces_deterministic_faults() {
+    fn remote_backend_surfaces_each_fault_at_once() {
         let (method, inst, mut vf) = setup(None);
         let a = vf.constant("a");
-        // 100% faults: retries are consumed, then the error surfaces as
-        // permanent (the draws are deterministic — retrying the identical
-        // access replays the identical faults).
+        // 100% faults: the one draw faults and the error surfaces as
+        // permanent (the draw is deterministic — repeating the identical
+        // access replays the identical fault) without an inner call.
         let flaky = RemoteProfile {
             fault_rate_pct: 100,
-            retry: RetryPolicy::with_retries(2),
             ..RemoteProfile::default()
         };
-        let mut backend = SimulatedRemoteBackend::new(InstanceBackend::truncating(&inst), flaky);
+        let mut counted = BudgetedBackend::new(InstanceBackend::truncating(&inst), usize::MAX);
+        let mut backend = SimulatedRemoteBackend::new(&mut counted, flaky);
         let err = backend.access(&method, &[(0, a)]).unwrap_err();
         assert!(!err.is_retryable());
         let AccessError::Unavailable { detail, .. } = &err else {
             panic!("expected Unavailable, got {err:?}");
         };
-        assert!(detail.contains("after 3 attempt(s)"), "detail: {detail}");
         assert!(detail.contains("fault key 0x"), "detail: {detail}");
-        assert_eq!(backend.faults_injected(), 3, "initial attempt + 2 retries");
+        assert_eq!(backend.access(&method, &[(0, a)]).unwrap_err(), err);
+        // A fault-free remote calls its inner backend exactly once per
+        // access.
+        let mut calm = SimulatedRemoteBackend::new(&mut counted, RemoteProfile::default());
+        assert!(calm.access(&method, &[(0, a)]).is_ok());
+        assert_eq!(counted.calls(), 1, "faults never reach the inner backend");
     }
 
     #[test]
@@ -914,7 +888,6 @@ mod tests {
         let profile = RemoteProfile {
             seed: 3,
             fault_rate_pct: 50,
-            retry: RetryPolicy::none(),
             transient_faults: true,
             ..RemoteProfile::default()
         };
@@ -960,7 +933,6 @@ mod tests {
         let profile = RemoteProfile {
             seed: 3,
             fault_rate_pct: 50,
-            retry: RetryPolicy::none(),
             ..RemoteProfile::default()
         };
         let mut backend = SimulatedRemoteBackend::new(InstanceBackend::truncating(&inst), profile);

@@ -42,9 +42,7 @@ pub use backend::{
 };
 pub use method::{AccessMethod, ResultBound};
 pub use plan::{execute_with_backend, Command, Condition, Plan, PlanBuilder, RaExpr, TempTable};
-pub use resilience::{
-    BreakerPolicy, BreakerReport, ResilienceStats, ResilientBackend, RetryPolicy,
-};
+pub use resilience::{BreakerPolicy, ResilienceStats, ResilientBackend, RetryPolicy};
 pub use schema::Schema;
 pub use selection::{
     AccessSelection, AdversarialSelection, GreedySelection, RandomSelection, TruncatingSelection,

@@ -9,6 +9,11 @@
 //! that keep failing so one dead endpoint cannot burn the whole request's
 //! budget discovering, over and over, that it is dead.
 //!
+//! It is the only code that re-drives an access: backends beneath it
+//! (the simulated remote included) surface every failure at once, and
+//! the service stacks it over the call budget, so each retry is one
+//! more counted call.
+//!
 //! ## Determinism
 //!
 //! Everything here is clock-free. Backoff is *accounted* (added to the
@@ -175,18 +180,6 @@ impl Default for BreakerState {
     }
 }
 
-/// A per-method breaker's externally visible state, for `stats`-style
-/// reporting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BreakerReport {
-    /// The access method the breaker guards.
-    pub method: String,
-    /// `"closed"`, `"open"` or `"half-open"`.
-    pub state: &'static str,
-    /// Consecutive failures recorded in the current run of failures.
-    pub consecutive_failures: u32,
-}
-
 /// Cumulative resilience accounting for one window, harvested by the
 /// service into `PlanMetrics` and the `stats` verb.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -244,26 +237,6 @@ impl<B: AccessBackend> ResilientBackend<B> {
         self.stats
     }
 
-    /// Snapshot of every per-method breaker (empty when no breaker
-    /// policy is installed), sorted by method name for stable output.
-    pub fn breaker_reports(&self) -> Vec<BreakerReport> {
-        let mut reports: Vec<BreakerReport> = self
-            .breakers
-            .iter()
-            .map(|(method, st)| BreakerReport {
-                method: method.clone(),
-                state: match st.phase {
-                    BreakerPhase::Closed => "closed",
-                    BreakerPhase::Open { .. } => "open",
-                    BreakerPhase::HalfOpen => "half-open",
-                },
-                consecutive_failures: st.consecutive_failures,
-            })
-            .collect();
-        reports.sort_by(|a, b| a.method.cmp(&b.method));
-        reports
-    }
-
     /// Admission check against the method's breaker. `Ok(())` admits the
     /// call (possibly as a half-open probe); `Err` is the shed response.
     fn breaker_admit(&mut self, method: &str) -> Result<(), AccessError> {
@@ -317,6 +290,54 @@ impl<B: AccessBackend> ResilientBackend<B> {
             self.stats.breaker_opens += 1;
         }
     }
+
+    /// One admitted access: the first attempt, then retries while the
+    /// error is retryable and the per-access attempts, the window's
+    /// retry budget and the deadline allow.
+    fn drive(
+        &mut self,
+        method: &AccessMethod,
+        binding: &[(usize, Value)],
+    ) -> Result<AccessResponse, AccessError> {
+        self.breaker_admit(method.name())?;
+        // The backoff jitter's key, hashed on the first retry only.
+        let mut key = None;
+        let mut backoff_total: u64 = 0;
+        let mut retries_here: u32 = 0;
+        loop {
+            let result = self.inner.access(method, binding);
+            self.breaker_observe(method.name(), result.is_ok());
+            let err = match result {
+                Ok(mut response) => {
+                    response.latency_micros += backoff_total;
+                    if retries_here > 0 {
+                        rbqa_obs::counters::add_retries(retries_here.into(), backoff_total);
+                    }
+                    return Ok(response);
+                }
+                Err(err) => err,
+            };
+            let may_retry = err.is_retryable()
+                && retries_here + 1 < self.retry.max_attempts
+                && !rbqa_obs::deadline_expired();
+            if may_retry && self.retries_used >= self.retry.retry_budget {
+                self.stats.budget_denials += 1;
+            } else if may_retry {
+                self.retries_used += 1;
+                retries_here += 1;
+                self.stats.retries += 1;
+                let key = *key.get_or_insert_with(|| access_key_hash(method.name(), binding));
+                let backoff = self.retry.backoff_micros(key, retries_here);
+                backoff_total += backoff;
+                self.stats.backoff_micros += backoff;
+                continue;
+            }
+            if retries_here > 0 {
+                rbqa_obs::counters::add_retries(retries_here.into(), backoff_total);
+            }
+            return Err(err);
+        }
+    }
 }
 
 impl<B: AccessBackend> AccessBackend for ResilientBackend<B> {
@@ -327,47 +348,7 @@ impl<B: AccessBackend> AccessBackend for ResilientBackend<B> {
     ) -> Result<AccessResponse, AccessError> {
         let opens_before = self.stats.breaker_opens;
         let rejections_before = self.stats.breaker_rejections;
-        let result = (|| {
-            self.breaker_admit(method.name())?;
-            let key = access_key_hash(method.name(), binding);
-            let mut backoff_total: u64 = 0;
-            let mut retries_here: u64 = 0;
-            loop {
-                let attempt_no = retries_here as u32 + 1;
-                let result = self.inner.access(method, binding);
-                match result {
-                    Ok(mut response) => {
-                        self.breaker_observe(method.name(), true);
-                        response.latency_micros += backoff_total;
-                        if retries_here > 0 {
-                            rbqa_obs::counters::add_retries(retries_here, backoff_total);
-                        }
-                        return Ok(response);
-                    }
-                    Err(err) => {
-                        self.breaker_observe(method.name(), false);
-                        let may_retry = err.is_retryable()
-                            && attempt_no < self.retry.max_attempts
-                            && !rbqa_obs::deadline_expired();
-                        if may_retry && self.retries_used >= self.retry.retry_budget {
-                            self.stats.budget_denials += 1;
-                        } else if may_retry {
-                            self.retries_used += 1;
-                            retries_here += 1;
-                            self.stats.retries += 1;
-                            let backoff = self.retry.backoff_micros(key, retries_here as u32);
-                            backoff_total += backoff;
-                            self.stats.backoff_micros += backoff;
-                            continue;
-                        }
-                        if retries_here > 0 {
-                            rbqa_obs::counters::add_retries(retries_here, backoff_total);
-                        }
-                        return Err(err);
-                    }
-                }
-            }
-        })();
+        let result = self.drive(method, binding);
         rbqa_obs::counters::add_breaker(
             self.stats.breaker_opens - opens_before,
             self.stats.breaker_rejections - rejections_before,
@@ -534,7 +515,6 @@ mod tests {
             assert!(backend.access(&m, &[]).is_err());
         }
         assert_eq!(backend.stats().breaker_opens, 1);
-        assert_eq!(backend.breaker_reports()[0].state, "open");
         // Cooldown: two calls shed without touching the inner backend.
         for _ in 0..2 {
             let err = backend.access(&m, &[]).unwrap_err();
@@ -546,10 +526,13 @@ mod tests {
         }
         assert_eq!(backend.inner().calls, 3, "shed calls never reach inner");
         assert_eq!(backend.stats().breaker_rejections, 2);
-        // The next call is the half-open probe; it succeeds and closes.
+        // The next call is the half-open probe; it succeeds and closes,
+        // so the call after it reaches the inner backend again.
         let response = backend.access(&m, &[]).unwrap();
         assert_eq!(response.tuples_matched, 9);
-        assert_eq!(backend.breaker_reports()[0].state, "closed");
+        assert!(backend.access(&m, &[]).is_ok());
+        assert_eq!(backend.inner().calls, 5);
+        assert_eq!(backend.stats().breaker_rejections, 2);
     }
 
     #[test]
@@ -587,16 +570,15 @@ mod tests {
         assert!(backend.access(&m1, &[]).is_err());
         // m1's breaker is open; m2 is unaffected.
         assert!(backend.access(&m2, &[]).is_ok());
-        let reports = backend.breaker_reports();
-        assert_eq!(reports.len(), 2);
+        let err = backend.access(&m1, &[]).unwrap_err();
+        assert!(err.to_string().contains("breaker_open"), "{err}");
         assert_eq!(
-            (reports[0].method.as_str(), reports[0].state),
-            ("m1", "open")
+            backend.inner().calls,
+            3,
+            "the shed m1 call never reached inner"
         );
-        assert_eq!(
-            (reports[1].method.as_str(), reports[1].state),
-            ("m2", "closed")
-        );
+        assert!(backend.access(&m2, &[]).is_ok());
+        assert_eq!(backend.stats().breaker_rejections, 1);
     }
 
     #[test]
@@ -611,38 +593,35 @@ mod tests {
         let mut inst = Instance::new(sig);
         inst.insert(rel, vec![vf.constant("x")]).unwrap();
 
-        // Find a seed where the first attempt faults but a later one is
-        // clean, then check the resilient wrapper clears it.
-        let mut demonstrated = false;
-        for seed in 0..64 {
-            let profile = RemoteProfile {
-                seed,
-                fault_rate_pct: 60,
-                transient_faults: true,
-                retry: RetryPolicy::none(),
-                ..RemoteProfile::default()
-            };
-            let mut bare = SimulatedRemoteBackend::new(InstanceBackend::truncating(&inst), profile);
-            if bare.access(&m, &[]).is_ok() {
-                continue; // first attempt clean: nothing to demonstrate
-            }
-            let remote = SimulatedRemoteBackend::new(InstanceBackend::truncating(&inst), profile);
-            let mut resilient = ResilientBackend::new(
-                remote,
-                RetryPolicy {
-                    max_attempts: 6,
-                    ..RetryPolicy::default()
-                },
+        // At seed 0 and a 60% rate this access faults on attempts 0, 1
+        // and 2 and is clean on attempt 3: each call draws one attempt.
+        let profile = RemoteProfile {
+            seed: 0,
+            fault_rate_pct: 60,
+            transient_faults: true,
+            ..RemoteProfile::default()
+        };
+        let mut bare = SimulatedRemoteBackend::new(InstanceBackend::truncating(&inst), profile);
+        for attempt in 0..3 {
+            let err = bare.access(&m, &[]).unwrap_err();
+            assert!(err.is_retryable());
+            assert!(
+                err.to_string().contains(&format!("at attempt {attempt}")),
+                "{err}"
             );
-            let response = resilient.access(&m, &[]).unwrap();
-            assert_eq!(response.tuples_matched, 1);
-            assert!(resilient.stats().retries >= 1);
-            demonstrated = true;
-            break;
         }
-        assert!(
-            demonstrated,
-            "no seed in 0..64 faulted on the first attempt"
+        assert!(bare.access(&m, &[]).is_ok());
+
+        let remote = SimulatedRemoteBackend::new(InstanceBackend::truncating(&inst), profile);
+        let mut resilient = ResilientBackend::new(
+            remote,
+            RetryPolicy {
+                max_attempts: 6,
+                ..RetryPolicy::default()
+            },
         );
+        let response = resilient.access(&m, &[]).unwrap();
+        assert_eq!(response.tuples_matched, 1);
+        assert_eq!(resilient.stats().retries, 3);
     }
 }

@@ -35,8 +35,9 @@
 //!   subsequent requests.
 //! * `option exec.backend instance|sharded:N|remote [seed=S] [latency=L]
 //!   [faults=P] [transient]` selects the data-source backend `execute`
-//!   requests run against (`transient` makes remote faults retryable,
-//!   with fresh fault coins per retry; `latency` is at most
+//!   requests run against (the remote surfaces every fault at once;
+//!   `transient` makes its faults retryable, with fresh fault coins per
+//!   retry; `latency` is at most
 //!   `MAX_LATENCY_MICROS`), and `option exec.calls K|none`
 //!   caps the number of accesses one request may perform across all its
 //!   disjunct plans (the over-quota run fails with `BUDGET_EXHAUSTED`).
@@ -45,7 +46,8 @@
 //! * `option exec.retry RETRIES|off` wraps `execute` backends in a
 //!   resilient decorator retrying retryable faults up to RETRIES extra
 //!   attempts per access (deterministic seeded backoff, accounted in
-//!   `simulated_latency_micros`), and `option exec.breaker K:C|off` adds
+//!   `simulated_latency_micros`; each retry spends `exec.calls` like a
+//!   first attempt), and `option exec.breaker K:C|off` adds
 //!   a per-method circuit breaker (open after K consecutive failures,
 //!   half-open probe after C rejected calls). Fingerprinted only when
 //!   set, like every `exec.*` option.
@@ -1600,9 +1602,10 @@ fact Udirectory('8', 'sidest', '556')
         let out = &outputs[0];
         assert!(out.contains("\"status\":\"ok\""), "{out}");
         assert!(out.contains("\"rows\":[[\"ada\"],[\"alan\"]]"), "{out}");
-        // The metrics block accounts resilience work (possibly zero when
-        // the backend's own internal retries absorbed every fault).
+        // The remote never retries on its own, so the retry wrapper sees
+        // every fault and the metrics block counts its retries.
         assert!(out.contains("\"retries\":"), "{out}");
+        assert!(!out.contains("\"retries\":0"), "{out}");
         assert!(out.contains("\"breaker_rejections\":"), "{out}");
     }
 

@@ -17,16 +17,12 @@
 //!
 //! ```text
 //! cargo run --release -p rbqa-bench --bin hom_report \
-//!     [-- --quick] [--iters N] [--out PATH] [--baseline PATH]
+//!     [-- --quick] [--iters N] [--out PATH]
 //! ```
 //!
 //! `--quick` shrinks the sweep to one size per shape/suite and few
 //! iterations — the CI smoke mode that keeps `BENCH_hom.json` generation
-//! from rotting. `--baseline PATH` points at the output of the
-//! `decide_baseline` binary *run at the PR 3 checkout on the same machine*
-//! (one `label micros verdict` line per case); when given, the decide
-//! section additionally reports speedups against those prior-PR numbers.
-//! The committed report is produced by the full (non-quick) run; see
+//! from rotting. The committed report is produced by the full (non-quick) run; see
 //! EXPERIMENTS.md ("FIG-hom-kernel") before regenerating it.
 
 use rbqa_bench::{
@@ -50,24 +46,6 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_hom.json".to_owned());
-    // `label -> mean micros` from a prior-PR `decide_baseline` run.
-    let baseline: BTreeMap<String, f64> = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1))
-        .map(|path| {
-            std::fs::read_to_string(path)
-                .expect("read --baseline file")
-                .lines()
-                .filter_map(|line| {
-                    let mut parts = line.split_whitespace();
-                    let label = parts.next()?.to_owned();
-                    let micros: f64 = parts.next()?.parse().ok()?;
-                    Some((label, micros))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
 
     // --- Section 1: kernel microbenchmarks -------------------------------
     let cases = hom_kernel_cases(quick);
@@ -179,30 +157,14 @@ fn main() {
         println!(
             "  {suite:<16} {speedup:>6.1}x vs reference kernel  (reference {ref_mean:.1} us -> compiled {comp_mean:.1} us)"
         );
-        let mut obj = rbqa_api::json::JsonObject::new()
-            .field_str("suite", suite)
-            .field_raw("mean_reference_micros", &format!("{ref_mean:.2}"))
-            .field_raw("mean_compiled_micros", &format!("{comp_mean:.2}"))
-            .field_raw("mean_speedup_vs_reference", &format!("{speedup:.2}"));
-        let pr3: Vec<f64> = rows
-            .iter()
-            .filter_map(|r| baseline.get(&r.label).copied())
-            .collect();
-        if pr3.len() == rows.len() {
-            let pr3_mean = pr3.iter().sum::<f64>() / n;
-            let pr3_speedup = rows
-                .iter()
-                .map(|r| baseline[&r.label] / r.compiled.mean_micros.max(f64::MIN_POSITIVE))
-                .sum::<f64>()
-                / n;
-            println!(
-                "  {suite:<16} {pr3_speedup:>6.1}x vs PR 3 baseline    (PR 3 {pr3_mean:.1} us -> compiled {comp_mean:.1} us)"
-            );
-            obj = obj
-                .field_raw("mean_pr3_micros", &format!("{pr3_mean:.2}"))
-                .field_raw("mean_speedup_vs_pr3", &format!("{pr3_speedup:.2}"));
-        }
-        suite_objs.push(obj.finish());
+        suite_objs.push(
+            rbqa_api::json::JsonObject::new()
+                .field_str("suite", suite)
+                .field_raw("mean_reference_micros", &format!("{ref_mean:.2}"))
+                .field_raw("mean_compiled_micros", &format!("{comp_mean:.2}"))
+                .field_raw("mean_speedup_vs_reference", &format!("{speedup:.2}"))
+                .finish(),
+        );
     }
 
     let kernel_objs: Vec<String> = kernel_rows
@@ -229,7 +191,7 @@ fn main() {
     let decide_objs: Vec<String> = decide_rows
         .iter()
         .map(|r| {
-            let mut obj = rbqa_api::json::JsonObject::new()
+            rbqa_api::json::JsonObject::new()
                 .field_str("suite", &r.suite)
                 .field_str("case", &r.label)
                 .field_str("answerable", &r.compiled.answerable)
@@ -244,14 +206,8 @@ fn main() {
                         "{:.2}",
                         r.reference.mean_micros / r.compiled.mean_micros.max(f64::MIN_POSITIVE)
                     ),
-                );
-            if let Some(&pr3) = baseline.get(&r.label) {
-                obj = obj.field_raw("pr3_micros", &format!("{pr3:.2}")).field_raw(
-                    "speedup_vs_pr3",
-                    &format!("{:.2}", pr3 / r.compiled.mean_micros.max(f64::MIN_POSITIVE)),
-                );
-            }
-            obj.finish()
+                )
+                .finish()
         })
         .collect();
 

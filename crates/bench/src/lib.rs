@@ -820,32 +820,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn decide_cases_labels_match_baseline_table() {
-        // The `decide_baseline` binary duplicates this suite table so that
-        // it compiles against older checkouts; this pins the case labels
-        // the two must agree on (same schemas, sizes and generator seeds).
-        let labels: Vec<String> = decide_cases(false)
-            .iter()
-            .map(|c| c.label.clone())
-            .collect();
-        let expected = [
-            "T1-row-IDs/rel8",
-            "T1-row-IDs/rel10",
-            "T1-row-IDs/rel12",
-            "T1-row-BWIDs/rel14",
-            "T1-row-BWIDs/rel18",
-            "T1-row-BWIDs/rel22",
-            "T1-row-FDs/rel10",
-            "T1-row-FDs/rel14",
-            "T1-row-FDs/rel18",
-            "T1-row-UIDFD/rel10",
-            "T1-row-UIDFD/rel12",
-            "T1-row-UIDFD/rel14",
-        ];
-        assert_eq!(labels, expected);
-    }
-
     /// Structural JSON balance check: every `{`/`[` outside string
     /// literals closes in order (the same check the CI smoke applies to
     /// the emitted report files).

@@ -47,13 +47,14 @@ pub enum BackendSpec {
     #[default]
     Instance,
     /// A simulated remote service over the instance: deterministic seeded
-    /// latency accounting and fault injection (with retries).
+    /// latency accounting and fault injection. It never retries; see
+    /// [`ExecOptions::retry`].
     SimulatedRemote {
         /// Seed of the latency/fault stream.
         seed: u64,
         /// Base per-call latency, microseconds (`0..=MAX_LATENCY_MICROS`).
         latency_micros: u64,
-        /// Percentage (0–100) of calls that fault before retries.
+        /// Percentage (0–100) of calls that fault, one draw per call.
         fault_rate_pct: u8,
         /// Whether surfaced faults are *transient*: retryable, with a
         /// per-access attempt cursor so a later retry of the same access
@@ -101,12 +102,13 @@ pub struct ExecOptions {
     /// share a real service's quota; the over-quota call fails with
     /// `BudgetExhausted` and the window returns **no rows**.
     pub call_budget: Option<usize>,
-    /// Retry retryable access faults through a [`ResilientBackend`]
-    /// wrapping the whole execution window. `None` = no wrapper (every
-    /// fault surfaces on first occurrence, the historical behaviour).
-    /// Retried attempts spend call budget like first attempts: the
-    /// budget wraps *inside* the resilient decorator, as a real quota
-    /// would.
+    /// Retry policy of the [`ResilientBackend`] wrapping the whole
+    /// execution window, the only place an access is ever retried.
+    /// `None` = no retries: every fault surfaces on first occurrence.
+    /// Each retry is one more call and spends call budget like a first
+    /// attempt: the budget sits *beneath* the resilient decorator, as a
+    /// real quota would, so a window that succeeds needs a budget of its
+    /// logical calls plus its retries.
     pub retry: Option<RetryPolicy>,
     /// Per-method circuit breaker on the same window. Requires nothing
     /// of `retry` (a breaker without retries still sheds load); `None` =
@@ -385,10 +387,12 @@ impl ServiceSimulator {
     /// (though a shared condition — an exhausted budget, an expired
     /// deadline — naturally fails them too, each with its own error).
     ///
-    /// The decorator stack is `Resilient(Budgeted(base))`: retries and
-    /// breaker probes spend call budget exactly like first attempts, and
-    /// a `BudgetExhausted` bubbling up is non-retryable so the wrapper
-    /// never burns the remaining window on a lost cause.
+    /// The decorator stack is always `Resilient(Budgeted(base))`, so
+    /// every attempt — first try, retry or breaker probe — is one counted
+    /// call. An unset `call_budget` is an unlimited one, and without
+    /// `retry` or `breaker` the resilient layer passes calls straight
+    /// through. A `BudgetExhausted` bubbling up is non-retryable, so the
+    /// wrapper never burns the remaining window on a lost cause.
     pub fn run_plans_exec_results(
         &self,
         plans: &[&Plan],
@@ -398,54 +402,36 @@ impl ServiceSimulator {
             AdaptiveMode::Off => None,
             AdaptiveMode::On => Some(AdaptiveWindow::new()),
         };
-        let mut run_next = |done: &[Result<PlanRunResult, PlanError>],
-                            backend: &mut dyn AccessBackend|
-         -> Result<PlanRunResult, PlanError> {
-            let plan = plans[done.len()];
+        let mut base = self.build_backend(exec.backend)?;
+        let budgeted = BudgetedBackend::new(base.as_mut(), exec.call_budget.unwrap_or(usize::MAX));
+        let mut backend =
+            ResilientBackend::new(budgeted, exec.retry.unwrap_or_else(RetryPolicy::none));
+        if let Some(policy) = exec.breaker {
+            backend = backend.with_breaker(policy);
+        }
+        let mut results: Vec<Result<PlanRunResult, PlanError>> = Vec::with_capacity(plans.len());
+        let mut prev = ResilienceStats::default();
+        for plan in plans {
             let run = match window.as_mut() {
-                None => execute_with_backend(plan, &self.schema, backend),
-                Some(window) => match reuse_identical_disjunct(plans, done) {
-                    Some(reused) => return Ok(reused),
-                    None => execute_plan_adaptive(plan, &self.schema, backend, window),
+                None => execute_with_backend(plan, &self.schema, &mut backend),
+                Some(window) => match reuse_identical_disjunct(plans, &results) {
+                    Some(reused) => {
+                        results.push(Ok(reused));
+                        continue;
+                    }
+                    None => execute_plan_adaptive(plan, &self.schema, &mut backend, window),
                 },
             };
-            run.map(PlanMetrics::from_run)
-        };
-        let mut backend = self.build_backend(exec.backend)?;
-        let mut budgeted;
-        let inner: &mut dyn AccessBackend = match exec.call_budget {
-            Some(limit) => {
-                budgeted = BudgetedBackend::new(backend.as_mut(), limit);
-                &mut budgeted
-            }
-            None => backend.as_mut(),
-        };
-        let mut results = Vec::with_capacity(plans.len());
-        if exec.retry.is_none() && exec.breaker.is_none() {
-            while results.len() < plans.len() {
-                let result = run_next(&results, &mut *inner);
-                results.push(result);
-            }
-            return Ok(results);
-        }
-        let mut resilient =
-            ResilientBackend::new(inner, exec.retry.unwrap_or_else(RetryPolicy::none));
-        if let Some(policy) = exec.breaker {
-            resilient = resilient.with_breaker(policy);
-        }
-        let mut prev = ResilienceStats::default();
-        while results.len() < plans.len() {
-            let result = run_next(&results, &mut resilient).map(|(rows, mut metrics)| {
-                // Attribute the window's resilience activity to the plan
-                // that incurred it by diffing the cumulative stats around
-                // each run.
-                let now = resilient.stats();
+            // Attribute the window's resilience activity to the plan that
+            // incurred it by diffing the cumulative stats around each run.
+            let now = backend.stats();
+            results.push(run.map(|run| {
+                let (rows, mut metrics) = PlanMetrics::from_run(run);
                 metrics.retries = now.retries - prev.retries;
                 metrics.breaker_rejections = now.breaker_rejections - prev.breaker_rejections;
                 (rows, metrics)
-            });
-            prev = resilient.stats();
-            results.push(result);
+            }));
+            prev = now;
         }
         Ok(results)
     }

@@ -10,39 +10,23 @@
 //!   rbqa-client 127.0.0.1:7878 fixtures/requests.rbqa
 //!   ```
 //!
-//! * **Bench** (`--bench`): split the file into setup directives and
-//!   request lines, replay the setup once per connection, then hammer the
-//!   request lines over `--connections` parallel connections for
-//!   `--repeat` rounds each, measuring per-request round-trip latency.
-//!   Prints a summary and, with `--out PATH`, writes a JSON report
-//!   (`BENCH_service.json` convention).
-//!
 //! * **Shutdown** (`--shutdown`): send the `shutdown` verb (the server
 //!   must run with `--allow-remote-shutdown`).
 //!
-//! All modes accept `--connect-retries N`: a bounded connect retry with
-//! exponential backoff (50ms doubling, capped at 1s) for racing a server
-//! that is still binding its listener. Defaults to 3 in `--bench`
-//! (workers start concurrently with the server in CI) and 0 elsewhere.
+//! Both modes accept `--connect-retries N` (default 0): a bounded connect
+//! retry with exponential backoff (50ms doubling, capped at 1s) for racing
+//! a server that is still binding its listener.
 //!
 //! Exit codes: 0 clean, 1 when replay saw error responses, 2 on
 //! transport/usage failure.
 
 use std::io::Read;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use rbqa_api::json::JsonObject;
 use rbqa_api::WireClient;
 
 const USAGE: &str = "usage: rbqa-client ADDR [FILE] [--connect-retries N]
-       rbqa-client --bench ADDR FILE [--connections K] [--repeat N] [--out PATH] [--connect-retries N]
        rbqa-client --shutdown ADDR [--connect-retries N]";
-
-/// Default connect retries in `--bench` mode: bench workers routinely
-/// race a just-spawned server, so riding out a slow listener bind is the
-/// default there (and opt-in everywhere else).
-const BENCH_CONNECT_RETRIES: u32 = 3;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,11 +36,9 @@ fn main() {
     }
     let result = extract_connect_retries(&mut args).and_then(|retries| {
         if args.first().is_some_and(|a| a == "--shutdown") {
-            shutdown(&args[1..], retries.unwrap_or(0))
-        } else if args.first().is_some_and(|a| a == "--bench") {
-            bench(&args[1..], retries.unwrap_or(BENCH_CONNECT_RETRIES))
+            shutdown(&args[1..], retries)
         } else {
-            replay(&args, retries.unwrap_or(0))
+            replay(&args, retries)
         }
     });
     match result {
@@ -69,11 +51,11 @@ fn main() {
 }
 
 /// Pulls `--connect-retries N` out of the argument list (any position),
-/// leaving the remaining arguments for the mode parsers. `None` means
-/// the flag was absent and the mode's default applies.
-fn extract_connect_retries(args: &mut Vec<String>) -> Result<Option<u32>, String> {
+/// leaving the remaining arguments for the mode parsers. An absent flag
+/// means 0.
+fn extract_connect_retries(args: &mut Vec<String>) -> Result<u32, String> {
     let Some(at) = args.iter().position(|a| a == "--connect-retries") else {
-        return Ok(None);
+        return Ok(0);
     };
     if at + 1 >= args.len() {
         return Err("--connect-retries expects a count".to_string());
@@ -82,7 +64,7 @@ fn extract_connect_retries(args: &mut Vec<String>) -> Result<Option<u32>, String
         .parse()
         .map_err(|_| "--connect-retries expects a count".to_string())?;
     args.drain(at..=at + 1);
-    Ok(Some(retries))
+    Ok(retries)
 }
 
 /// Bounded connect with exponential backoff: `retries` re-attempts after
@@ -159,176 +141,4 @@ fn shutdown(args: &[String], retries: u32) -> Result<i32, String> {
     } else {
         1
     })
-}
-
-/// Is this line a request verb (exactly one response line) as opposed to
-/// a directive (silent on success)?
-fn is_request_line(line: &str) -> bool {
-    matches!(
-        line.split_whitespace().next(),
-        Some("decide" | "synthesize" | "execute" | "poll" | "fetch" | "ping" | "stats")
-    )
-}
-
-fn bench(args: &[String], retries: u32) -> Result<i32, String> {
-    let mut addr: Option<&String> = None;
-    let mut file: Option<&String> = None;
-    let mut connections = 4usize;
-    let mut repeat = 25usize;
-    let mut out: Option<&String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--connections" => {
-                connections = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--connections expects a positive integer")?
-            }
-            "--repeat" => {
-                repeat = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--repeat expects a positive integer")?
-            }
-            "--out" => out = Some(iter.next().ok_or("--out expects a path")?),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown bench flag `{other}`\n{USAGE}"))
-            }
-            other => {
-                if addr.is_none() {
-                    addr = Some(arg);
-                } else if file.is_none() {
-                    file = Some(arg);
-                } else {
-                    return Err(format!("unexpected argument `{other}`\n{USAGE}"));
-                }
-            }
-        }
-    }
-    let addr = addr.ok_or(USAGE.to_string())?.clone();
-    let input = read_input(Some(file.ok_or("--bench needs a request FILE")?))?;
-
-    // Setup = version header + directives, replayed once per connection.
-    // Requests = the measured round trips.
-    let mut setup: Vec<String> = Vec::new();
-    let mut requests: Vec<String> = Vec::new();
-    for line in input.lines() {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        if is_request_line(trimmed) {
-            requests.push(trimmed.to_string());
-        } else {
-            setup.push(trimmed.to_string());
-        }
-    }
-    if requests.is_empty() {
-        return Err("bench input contains no request lines".to_string());
-    }
-
-    let addr = Arc::new(addr);
-    let setup = Arc::new(setup);
-    let requests = Arc::new(requests);
-    let workers: Vec<_> = (0..connections)
-        .map(|_| {
-            let addr = Arc::clone(&addr);
-            let setup = Arc::clone(&setup);
-            let requests = Arc::clone(&requests);
-            std::thread::spawn(move || -> Result<(Vec<u64>, usize, u64), String> {
-                let mut client = connect_with_retry(addr.as_str(), retries)?;
-                for line in setup.iter() {
-                    client
-                        .send_line(line)
-                        .map_err(|e| format!("setup write failed: {e}"))?;
-                }
-                let pending = client.sync().map_err(|e| format!("setup sync: {e}"))?;
-                if let Some(err) = pending.iter().find(|l| l.contains("\"status\":\"error\"")) {
-                    return Err(format!("setup directive failed: {err}"));
-                }
-                let mut latencies = Vec::with_capacity(requests.len() * repeat);
-                let mut errors = 0usize;
-                let started = Instant::now();
-                for _ in 0..repeat {
-                    for line in requests.iter() {
-                        let sent = Instant::now();
-                        let response = client
-                            .request(line)
-                            .map_err(|e| format!("request failed: {e}"))?;
-                        latencies.push(sent.elapsed().as_micros() as u64);
-                        if response.contains("\"status\":\"error\"") {
-                            errors += 1;
-                        }
-                    }
-                }
-                Ok((latencies, errors, started.elapsed().as_micros() as u64))
-            })
-        })
-        .collect();
-
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut errors = 0usize;
-    let mut slowest_micros = 0u64;
-    for worker in workers {
-        let (lat, errs, elapsed) = worker
-            .join()
-            .map_err(|_| "bench thread panicked".to_string())??;
-        latencies.extend(lat);
-        errors += errs;
-        slowest_micros = slowest_micros.max(elapsed);
-    }
-    latencies.sort_unstable();
-    let total = latencies.len();
-    let pct = |q: f64| -> u64 {
-        if total == 0 {
-            return 0;
-        }
-        let idx = ((total as f64 - 1.0) * q).round() as usize;
-        latencies[idx.min(total - 1)]
-    };
-    let sum: u64 = latencies.iter().sum();
-    let mean = if total > 0 { sum / total as u64 } else { 0 };
-    let rps = if slowest_micros > 0 {
-        total as f64 / (slowest_micros as f64 / 1_000_000.0)
-    } else {
-        0.0
-    };
-
-    eprintln!(
-        "rbqa-client: bench {total} requests over {connections} connections x {repeat} rounds: \
-         {rps:.0} req/s, p50/p95/p99 {}/{}/{} us, mean {mean} us, {errors} errors",
-        pct(0.50),
-        pct(0.95),
-        pct(0.99),
-    );
-
-    if let Some(path) = out {
-        let latency = JsonObject::new()
-            .field_u128("p50", pct(0.50) as u128)
-            .field_u128("p95", pct(0.95) as u128)
-            .field_u128("p99", pct(0.99) as u128)
-            .field_u128("mean", mean as u128)
-            .field_u128("min", latencies.first().copied().unwrap_or(0) as u128)
-            .field_u128("max", latencies.last().copied().unwrap_or(0) as u128)
-            .finish();
-        let report = JsonObject::new()
-            .field_u128("v", 1)
-            .field_str("kind", "bench")
-            .field_str("target", "service")
-            .field_u128("connections", connections as u128)
-            .field_u128("repeat", repeat as u128)
-            .field_u128("requests", total as u128)
-            .field_u128("errors", errors as u128)
-            .field_u128("elapsed_micros", slowest_micros as u128)
-            .field_raw("requests_per_sec", &format!("{rps:.1}"))
-            .field_raw("latency_micros", &latency)
-            .finish();
-        std::fs::write(path, format!("{report}\n"))
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        eprintln!("rbqa-client: wrote {path}");
-    }
-    Ok(0)
 }

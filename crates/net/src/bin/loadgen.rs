@@ -32,13 +32,15 @@
 //! 1. **clean** — union `execute` traffic against fault-free simulated
 //!    remotes: the availability and latency baseline.
 //! 2. **all_or_nothing** — the identical request stream, but ~10 % of
-//!    requests ride a fault-injecting backend (`faults=40 transient`).
-//!    Degraded mode is off, so one faulting disjunct fails the whole
-//!    union — the availability foil.
+//!    requests ride a fault-injecting backend (`faults=25 transient`),
+//!    and every connection asks for `option exec.retry 2`: the retry
+//!    wrapper re-drives each faulted access up to twice, every retry a
+//!    counted call. Degraded mode is off, so one disjunct whose faults
+//!    outlast the retries fails the whole union — the availability foil.
 //! 3. **degraded** — same stream, `option exec.degraded on`: unions
 //!    answer from surviving disjuncts with a `partial` block. Built-in
-//!    acceptance demands availability >= 99 % here while the
-//!    all-or-nothing foil (same storm, same JSON) is strictly worse.
+//!    acceptance demands availability >= 99 % here, and no worse than
+//!    the all-or-nothing foil (same storm, same JSON).
 //! 4. **timeout** — fresh heavy-chase decides under `option
 //!    exec.deadline`: every mid-flight abort must surface
 //!    `REQUEST_TIMEOUT` within 2x the configured deadline, and replaying
@@ -49,7 +51,8 @@
 //! availability figures are bit-reproducible across machines; only the
 //! latency columns vary. The chaos run exits non-zero when any
 //! acceptance criterion fails (wedged worker, poisoned slot, code
-//! outside the configured policy, unbounded timeout, availability gap).
+//! outside the configured policy, unbounded timeout, availability gap,
+//! fault passes that never retried).
 //!
 //! ```sh
 //! cargo run --release -p rbqa-net --bin rbqa-loadgen -- --out BENCH_load.json
@@ -596,12 +599,16 @@ fn parse_count(text: &str) -> Result<usize, String> {
 /// Fault-burst probability of the chaos storm, percent of requests.
 const CHAOS_BURST_PCT: u64 = 10;
 /// Per-access fault rate inside a burst request. Transient faults at
-/// this rate survive the remote's internal retries often enough to fail
+/// this rate outlast [`CHAOS_RETRIES`] retries often enough to fail
 /// whole unions in all-or-nothing mode, while a degraded union almost
 /// always keeps one disjunct alive (disjunct failures correlate through
 /// shared access keys, so the rate is tuned against the measured — and
 /// seed-deterministic — both-disjuncts-fail probability).
 const CHAOS_FAULT_PCT: u64 = 25;
+/// `option exec.retry` of the fault passes: three attempts per access.
+/// Each retry spends a call and shows in `stats`, and the window's retry
+/// budget (16 by default) bounds a request's retries.
+const CHAOS_RETRIES: u32 = 2;
 /// `option exec.deadline` of the timeout phase, microseconds. The heavy
 /// chain catalog's fresh decide takes well past this, so every request
 /// aborts mid-chase; the between-round check granularity is around a
@@ -740,6 +747,11 @@ fn run_chaos_pass(
                     client
                         .send_line(line)
                         .map_err(|e| format!("setup write failed: {e}"))?;
+                }
+                if faults {
+                    client
+                        .send_line(&format!("option exec.retry {CHAOS_RETRIES}"))
+                        .map_err(|e| format!("retry option: {e}"))?;
                 }
                 if degraded {
                     client
@@ -887,7 +899,8 @@ fn run_chaos(config: &LoadConfig) -> Result<bool, String> {
     let (server, addr) = spawn_server(None, None, config.connections + 1)?;
     eprintln!(
         "rbqa-loadgen: chaos storm — {} connections x {} requests over {} union keys, \
-         {CHAOS_BURST_PCT}% burst @ faults={CHAOS_FAULT_PCT}, deadline {CHAOS_DEADLINE_MICROS} us",
+         {CHAOS_BURST_PCT}% burst @ faults={CHAOS_FAULT_PCT} with {CHAOS_RETRIES} retries, \
+         deadline {CHAOS_DEADLINE_MICROS} us",
         config.connections,
         config.requests_per_conn,
         workload.unions.len(),
@@ -963,6 +976,7 @@ fn run_chaos(config: &LoadConfig) -> Result<bool, String> {
     let no_poisoned_slots = timeout.replay.availability() == 1.0;
     let timeouts_counted = stats_timeouts >= timeout.timeout_micros.len() as u64
         && stats_degraded >= degraded.partials as u64;
+    let retries_counted = stats_retries > 0;
     clean.all_micros.sort_unstable();
     strict.all_micros.sort_unstable();
     degraded.all_micros.sort_unstable();
@@ -982,6 +996,7 @@ fn run_chaos(config: &LoadConfig) -> Result<bool, String> {
         && timeouts_bounded
         && no_poisoned_slots
         && timeouts_counted
+        && retries_counted
         && p99_bounded
         && no_wedged_workers;
 
@@ -1030,6 +1045,10 @@ fn run_chaos(config: &LoadConfig) -> Result<bool, String> {
             timeouts_counted,
             "service counters account the timeouts and degraded responses",
         ),
+        (
+            retries_counted,
+            "the fault passes retried transient faults (stats retries > 0)",
+        ),
         (p99_bounded, "storm p99 within the latency cap"),
         (
             no_wedged_workers,
@@ -1050,6 +1069,7 @@ fn run_chaos(config: &LoadConfig) -> Result<bool, String> {
             .field_bool("timeouts_within_2x_deadline", timeouts_bounded)
             .field_bool("no_poisoned_cache_slots", no_poisoned_slots)
             .field_bool("resilience_counters_consistent", timeouts_counted)
+            .field_bool("retries_counted", retries_counted)
             .field_bool("p99_bounded", p99_bounded)
             .field_bool("no_wedged_workers", no_wedged_workers)
             .field_bool("pass", pass)
@@ -1086,6 +1106,7 @@ fn run_chaos(config: &LoadConfig) -> Result<bool, String> {
             .field_u128("union_keys", workload.unions.len() as u128)
             .field_u128("burst_pct", CHAOS_BURST_PCT as u128)
             .field_u128("fault_pct", CHAOS_FAULT_PCT as u128)
+            .field_u128("exec_retry", CHAOS_RETRIES as u128)
             .field_u128("seed", config.seed as u128)
             .field_raw("timeout", &timeout_detail)
             .field_raw("resilience_counters", &resilience)

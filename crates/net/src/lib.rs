@@ -29,7 +29,7 @@
 //!
 //! The `rbqa-serve` binary fronts both this server (`--listen ADDR`) and
 //! the offline replay mode; `rbqa-client` drives a listening server from
-//! scripts and benchmarks it (`--bench`).
+//! scripts.
 
 pub mod config;
 pub mod server;

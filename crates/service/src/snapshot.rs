@@ -1,9 +1,9 @@
 //! Cache persistence: an append-only, corruption-tolerant snapshot log.
 //!
-//! Cached Decide is 58–438× faster than uncached (BENCH_service.json), so
-//! a restart that forgets the cache throws away the service's whole value
-//! proposition until the chase re-warms it. This module gives the cache a
-//! disk form:
+//! Cached Decide is 58–438× faster than uncached (FIG-service-cache in
+//! EXPERIMENTS.md), so a restart that forgets the cache throws away the
+//! service's whole value proposition until the chase re-warms it. This
+//! module gives the cache a disk form:
 //!
 //! ```text
 //! file   := header record*

@@ -165,39 +165,32 @@ fn exec_retry_policy_rides_out_transient_faults() {
 
     // A heavily faulting transient remote, ridden out by the retry
     // wrapper: same rows, no partial block, retries accounted. The
-    // remote's own internal retries absorb most transient faults, so
-    // scan (deterministic) seeds for one where faults actually surface
-    // to the wrapper.
-    let mut exercised = false;
-    for seed in 0..64u64 {
-        let exec = ExecOptions {
-            backend: BackendSpec::SimulatedRemote {
-                seed,
-                latency_micros: 10,
-                fault_rate_pct: 70,
-                transient: true,
-            },
-            retry: Some(rbqa_service::RetryPolicy {
-                max_attempts: 10,
-                retry_budget: 500,
-                ..rbqa_service::RetryPolicy::default()
-            }),
-            ..ExecOptions::default()
-        };
-        let response = service
-            .submit(&union_execute(&service, id).with_exec(exec))
-            .unwrap();
-        assert_eq!(response.rows.as_ref().unwrap(), &clean_rows);
-        assert!(response.partial.is_none());
-        let metrics = response.plan_metrics.as_ref().unwrap();
-        if metrics.retries > 0 {
-            exercised = true;
-            assert!(service.metrics().retries >= metrics.retries);
-            break;
-        }
-    }
-    assert!(
-        exercised,
-        "some seed in 0..64 must surface a transient fault to the wrapper"
+    // remote never retries on its own, so every fault reaches the
+    // wrapper, and each retry is counted.
+    let exec = ExecOptions {
+        backend: BackendSpec::SimulatedRemote {
+            seed: 0,
+            latency_micros: 10,
+            fault_rate_pct: 70,
+            transient: true,
+        },
+        retry: Some(rbqa_service::RetryPolicy {
+            max_attempts: 10,
+            retry_budget: 500,
+            ..rbqa_service::RetryPolicy::default()
+        }),
+        ..ExecOptions::default()
+    };
+    let response = service
+        .submit(&union_execute(&service, id).with_exec(exec))
+        .unwrap();
+    assert_eq!(response.rows.as_ref().unwrap(), &clean_rows);
+    assert!(response.partial.is_none());
+    let metrics = response.plan_metrics.as_ref().unwrap();
+    assert_eq!(
+        (metrics.total_calls, metrics.retries),
+        (26, 11),
+        "seed 0: 26 logical calls take 11 retries"
     );
+    assert_eq!(service.metrics().retries, metrics.retries);
 }

@@ -3,7 +3,9 @@
 //! Part 1 is a conformance suite run against all four [`AccessBackend`]
 //! implementations (instance, simulated-remote, sharded, recording): every
 //! backend must return valid outputs for the method's result bound, report
-//! consistent accounting, and be idempotent per (method, binding).
+//! consistent accounting, and be idempotent per (method, binding). Its
+//! retry contract: the simulated remote surfaces every fault at once, and
+//! the resilient layer's retries spend the window's call budget.
 //!
 //! Part 2 is differential: a verbatim copy of the **pre-refactor**
 //! executor (the `(&Instance, &mut dyn AccessSelection)` loop that
@@ -20,10 +22,11 @@ use rbqa::access::backend::partition_instance;
 use rbqa::access::plan::{execute, execute_with_backend, PlanError};
 use rbqa::access::{
     AccessBackend, AccessError, AccessMethod, AccessSelection, Condition, InstanceBackend, Plan,
-    PlanBuilder, RaExpr, RandomSelection, RecordingBackend, RemoteProfile, Schema, ShardedBackend,
-    SimulatedRemoteBackend, TruncatingSelection,
+    PlanBuilder, RaExpr, RandomSelection, RecordingBackend, RemoteProfile, RetryPolicy, Schema,
+    ShardedBackend, SimulatedRemoteBackend, TruncatingSelection,
 };
 use rbqa::common::{Instance, Signature, Value, ValueFactory};
+use rbqa::engine::{BackendSpec, ExecOptions, ServiceSimulator};
 use rustc_hash::FxHashMap;
 
 // ---------------------------------------------------------------------------
@@ -120,28 +123,96 @@ fn all_four_backends_conform() {
 }
 
 #[test]
-fn remote_faults_survive_retries_or_surface() {
-    let (_, unbounded, inst, mut vf) = conformance_fixture();
+fn the_one_retry_path_hides_no_backoff_and_charges_every_retry() {
+    // (a) The remote never retries on its own: each call makes one fault
+    // draw and a fault surfaces at once, so no success carries a hidden
+    // retry's backoff. With a fixed 100 us latency and no jitter, every
+    // successful access reports exactly 100 us.
+    let (bounded, unbounded, inst, mut vf) = conformance_fixture();
     let a = vf.constant("a");
-    // A 40% fault rate with 3 retries: deterministic per seed; whatever
-    // happens must be either a conforming answer or a retryable error.
-    for seed in 0..16 {
-        let mut backend = SimulatedRemoteBackend::new(
+    let profile = RemoteProfile {
+        base_latency_micros: 100,
+        jitter_micros: 0,
+        per_tuple_latency_micros: 0,
+        fault_rate_pct: 60,
+        transient_faults: true,
+        ..RemoteProfile::default()
+    };
+    let (mut successes, mut faults) = (0, 0);
+    for seed in 0..32 {
+        let mut remote = SimulatedRemoteBackend::new(
             InstanceBackend::truncating(&inst),
-            RemoteProfile {
-                seed,
-                fault_rate_pct: 40,
-                retry: rbqa::access::RetryPolicy::with_retries(3),
-                ..RemoteProfile::default()
-            },
+            RemoteProfile { seed, ..profile },
         );
-        match backend.access(&unbounded, &[(0, a)]) {
-            Ok(response) => assert_eq!(response.tuples.len(), 8, "seed {seed}"),
-            // Exhausted retries surface as permanent: the draws are
-            // deterministic, so the same access can only fail again.
-            Err(e) => assert!(!e.is_retryable(), "seed {seed}: {e}"),
+        for method in [&bounded, &unbounded] {
+            for _ in 0..4 {
+                match remote.access(method, &[(0, a)]) {
+                    Ok(response) => {
+                        successes += 1;
+                        assert_eq!(response.latency_micros, 100, "seed {seed}");
+                    }
+                    Err(e) => {
+                        faults += 1;
+                        assert!(e.is_retryable(), "seed {seed}: {e}");
+                    }
+                }
+            }
         }
     }
+    assert!(
+        successes > 0 && faults > 0,
+        "{successes} ok, {faults} faults"
+    );
+
+    // (b) Retries happen only in the resilient layer, above the call
+    // budget: the smallest budget a window succeeds with is its logical
+    // calls plus its retries, and one call less exhausts it.
+    let schema = differential_schema(None);
+    let pairs: Vec<(u8, u8)> = (0..6).map(|i| (i, i)).collect();
+    let (data, _) = differential_instance(&schema, &pairs, &pairs, &[]);
+    let plan = random_plan(&[]);
+    let simulator = ServiceSimulator::new(schema, data);
+    let exec = ExecOptions {
+        backend: BackendSpec::SimulatedRemote {
+            seed: 1,
+            latency_micros: 100,
+            fault_rate_pct: 40,
+            transient: true,
+        },
+        retry: Some(RetryPolicy {
+            max_attempts: 8,
+            retry_budget: 64,
+            ..RetryPolicy::default()
+        }),
+        ..ExecOptions::default()
+    };
+    let run = |call_budget| {
+        let exec = ExecOptions {
+            call_budget,
+            ..exec
+        };
+        simulator
+            .run_plans_exec_results(&[&plan], &exec)
+            .unwrap()
+            .remove(0)
+    };
+    let (rows, metrics) = run(None).unwrap();
+    assert_eq!(
+        (metrics.total_calls, metrics.retries),
+        (7, 3),
+        "seed 1: 7 logical calls take 3 retries"
+    );
+    let needed = metrics.total_calls + metrics.retries as usize;
+    let (budgeted_rows, budgeted) = run(Some(needed)).unwrap();
+    assert_eq!(budgeted_rows, rows);
+    assert_eq!(budgeted.retries, metrics.retries);
+    assert_eq!(
+        run(Some(needed - 1)).unwrap_err(),
+        PlanError::Access(AccessError::BudgetExhausted {
+            budget: needed - 1,
+            calls: needed,
+        })
+    );
 }
 
 // ---------------------------------------------------------------------------
