@@ -122,7 +122,7 @@ impl ScenarioRow {
 /// union semantics). Panics if any disjunct fails — these scenarios run
 /// without budgets or fault injection.
 fn run_union(simulator: &ServiceSimulator, plans: &[&Plan], exec: &ExecOptions) -> UnionOutcome {
-    let results = simulator
+    let (results, _) = simulator
         .run_plans_exec_results(plans, exec)
         .expect("union executes");
     let mut outcome = UnionOutcome {

@@ -47,7 +47,7 @@ fn main() {
         let simulator = ServiceSimulator::new(scenario.schema.clone(), data);
 
         let run = |exec: &ExecOptions| {
-            let mut runs = simulator
+            let (mut runs, _) = simulator
                 .run_plans_exec_results(&[&plan], exec)
                 .expect("plan executes");
             runs.remove(0).expect("plan executes")

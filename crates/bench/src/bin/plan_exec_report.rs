@@ -4,6 +4,8 @@
 //! interfaces, bounded data transferred).
 //!
 //! Run with `cargo run --release -p rbqa-bench --bin plan_exec_report`.
+//! Exits 1 when a plan is missing, returns incomplete answers, fails
+//! validation or gets a Boolean query's answer wrong.
 
 use rbqa_access::TruncatingSelection;
 use rbqa_core::{decide_monotone_answerability, AnswerabilityOptions};
@@ -12,6 +14,7 @@ use rbqa_logic::evaluate;
 use rbqa_workloads::scenarios;
 
 fn main() {
+    let mut failures = 0usize;
     println!("FIG-plan-exec: plan execution over simulated result-bounded services\n");
     println!(
         "{:<12} {:<28} {:<12} {:<10} {:<10} {:<12} {:<10}",
@@ -35,6 +38,7 @@ fn main() {
             Some(p) => p.clone(),
             None => {
                 println!("no plan synthesised for Q1 (unexpected)");
+                failures += 1;
                 continue;
             }
         };
@@ -46,6 +50,7 @@ fn main() {
             .run_plan(&plan, &mut selection)
             .expect("plan executes");
         let complete = output == expected;
+        failures += usize::from(!complete);
         println!(
             "{:<12} {:<28} {:<12} {:<10} {:<10} {:<12} {:<10}",
             format!("univ-{size}"),
@@ -61,6 +66,7 @@ fn main() {
         let report = validate_plan(&scenario.schema, &plan, &query, &[data], 2);
         if !report.is_valid() {
             println!("  validation found a discrepancy: {:?}", report.discrepancy);
+            failures += 1;
         }
     }
 
@@ -78,6 +84,7 @@ fn main() {
             decide_monotone_answerability(&scenario.schema, &query, &mut scenario.values, &options);
         let Some(plan) = result.plan.clone() else {
             println!("  bound {bound}: no plan synthesised");
+            failures += 1;
             continue;
         };
         let data = university_instance(scenario.schema.signature(), &mut scenario.values, 100, 3);
@@ -87,13 +94,17 @@ fn main() {
             .run_plan(&plan, &mut selection)
             .expect("plan executes");
         let expected = evaluate(&query, &data).expect("benchmark queries are safe");
+        let matches = output.is_empty() == expected.is_empty();
+        failures += usize::from(!matches);
         println!(
             "  bound {:>4}: answerable={:?}, calls={}, tuples fetched={}, boolean output matches={}",
-            bound,
-            result.answerability,
-            metrics.total_calls,
-            metrics.tuples_fetched,
-            output.is_empty() == expected.is_empty()
+            bound, result.answerability, metrics.total_calls, metrics.tuples_fetched, matches
         );
     }
+
+    if failures > 0 {
+        eprintln!("{failures} plan-execution check(s) failed");
+        std::process::exit(1);
+    }
+    println!("\nEvery plan is complete, valid and answers its Boolean query correctly.");
 }

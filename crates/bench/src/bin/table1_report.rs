@@ -5,7 +5,8 @@
 //!
 //! Run with `cargo run -p rbqa-bench --bin table1_report` (add `--release`
 //! for faster decisions). Pass `--json <path>` to also dump the records as
-//! JSON (consumed when updating EXPERIMENTS.md).
+//! JSON (consumed when updating EXPERIMENTS.md). Exits 1 when a worked
+//! example's verdict differs from the paper's.
 
 use rbqa_bench::{
     bench_options, records_to_json_pretty, render_table, run_decision, run_workload, DecisionRecord,
@@ -83,14 +84,15 @@ fn main() {
     let mut records = scenario_records();
     println!("{}", render_table(&records));
 
-    // Check expectations.
+    // Check expectations: an inconclusive verdict matches neither.
     let mismatches: Vec<&DecisionRecord> = records
         .iter()
         .filter(|r| {
             r.expected_answerable
-                .is_some_and(|e| (r.answerable == "yes") != e)
+                .is_some_and(|e| r.answerable != if e { "yes" } else { "no" })
         })
         .collect();
+    let mismatched = mismatches.len();
     if mismatches.is_empty() {
         println!("All worked-example verdicts match the paper's statements.\n");
     } else {
@@ -110,5 +112,9 @@ fn main() {
         let json = records_to_json_pretty(&records);
         std::fs::write(&path, json).expect("write JSON report");
         println!("JSON report written to {path}");
+    }
+    if mismatched > 0 {
+        eprintln!("{mismatched} verdict(s) differ from the paper");
+        std::process::exit(1);
     }
 }

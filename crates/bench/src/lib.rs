@@ -1,13 +1,14 @@
 //! # rbqa-bench
 //!
-//! Shared harness code for the benchmark targets and report binaries that
-//! regenerate the paper's Table 1 and the derived figures (DESIGN.md §4,
-//! EXPERIMENTS.md).
+//! Shared harness code for the report binaries that regenerate the paper's
+//! Table 1 and the derived figures (DESIGN.md §4, EXPERIMENTS.md).
 //!
-//! The Criterion benches under `benches/` measure decision times; the report
-//! binaries under `src/bin/` print the qualitative content (which
-//! simplification is applied, which queries are answerable, whether the
-//! outcome depends on the result-bound value) as text tables and JSON.
+//! The binaries under `src/bin/` print the qualitative content (which
+//! simplification is applied, which queries are answerable, whether plans
+//! return complete answers) as text tables and JSON, and the committed
+//! `BENCH_*.json` reports. The paper's claims themselves are asserted as
+//! deterministic counts by the root `tests/`; end-to-end timings belong to
+//! perfbench (`python3 perfbench/run.py`).
 
 use rbqa_access::Schema;
 use rbqa_chase::Budget;
@@ -78,7 +79,7 @@ pub fn run_decision(
     (result, record)
 }
 
-/// Default options used by the benchmarks (generous budget, no plan
+/// Default options used by the reports (generous budget, no plan
 /// synthesis).
 pub fn bench_options() -> AnswerabilityOptions {
     AnswerabilityOptions {

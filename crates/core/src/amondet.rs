@@ -17,8 +17,8 @@
 //!
 //! The module supports three axiomatisation styles: the standard simplified
 //! one, the separability rewriting used for UIDs + FDs (Theorem 7.2), and a
-//! "naive cardinality" proxy used only by the ablation benchmark to measure
-//! the cost of *not* applying the paper's schema simplifications.
+//! "naive cardinality" proxy used only by the ablation test to measure the
+//! cost of *not* applying the paper's schema simplifications.
 
 use rbqa_access::Schema;
 #[cfg(test)]
@@ -51,10 +51,11 @@ pub enum AxiomStyle {
     /// relation. Without inequalities these TGDs are logically no stronger
     /// than the `j = 1` axiom; the point of this style is to *measure* the
     /// axiom-size and chase-cost blow-up that the schema simplification
-    /// results avoid (benchmark `fig_simplification_ablation`).
+    /// results avoid (counted by the root test
+    /// `simplification_soundness::naive_cardinality_axioms_only_add_matching_work`).
     NaiveCardinality {
-        /// Cap on the expansion (the benchmark sweeps the result bound up to
-        /// this value).
+        /// Cap on the expansion (that test sets it to the result bound it
+        /// sweeps).
         cap: usize,
     },
 }
@@ -167,8 +168,8 @@ impl AmondetProblem {
                             // body copies has up to n^j triggers, so large
                             // expansions are priced out of the chase anyway
                             // (they exhaust the budget). The clamp keeps the
-                            // ablation benchmark finite while still showing
-                            // the growth the simplification theorems avoid.
+                            // ablation finite while still showing the growth
+                            // the simplification theorems avoid.
                             const MAX_NAIVE_EXPANSION: usize = 16;
                             let bound = method
                                 .result_bound()

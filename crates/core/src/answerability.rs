@@ -66,7 +66,7 @@ pub struct AnswerabilityOptions {
     pub budget: Budget,
     /// When set, bypass the class dispatch and use the given AMonDet
     /// axiomatisation style directly with the generic chase (used by the
-    /// simplification-ablation benchmark).
+    /// naive-cardinality ablation test).
     pub axiom_style_override: Option<AxiomStyle>,
     /// Whether to synthesise a crawling plan when the query is answerable.
     pub synthesize_plan: bool,

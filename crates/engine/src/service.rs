@@ -372,7 +372,10 @@ impl ServiceSimulator {
     /// Runs every plan of a union request under declarative
     /// [`ExecOptions`] and returns the **per-plan** outcomes in plan
     /// order, so degraded union execution can keep the rows of the
-    /// disjuncts that succeeded.
+    /// disjuncts that succeeded, next to the whole window's
+    /// [`ResilienceStats`]. Each successful plan's metrics carry the
+    /// retries and breaker rejections it incurred; the window's stats
+    /// also count those of the plans that failed.
     ///
     /// One backend (and one call-budget window) serves the **whole set**:
     /// this is the `Execute` semantics of a union request, whose
@@ -397,7 +400,7 @@ impl ServiceSimulator {
         &self,
         plans: &[&Plan],
         exec: &ExecOptions,
-    ) -> Result<Vec<Result<PlanRunResult, PlanError>>, PlanError> {
+    ) -> Result<(Vec<Result<PlanRunResult, PlanError>>, ResilienceStats), PlanError> {
         let mut window = match exec.adaptive {
             AdaptiveMode::Off => None,
             AdaptiveMode::On => Some(AdaptiveWindow::new()),
@@ -433,7 +436,7 @@ impl ServiceSimulator {
             }));
             prev = now;
         }
-        Ok(results)
+        Ok((results, backend.stats()))
     }
 }
 
@@ -483,7 +486,7 @@ mod tests {
         plan: &Plan,
         exec: &ExecOptions,
     ) -> Result<PlanRunResult, PlanError> {
-        sim.run_plans_exec_results(&[plan], exec)?.remove(0)
+        sim.run_plans_exec_results(&[plan], exec)?.0.remove(0)
     }
 
     #[test]
@@ -576,7 +579,7 @@ mod tests {
             ..ExecOptions::default()
         };
         assert!(run_one(&sim, &plan, &exec).is_ok());
-        let results = sim.run_plans_exec_results(&[&plan, &plan], &exec).unwrap();
+        let (results, _) = sim.run_plans_exec_results(&[&plan, &plan], &exec).unwrap();
         assert_eq!(results.len(), 2);
         assert!(results[0].is_ok());
         assert_eq!(
@@ -720,7 +723,7 @@ mod tests {
                 adaptive,
                 ..ExecOptions::default()
             };
-            let results = sim.run_plans_exec_results(&plan_refs, &exec).unwrap();
+            let (results, _) = sim.run_plans_exec_results(&plan_refs, &exec).unwrap();
             results.into_iter().map(Result::unwrap).collect::<Vec<_>>()
         };
         let naive = run(AdaptiveMode::Off);
@@ -753,7 +756,7 @@ mod tests {
             adaptive: AdaptiveMode::On,
             ..ExecOptions::default()
         };
-        let results = sim.run_plans_exec_results(&plan_refs, &exec).unwrap();
+        let (results, _) = sim.run_plans_exec_results(&plan_refs, &exec).unwrap();
         let (rows0, first) = results[0].as_ref().unwrap();
         let (rows2, repeat) = results[2].as_ref().unwrap();
         assert_eq!(rows2, rows0);
@@ -767,7 +770,7 @@ mod tests {
         assert_eq!(repeat.output_size, rows0.len());
         assert_eq!(results[1].as_ref().unwrap().1.disjuncts_short_circuited, 0);
         // The naive window executes every plan.
-        let naive = sim
+        let (naive, _) = sim
             .run_plans_exec_results(&plan_refs, &ExecOptions::default())
             .unwrap();
         assert_eq!(naive[2].as_ref().unwrap().1.total_calls, first.total_calls);
@@ -787,7 +790,7 @@ mod tests {
                 adaptive,
                 ..ExecOptions::default()
             };
-            let results = sim.run_plans_exec_results(&[&plan, &plan], &exec).unwrap();
+            let (results, _) = sim.run_plans_exec_results(&[&plan, &plan], &exec).unwrap();
             assert_eq!(
                 results.iter().all(|r| r.is_ok()),
                 adaptive != AdaptiveMode::Off,

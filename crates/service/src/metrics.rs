@@ -180,9 +180,11 @@ pub struct MetricsSnapshot {
     /// Requests abandoned because their cooperative deadline expired
     /// (`REQUEST_TIMEOUT` responses).
     pub deadline_timeouts: u64,
-    /// Retry attempts spent by `Execute` resilience wrappers.
+    /// Retry attempts spent by `Execute` resilience wrappers, counting
+    /// those of plans that failed.
     pub retries: u64,
-    /// Accesses rejected by open circuit breakers.
+    /// Accesses rejected by open circuit breakers, counting those of
+    /// plans that failed.
     pub breaker_rejections: u64,
     /// Request counts per mode (`Decide`, `Synthesize`, `Execute`).
     pub mode_counts: [u64; 3],

@@ -380,15 +380,11 @@ impl QueryService {
         request: &AnswerRequest,
         options: &rbqa_core::AnswerabilityOptions,
     ) -> Fingerprint {
-        let resolve = {
-            let values = request.values.clone();
-            move |v| values.display(v)
-        };
         request_fingerprint(
             entry.fingerprint,
             &request.query,
             entry.schema.signature(),
-            &resolve,
+            &|v| request.values.display(v),
             options,
             &request.effective_exec(),
         )
@@ -551,9 +547,13 @@ impl QueryService {
             // plan: `call_budget` caps the request's total accesses, not
             // each plan's.
             let plan_refs: Vec<&rbqa_access::Plan> = plans.iter().map(|p| p.as_ref()).collect();
-            let runs = simulator
+            let (runs, resilience) = simulator
                 .run_plans_exec_results(&plan_refs, &request.exec)
                 .map_err(plan_error_to_service_error)?;
+            // The window's retries and breaker sheds count whether or not
+            // its plans succeed, so record them before any error return.
+            self.metrics
+                .record_resilience(resilience.retries, resilience.breaker_rejections);
             for (index, run) in runs.into_iter().enumerate() {
                 match run {
                     Ok((plan_rows, plan_metrics)) => {
@@ -597,8 +597,6 @@ impl QueryService {
             rows.sort();
             rows.dedup();
             self.metrics.record_execution();
-            self.metrics
-                .record_resilience(merged.retries, merged.breaker_rejections);
             let partial = if failures.is_empty() {
                 None
             } else {

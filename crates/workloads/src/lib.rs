@@ -10,16 +10,12 @@
 //!   movie catalogue) modelled on the motivating ChEBI / IMDb examples;
 //! * [`random`] — random schema/query generators per constraint class
 //!   (parameterised by number of relations, arity, number of dependencies,
-//!   ID width, number of methods and result bounds), used by the Table-1
-//!   benchmarks;
-//! * [`suites`] — named experiment suites: one per Table-1 row and one per
-//!   derived "figure" of EXPERIMENTS.md, each described by the workload
-//!   parameters it sweeps.
+//!   ID width, number of methods and result bounds), used by the report
+//!   binaries, the simplification-soundness tests and perfbench's decide
+//!   workloads.
 
 pub mod random;
 pub mod scenarios;
-pub mod suites;
 
 pub use random::{RandomSchemaConfig, RandomWorkload};
 pub use scenarios::Scenario;
-pub use suites::{experiment_suites, ExperimentSuite};

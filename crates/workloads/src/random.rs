@@ -1,7 +1,7 @@
 //! Random workload generators, parameterised by constraint class.
 //!
-//! The Table-1 benchmarks need families of schemas of increasing size for
-//! each constraint class. The generator below produces, from a seed:
+//! The Table-1 reports and perfbench's decide workloads need families of
+//! schemas of increasing size for each constraint class. The generator below produces, from a seed:
 //!
 //! * a signature of `relations` relations with arities in
 //!   `[min_arity, max_arity]`;

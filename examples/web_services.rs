@@ -101,7 +101,7 @@ fn main() {
             call_budget: Some(50),
             ..ExecOptions::default()
         };
-        let mut runs = services.run_plans_exec_results(&[&plan], &exec).unwrap();
+        let (mut runs, _) = services.run_plans_exec_results(&[&plan], &exec).unwrap();
         let (names, metrics) = runs.remove(0).unwrap();
         println!(
             "    {:<10} {} actors, {} calls, {} tuples fetched ({} matched), simulated latency {} µs",
@@ -123,7 +123,7 @@ fn main() {
     };
     match services
         .run_plans_exec_results(&[&plan], &starved)
-        .and_then(|mut runs| runs.remove(0))
+        .and_then(|(mut runs, _)| runs.remove(0))
     {
         Err(PlanError::Access(AccessError::BudgetExhausted { budget, calls })) => println!(
             "  With a budget of {budget} calls the crawl fails fast on call {calls} — no partial \

@@ -93,9 +93,9 @@ proptest! {
             exec.retry = Some(RetryPolicy::with_retries(2));
         }
 
-        let naive = simulator.run_plans_exec_results(&plan_refs, &exec).unwrap();
+        let (naive, _) = simulator.run_plans_exec_results(&plan_refs, &exec).unwrap();
         exec.adaptive = AdaptiveMode::On;
-        let adaptive = simulator.run_plans_exec_results(&plan_refs, &exec).unwrap();
+        let (adaptive, _) = simulator.run_plans_exec_results(&plan_refs, &exec).unwrap();
         for (index, (n_res, a_res)) in naive.iter().zip(&adaptive).enumerate() {
             match (n_res, a_res) {
                 (Ok((n_rows, n_metrics)), Ok((a_rows, a_metrics))) => {
@@ -176,7 +176,7 @@ fn deadline_abort_is_a_timeout_not_a_mismatch() {
     for adaptive in [AdaptiveMode::Off, AdaptiveMode::On] {
         let mut exec = ExecOptions::with_backend(BackendSpec::Sharded { shards: 3 });
         exec.adaptive = adaptive;
-        let results = simulator.run_plans_exec_results(&plan_refs, &exec).unwrap();
+        let (results, _) = simulator.run_plans_exec_results(&plan_refs, &exec).unwrap();
         for result in results {
             match result {
                 Err(PlanError::DeadlineExceeded) => {}

@@ -4,8 +4,10 @@
 //! implementations (instance, simulated-remote, sharded, recording): every
 //! backend must return valid outputs for the method's result bound, report
 //! consistent accounting, and be idempotent per (method, binding). Its
-//! retry contract: the simulated remote surfaces every fault at once, and
-//! the resilient layer's retries spend the window's call budget.
+//! retry contract: the simulated remote surfaces every fault at once, the
+//! resilient layer's retries spend the window's call budget, and the
+//! service-wide `stats` count every retry and shed call, including those
+//! of plans that failed.
 //!
 //! Part 2 is differential: a verbatim copy of the **pre-refactor**
 //! executor (the `(&Instance, &mut dyn AccessSelection)` loop that
@@ -25,6 +27,7 @@ use rbqa::access::{
     PlanBuilder, RaExpr, RandomSelection, RecordingBackend, RemoteProfile, RetryPolicy, Schema,
     ShardedBackend, SimulatedRemoteBackend, TruncatingSelection,
 };
+use rbqa::api::WireServer;
 use rbqa::common::{Instance, Signature, Value, ValueFactory};
 use rbqa::engine::{BackendSpec, ExecOptions, ServiceSimulator};
 use rustc_hash::FxHashMap;
@@ -194,6 +197,7 @@ fn the_one_retry_path_hides_no_backoff_and_charges_every_retry() {
         simulator
             .run_plans_exec_results(&[&plan], &exec)
             .unwrap()
+            .0
             .remove(0)
     };
     let (rows, metrics) = run(None).unwrap();
@@ -212,6 +216,55 @@ fn the_one_retry_path_hides_no_backoff_and_charges_every_retry() {
             budget: needed - 1,
             calls: needed,
         })
+    );
+}
+
+/// Replays `stream` followed by `stats` on a fresh session and returns
+/// every response, the `stats` one last.
+fn replay_then_stats(stream: &str) -> Vec<String> {
+    WireServer::new().handle_stream(&format!("{stream}\nstats\n"))
+}
+
+#[test]
+fn stats_count_the_retries_and_sheds_of_failed_plans() {
+    // A single-plan execute whose retries do not clear its transient
+    // faults: the request fails, and `stats` still counts both retries.
+    let failed = replay_then_stats(
+        "rbqa/1
+catalog uni
+relation Prof/3
+relation Udirectory/3
+constraint Prof(i, n, s) -> Udirectory(i, a, p)
+method pr Prof in=1
+method ud Udirectory in=
+fact Prof('7', 'ada', '10000')
+fact Prof('8', 'alan', '10000')
+fact Udirectory('7', 'mainst', '555')
+fact Udirectory('8', 'sidest', '556')
+option exec.backend remote seed=3 latency=0 faults=90 transient
+option exec.retry 1
+execute uni Q(n) :- Prof(i, n, '10000')",
+    );
+    assert_eq!(failed.len(), 2, "{failed:?}");
+    assert!(
+        failed[0].contains("\"code\":\"BACKEND_UNAVAILABLE\""),
+        "{}",
+        failed[0]
+    );
+    assert!(
+        failed[1].contains("\"retries\":2,\"breaker_rejections\":0}"),
+        "{}",
+        failed[1]
+    );
+
+    // The chaos corpus: its breaker sheds the last Prof disjunct of a
+    // degraded union. That failed disjunct's shed call is missing from
+    // the response's metrics block but counted in `stats`.
+    let chaos = replay_then_stats(include_str!("../fixtures/chaos/faults.rbqa"));
+    let stats = chaos.last().unwrap();
+    assert!(
+        stats.contains("\"retries\":7,\"breaker_rejections\":1}"),
+        "{stats}"
     );
 }
 

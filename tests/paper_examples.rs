@@ -3,13 +3,16 @@
 //! answerability decision → (where applicable) plan synthesis → execution on
 //! simulated services → empirical validation.
 
-use rbqa::access::TruncatingSelection;
+use rbqa::access::{AccessMethod, Schema, TruncatingSelection};
+use rbqa::common::{Signature, ValueFactory};
 use rbqa::core::{
     decide_monotone_answerability, Answerability, AnswerabilityOptions, ConstraintClass,
     SimplificationKind, Strategy,
 };
 use rbqa::engine::{university_instance, validate_plan, ServiceSimulator};
-use rbqa::logic::evaluate;
+use rbqa::logic::constraints::ConstraintSet;
+use rbqa::logic::parser::{parse_cq, parse_tgd};
+use rbqa::logic::{evaluate, ConjunctiveQuery};
 use rbqa::workloads::scenarios;
 
 fn default_options() -> AnswerabilityOptions {
@@ -88,6 +91,38 @@ fn example_1_5_fd_makes_address_lookup_answerable() {
     assert_eq!(result.answerability, Answerability::NotAnswerable);
 }
 
+/// The Example 6.1 family of Table 1's frontier-guarded row: relations
+/// `T` and `S0, ..., S{levels-1}`, the full TGD `T(y), Si(x) -> T(x)` for
+/// every level plus `T(y) -> ∃x S0(x)`, an input-free method with result
+/// bound 1 on each `Si` and a Boolean method on `T`. With one level it is
+/// the schema of `scenarios::tgd_example_6_1`. The query asks `∃y T(y)`.
+fn example_6_1_family(levels: usize) -> (Schema, ConjunctiveQuery, ValueFactory) {
+    let mut sig = Signature::new();
+    let t = sig.add_relation("T", 1).unwrap();
+    let s: Vec<_> = (0..levels)
+        .map(|i| sig.add_relation(&format!("S{i}"), 1).unwrap())
+        .collect();
+    let mut values = ValueFactory::new();
+    let mut parse_sig = sig.clone();
+    let mut constraints = ConstraintSet::new();
+    for i in 0..levels {
+        let tgd = format!("T(y), S{i}(x) -> T(x)");
+        constraints.push_tgd(parse_tgd(&tgd, &mut parse_sig, &mut values).unwrap());
+    }
+    constraints.push_tgd(parse_tgd("T(y) -> S0(x)", &mut parse_sig, &mut values).unwrap());
+    let mut schema = Schema::with_parts(sig, constraints, vec![]).unwrap();
+    for (i, &rel) in s.iter().enumerate() {
+        schema
+            .add_method(AccessMethod::bounded(&format!("mtS{i}"), rel, &[], 1))
+            .unwrap();
+    }
+    schema
+        .add_method(AccessMethod::unbounded("mtT", t, &[0]))
+        .unwrap();
+    let q = parse_cq("Q() :- T(y)", &mut parse_sig, &mut values).unwrap();
+    (schema, q, values)
+}
+
 #[test]
 fn example_6_1_choice_simplification_handles_tgds() {
     let mut scenario = scenarios::tgd_example_6_1();
@@ -100,6 +135,29 @@ fn example_6_1_choice_simplification_handles_tgds() {
     );
     assert_eq!(result.answerability, Answerability::Answerable);
     assert_eq!(result.simplification, SimplificationKind::Choice);
+
+    // T1-row-FGTGD: frontier-guarded TGDs are choice simplifiable
+    // (Theorems 6.3 and 7.1), and the decision is complete at every depth
+    // of the family.
+    for levels in 1..=4 {
+        let (schema, q, mut values) = example_6_1_family(levels);
+        let result = decide_monotone_answerability(&schema, &q, &mut values, &default_options());
+        assert_eq!(
+            (
+                result.answerability,
+                result.constraint_class,
+                result.simplification,
+                result.containment.complete,
+            ),
+            (
+                Answerability::Answerable,
+                ConstraintClass::FrontierGuardedTgds,
+                SimplificationKind::Choice,
+                true,
+            ),
+            "{levels} levels"
+        );
+    }
 }
 
 #[test]

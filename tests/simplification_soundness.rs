@@ -1,13 +1,16 @@
 //! Cross-crate integration tests for the schema-simplification theorems:
 //! decisions must be invariant under `ElimUB` (Proposition 3.3), invariant
 //! under the *value* of result bounds for the classes covered by Sections 4
-//! and 6, and consistent between a schema and its simplification.
+//! and 6 (down to the chase's round and fact counts), and consistent
+//! between a schema and its simplification; the naive cardinality axioms
+//! of Example 3.5 only add search work.
 
 use rbqa::access::{AccessMethod, Schema};
+use rbqa::chase::Budget;
 use rbqa::common::{Signature, ValueFactory};
 use rbqa::core::{
     choice_simplification, decide_monotone_answerability, existence_check_simplification,
-    fd_simplification, Answerability, AnswerabilityOptions,
+    fd_simplification, Answerability, AnswerabilityOptions, AxiomStyle,
 };
 use rbqa::logic::parser::parse_cq;
 use rbqa::workloads::random::{RandomClass, RandomSchemaConfig};
@@ -38,21 +41,92 @@ fn elim_ub_does_not_change_decisions() {
 
 #[test]
 fn result_bound_value_is_irrelevant_for_id_schemas() {
-    // Theorem 4.2 / choice simplifiability: only the existence of a bound
-    // matters, never its value.
-    let mut verdicts = Vec::new();
-    for bound in [1, 2, 7, 100, 5000] {
+    // Theorem 4.2 / choice simplifiability (FIG-bound-sweep): only the
+    // existence of a bound matters, never its value. The simplified
+    // schema does not mention the value, so the decision does not just
+    // reach the same verdict; it runs the very same chase, round for
+    // round and fact for fact.
+    let outcome = |bound: usize, name: &str| {
         let mut scenario = scenarios::university(Some(bound));
-        let q1 = scenario.query("Q1_salary_names").unwrap().clone();
-        let q2 = scenario.query("Q2_directory_nonempty").unwrap().clone();
-        verdicts.push((
-            decide(&scenario.schema, &q1, &mut scenario.values),
-            decide(&scenario.schema, &q2, &mut scenario.values),
-        ));
+        let query = scenario.query(name).unwrap().clone();
+        let result = decide_monotone_answerability(
+            &scenario.schema,
+            &query,
+            &mut scenario.values,
+            &AnswerabilityOptions::default(),
+        );
+        (
+            result.answerability,
+            result.containment.chase_stats.rounds,
+            result.containment.chased_facts,
+        )
+    };
+    for (name, verdict) in [
+        ("Q1_salary_names", Answerability::NotAnswerable),
+        ("Q2_directory_nonempty", Answerability::Answerable),
+    ] {
+        let first = outcome(1, name);
+        assert_eq!(first.0, verdict, "{name}");
+        for bound in [2, 5, 7, 10, 100, 1000, 5000] {
+            assert_eq!(outcome(bound, name), first, "{name}, bound {bound}");
+        }
     }
-    assert!(verdicts.windows(2).all(|w| w[0] == w[1]));
-    assert_eq!(verdicts[0].0, Answerability::NotAnswerable);
-    assert_eq!(verdicts[0].1, Answerability::Answerable);
+}
+
+#[test]
+fn naive_cardinality_axioms_only_add_matching_work() {
+    // FIG-ablation-naive (Example 3.5 vs Section 4): the naive
+    // axiomatisation expands a result bound `k` into counting axioms for
+    // every `j <= k`, each with `j` body copies of the relation. Without
+    // inequalities those axioms derive nothing the `j = 1` axiom does not,
+    // so the chase stays the same size while the homomorphism search for
+    // their triggers grows with `k`. The simplified pipeline never sees
+    // `k`, so its search work is flat.
+    let run = |bound: usize, options: &AnswerabilityOptions| {
+        let mut scenario = scenarios::university(Some(bound));
+        let q2 = scenario.query("Q2_directory_nonempty").unwrap().clone();
+        rbqa::obs::install(rbqa::obs::Tracer::new());
+        let result =
+            decide_monotone_answerability(&scenario.schema, &q2, &mut scenario.values, options);
+        let trace = rbqa::obs::uninstall().expect("the tracer was installed");
+        assert_eq!(
+            result.answerability,
+            Answerability::Answerable,
+            "bound {bound}"
+        );
+        (
+            trace.counters.posting_probes,
+            result.containment.chased_facts,
+        )
+    };
+    let caps = [1, 2, 4, 8, 12];
+    let naive: Vec<(u64, usize)> = caps
+        .iter()
+        .map(|&cap| {
+            let options = AnswerabilityOptions {
+                axiom_style_override: Some(AxiomStyle::NaiveCardinality { cap }),
+                budget: Budget::small(),
+                ..AnswerabilityOptions::default()
+            };
+            run(cap, &options)
+        })
+        .collect();
+    assert!(
+        naive.windows(2).all(|w| w[0].0 < w[1].0),
+        "naive posting probes must grow with the cap: {naive:?}"
+    );
+    assert!(
+        naive.iter().all(|&(_, facts)| facts == naive[0].1),
+        "naive chased facts must not depend on the cap: {naive:?}"
+    );
+    let simplified: Vec<(u64, usize)> = caps
+        .iter()
+        .map(|&bound| run(bound, &AnswerabilityOptions::default()))
+        .collect();
+    assert!(
+        simplified.iter().all(|&run| run == simplified[0]),
+        "simplified pipeline's work must not depend on the bound: {simplified:?}"
+    );
 }
 
 #[test]
