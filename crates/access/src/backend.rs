@@ -13,9 +13,9 @@
 //! * [`SimulatedRemoteBackend`] — wraps any backend with deterministic
 //!   seeded latency and fault injection (it never retries: re-driving a
 //!   failed access is [`crate::ResilientBackend`]'s job alone);
-//! * [`ShardedBackend`] — partitions each relation's rows across N child
-//!   backends, fans every access out, merges + dedups, and re-applies the
-//!   method's [`crate::ResultBound`] to the merged output;
+//! * [`ShardedBackend`] — N shard views of one borrowed instance (row `r`
+//!   lives on shard `r % N`): every access fans out to all views, and the
+//!   method's [`crate::ResultBound`] is re-applied to the merged output;
 //! * [`RecordingBackend`] — wraps any backend and captures an
 //!   [`AccessTrace`] that can be replayed later ([`ReplayBackend`]) without
 //!   the original data source;
@@ -27,11 +27,11 @@
 //! service constructs one backend per Execute request, shared by all its
 //! disjunct plans, so quotas are per request.
 
-use rbqa_common::{Instance, Value};
+use rbqa_common::{Instance, RelationId, Value};
 use rustc_hash::FxHashMap;
 
 use crate::method::AccessMethod;
-use crate::selection::{AccessSelection, TruncatingSelection};
+use crate::selection::{bounded_size, AccessSelection};
 
 /// The outcome of one access: the selected tuples plus per-call accounting.
 ///
@@ -179,43 +179,32 @@ impl<B: AccessBackend + ?Sized> AccessBackend for Box<B> {
     }
 }
 
-/// The data behind an [`InstanceBackend`]: borrowed (the pre-refactor
-/// `execute` path) or owned (shards, services built per run).
-#[derive(Debug)]
-enum InstanceRef<'a> {
-    Borrowed(&'a Instance),
-    Owned(Box<Instance>),
+/// Which valid output an [`InstanceBackend`] returns.
+enum Pick<'a> {
+    /// The `min(k, |M|)` smallest matching tuples in sorted order — the
+    /// output of [`crate::TruncatingSelection`] — picked over row ids so
+    /// that only the returned rows are copied ([`smallest_rows`]).
+    Smallest,
+    /// Any [`AccessSelection`], handed a copy of every matching tuple.
+    Selection(Box<dyn AccessSelection + 'a>),
 }
 
-impl InstanceRef<'_> {
-    fn get(&self) -> &Instance {
-        match self {
-            InstanceRef::Borrowed(i) => i,
-            InstanceRef::Owned(i) => i,
-        }
-    }
-}
-
-/// The in-memory backend: an [`Instance`] plus an [`AccessSelection`]
-/// choosing which valid output each (result-bounded) access returns.
+/// The in-memory backend: an [`Instance`] plus the choice of which valid
+/// output each (result-bounded) access returns.
 ///
 /// This is the `(&Instance, &mut dyn AccessSelection)` pair of the
 /// pre-refactor executor, packaged as a backend; the free function
 /// [`crate::plan::execute`] still takes that pair and wraps it here.
 pub struct InstanceBackend<'a> {
-    instance: InstanceRef<'a>,
-    selection: Box<dyn AccessSelection + 'a>,
+    instance: &'a Instance,
+    pick: Pick<'a>,
     row_ids: Vec<u32>,
 }
 
 impl<'a> InstanceBackend<'a> {
     /// A backend over a borrowed instance and selection.
     pub fn new(instance: &'a Instance, selection: &'a mut dyn AccessSelection) -> Self {
-        InstanceBackend {
-            instance: InstanceRef::Borrowed(instance),
-            selection: Box::new(selection),
-            row_ids: Vec::new(),
-        }
+        Self::with_selection(instance, Box::new(selection))
     }
 
     /// A backend over a borrowed instance with an owned (boxed) selection.
@@ -224,40 +213,34 @@ impl<'a> InstanceBackend<'a> {
         selection: Box<dyn AccessSelection + 'a>,
     ) -> Self {
         InstanceBackend {
-            instance: InstanceRef::Borrowed(instance),
-            selection,
+            instance,
+            pick: Pick::Selection(selection),
             row_ids: Vec::new(),
         }
     }
 
-    /// A deterministic backend over a borrowed instance
-    /// ([`TruncatingSelection`]).
+    /// A deterministic backend over a borrowed instance: each access
+    /// returns what a [`crate::TruncatingSelection`] would (the
+    /// `min(k, |M|)` smallest matching tuples, sorted), copying only
+    /// those rows.
     pub fn truncating(instance: &'a Instance) -> Self {
-        Self::with_selection(instance, Box::new(TruncatingSelection::new()))
-    }
-
-    /// A backend owning its instance (used for shard children).
-    pub fn owning(
-        instance: Instance,
-        selection: Box<dyn AccessSelection + 'static>,
-    ) -> InstanceBackend<'static> {
         InstanceBackend {
-            instance: InstanceRef::Owned(Box::new(instance)),
-            selection,
+            instance,
+            pick: Pick::Smallest,
             row_ids: Vec::new(),
         }
     }
 
     /// The instance served by this backend.
     pub fn instance(&self) -> &Instance {
-        self.instance.get()
+        self.instance
     }
 }
 
 impl std::fmt::Debug for InstanceBackend<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InstanceBackend")
-            .field("facts", &self.instance.get().len())
+            .field("facts", &self.instance.len())
             .finish_non_exhaustive()
     }
 }
@@ -268,22 +251,59 @@ impl AccessBackend for InstanceBackend<'_> {
         method: &AccessMethod,
         binding: &[(usize, Value)],
     ) -> Result<AccessResponse, AccessError> {
-        let instance = self.instance.get();
+        let (instance, relation) = (self.instance, method.relation());
         self.row_ids.clear();
-        instance.matching_rows_into(method.relation(), binding, &mut self.row_ids);
-        let matching: Vec<Vec<Value>> = self
-            .row_ids
-            .iter()
-            .map(|&id| instance.row(method.relation(), id).to_vec())
-            .collect();
-        let matched = matching.len();
-        let selected = self.selection.select(method, binding, &matching);
+        instance.matching_rows_into(relation, binding, &mut self.row_ids);
+        let matched = self.row_ids.len();
+        let selected = match &mut self.pick {
+            Pick::Smallest => {
+                let k = bounded_size(method, matched);
+                let rows = smallest_rows(instance, relation, &mut self.row_ids, k);
+                rows.sort_unstable_by(tuple_order(instance, relation));
+                copy_rows(instance, relation, rows)
+            }
+            Pick::Selection(selection) => {
+                let matching = copy_rows(instance, relation, &self.row_ids);
+                selection.select(method, binding, &matching)
+            }
+        };
         Ok(AccessResponse::new(selected, matched))
     }
 
     fn label(&self) -> &str {
         "instance"
     }
+}
+
+/// The order of tuples, applied to row ids of `relation`.
+fn tuple_order(
+    instance: &Instance,
+    relation: RelationId,
+) -> impl Fn(&u32, &u32) -> std::cmp::Ordering + '_ {
+    move |a, b| instance.row(relation, *a).cmp(instance.row(relation, *b))
+}
+
+/// Reorders `rows` (row ids of `relation`) so that its first `k` entries
+/// are the ids of the `k` smallest tuples, in no particular order, and
+/// returns them: `O(|rows|)` tuple comparisons, nothing copied.
+fn smallest_rows<'r>(
+    instance: &Instance,
+    relation: RelationId,
+    rows: &'r mut [u32],
+    k: usize,
+) -> &'r mut [u32] {
+    let k = k.min(rows.len());
+    if 0 < k && k < rows.len() {
+        rows.select_nth_unstable_by(k - 1, tuple_order(instance, relation));
+    }
+    &mut rows[..k]
+}
+
+/// Copies the tuples at `rows` of `relation` out of the instance.
+fn copy_rows(instance: &Instance, relation: RelationId, rows: &[u32]) -> Vec<Vec<Value>> {
+    rows.iter()
+        .map(|&id| instance.row(relation, id).to_vec())
+        .collect()
 }
 
 /// Configuration of a [`SimulatedRemoteBackend`]: deterministic seeded
@@ -478,132 +498,87 @@ impl<B: AccessBackend> AccessBackend for SimulatedRemoteBackend<B> {
     }
 }
 
-/// A horizontally sharded backend: each relation's rows are partitioned
-/// across N children; every access fans out to all of them, the partial
-/// outputs are merged (sorted, deduplicated), and the method's result
-/// bound is re-applied to the merged output.
+/// A horizontally sharded backend: N shard views of one borrowed
+/// instance, row `r` of every relation living on shard `r % N`. Every
+/// access fans out to all shards; each shard answers like
+/// [`InstanceBackend::truncating`] over its own rows, and the merged
+/// output is sorted with the method's result bound re-applied.
 ///
-/// Each child applies the bound to *its* partition, so the merged set can
-/// hold up to `N·k` tuples for an exact bound of `k`; truncating the
-/// sorted merge back to `k` restores a valid output: if fewer than `k`
-/// tuples match globally every child returned all of its matches, and
-/// otherwise at least `k` survive the merge. Fan-out is required because
-/// partitioning is by tuple hash while routing would need the binding to
-/// determine the shard — methods on the same relation disagree on input
-/// positions, so no single partitioning key serves them all.
+/// Each shard applies the bound to *its* rows, so the merge can hold up
+/// to `N·k` tuples for an exact bound of `k`; cutting the sorted merge
+/// back to `k` yields the `k` smallest matching tuples overall, whatever
+/// the shard assignment: a shard holding one of them returns it, because
+/// fewer than `k` of its own rows are smaller. Under a lower-only bound
+/// the merge is returned whole, so the output depends on which shard
+/// holds which row (and is still valid). Fan-out is required because no
+/// single shard key serves every method: methods on the same relation
+/// disagree on input positions.
 ///
-/// The merged `latency_micros` is the **maximum** over the children (the
-/// fan-out is conceptually parallel); `tuples_matched` is the sum (the
-/// partition is disjoint).
+/// The views copy nothing: an access computes the matching row ids once,
+/// deals them to the shards, selects each shard's `k` smallest over row
+/// ids, and copies only the rows of the merged response.
+/// `tuples_matched` is the sum over the shards (the assignment is
+/// disjoint), and the latency is 0 as for any in-memory backend.
 #[derive(Debug)]
-pub struct ShardedBackend<B> {
-    children: Vec<B>,
+pub struct ShardedBackend<'a> {
+    instance: &'a Instance,
+    /// Per-shard scratch: the matching row ids dealt to each shard.
+    shards: Vec<Vec<u32>>,
+    row_ids: Vec<u32>,
 }
 
-impl<B: AccessBackend> ShardedBackend<B> {
-    /// Builds the backend from its children (one per shard).
-    pub fn new(children: Vec<B>) -> Self {
-        assert!(!children.is_empty(), "a sharded backend needs >= 1 child");
-        ShardedBackend { children }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.children.len()
-    }
-
-    /// The child backends.
-    pub fn children(&self) -> &[B] {
-        &self.children
-    }
-}
-
-impl ShardedBackend<InstanceBackend<'static>> {
-    /// Partitions `instance` into `shards` deterministic hash shards, each
-    /// served by an owned [`InstanceBackend`] with a fresh deterministic
-    /// [`TruncatingSelection`].
-    pub fn over_instance(instance: &Instance, shards: usize) -> Self {
-        let children = partition_instance(instance, shards)
-            .into_iter()
-            .map(|shard| InstanceBackend::owning(shard, Box::new(TruncatingSelection::new())))
-            .collect();
-        ShardedBackend::new(children)
+impl<'a> ShardedBackend<'a> {
+    /// Splits `instance` into `shards` row-assigned views; `shards` must
+    /// be at least 1.
+    pub fn over_instance(instance: &'a Instance, shards: usize) -> Self {
+        assert!(shards >= 1, "a sharded backend needs >= 1 shard");
+        ShardedBackend {
+            instance,
+            shards: vec![Vec::new(); shards],
+            row_ids: Vec::new(),
+        }
     }
 }
 
-impl<B: AccessBackend> AccessBackend for ShardedBackend<B> {
+impl AccessBackend for ShardedBackend<'_> {
     fn access(
         &mut self,
         method: &AccessMethod,
         binding: &[(usize, Value)],
     ) -> Result<AccessResponse, AccessError> {
-        let mut merged: Vec<Vec<Value>> = Vec::new();
-        let mut matched = 0;
-        let mut latency = 0;
-        for child in &mut self.children {
-            let part = child.access(method, binding)?;
-            matched += part.tuples_matched;
-            latency = latency.max(part.latency_micros);
-            merged.extend(part.tuples);
+        let (instance, relation) = (self.instance, method.relation());
+        self.row_ids.clear();
+        instance.matching_rows_into(relation, binding, &mut self.row_ids);
+        let matched = self.row_ids.len();
+        let n = self.shards.len();
+        for shard in &mut self.shards {
+            shard.clear();
         }
-        merged.sort();
-        merged.dedup();
-        if let Some(rb) = method.result_bound() {
-            if !rb.lower_only {
-                merged.truncate(rb.limit);
-            }
+        for &row in &self.row_ids {
+            self.shards[row as usize % n].push(row);
         }
-        let mut response = AccessResponse::new(merged, matched);
-        response.latency_micros = latency;
-        Ok(response)
+        // Each shard's answer, as row ids; `row_ids` is free scratch now.
+        self.row_ids.clear();
+        for shard in &mut self.shards {
+            let k = bounded_size(method, shard.len());
+            let picked = smallest_rows(instance, relation, shard, k);
+            self.row_ids.extend_from_slice(picked);
+        }
+        let keep = match method.result_bound() {
+            Some(rb) if !rb.lower_only => rb.limit,
+            _ => self.row_ids.len(),
+        };
+        let merged = smallest_rows(instance, relation, &mut self.row_ids, keep);
+        merged.sort_unstable_by(tuple_order(instance, relation));
+        Ok(AccessResponse::new(
+            copy_rows(instance, relation, merged),
+            matched,
+        ))
     }
 
     fn label(&self) -> &str {
         "sharded"
     }
-}
-
-/// Partitions the rows of `instance` into `shards` instances by a
-/// deterministic FNV hash of each tuple's values. The partition is
-/// disjoint and covers every row; `shards` must be at least 1.
-pub fn partition_instance(instance: &Instance, shards: usize) -> Vec<Instance> {
-    assert!(shards >= 1, "need at least one shard");
-    let sig = instance.signature().clone();
-    let mut parts: Vec<Instance> = (0..shards).map(|_| Instance::new(sig.clone())).collect();
-    for (relation, _) in sig.iter() {
-        for tuple in instance.tuples(relation) {
-            let shard = (tuple_hash(tuple) % shards as u64) as usize;
-            parts[shard]
-                .insert(relation, tuple.to_vec())
-                .expect("partitioned tuple has the relation's arity");
-        }
-    }
-    parts
-}
-
-/// FNV-1a over the value ids of a tuple — deterministic across runs for
-/// tuples built by the same [`rbqa_common::ValueFactory`].
-fn tuple_hash(tuple: &[Value]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |b: u64| {
-        for byte in b.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for value in tuple {
-        match value {
-            Value::Const(c) => {
-                feed(0);
-                feed(c.index() as u64);
-            }
-            Value::Null(n) => {
-                feed(1);
-                feed(n.raw());
-            }
-        }
-    }
-    h
 }
 
 /// One recorded access: the request and the response the wrapped backend
@@ -799,6 +774,8 @@ impl<B: AccessBackend> AccessBackend for BudgetedBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::ResultBound;
+    use crate::TruncatingSelection;
     use rbqa_common::{Signature, ValueFactory};
 
     fn setup(bound: Option<usize>) -> (AccessMethod, Instance, ValueFactory) {
@@ -967,22 +944,82 @@ mod tests {
         }
     }
 
-    #[test]
-    fn partitioning_is_disjoint_and_covering() {
-        let (method, inst, mut vf) = setup(None);
-        let parts = partition_instance(&inst, 3);
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, inst.len());
-        // An unbounded merged access returns exactly the full match set.
+    /// R/2 with 9 rows under the key `a`, inserted out of tuple order so
+    /// that row ids and sorted positions disagree.
+    fn shuffled_rows() -> (Instance, Value) {
+        let mut sig = Signature::new();
+        let rel = sig.add_relation("R", 2).unwrap();
+        let mut vf = ValueFactory::new();
         let a = vf.constant("a");
-        let mut sharded = ShardedBackend::over_instance(&inst, 3);
-        let merged = sharded.access(&method, &[(0, a)]).unwrap();
-        let mut direct = InstanceBackend::truncating(&inst)
-            .access(&method, &[(0, a)])
-            .unwrap()
-            .tuples;
-        direct.sort();
-        assert_eq!(merged.tuples, direct);
+        let values: Vec<Value> = (0..9).map(|i| vf.constant(&format!("v{i}"))).collect();
+        let mut inst = Instance::new(sig);
+        for i in [4, 7, 0, 8, 2, 5, 1, 6, 3] {
+            inst.insert(rel, vec![a, values[i]]).unwrap();
+        }
+        (inst, a)
+    }
+
+    #[test]
+    fn row_picks_return_what_the_truncating_selection_returns() {
+        let (inst, a) = shuffled_rows();
+        let rel = inst.signature().require("R").unwrap();
+        let bounds = [
+            None,
+            Some(ResultBound::exact(0)),
+            Some(ResultBound::exact(1)),
+            Some(ResultBound::exact(4)),
+            Some(ResultBound::exact(20)),
+            Some(ResultBound::lower(3)),
+        ];
+        for bound in bounds {
+            let method = AccessMethod::unbounded("m", rel, &[0]).with_result_bound(bound);
+            let reference =
+                InstanceBackend::with_selection(&inst, Box::new(TruncatingSelection::new()))
+                    .access(&method, &[(0, a)])
+                    .unwrap();
+            let picked = InstanceBackend::truncating(&inst)
+                .access(&method, &[(0, a)])
+                .unwrap();
+            assert_eq!(picked, reference, "{bound:?}");
+            if bound.is_some_and(|rb| rb.lower_only) {
+                continue;
+            }
+            // Exact or absent bounds: every shard count agrees with the
+            // unsharded pick.
+            for shards in 1..=5 {
+                let sharded = ShardedBackend::over_instance(&inst, shards)
+                    .access(&method, &[(0, a)])
+                    .unwrap();
+                assert_eq!(sharded, reference, "{bound:?}, {shards} shards");
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_lower_bounds_return_a_valid_merge() {
+        let (inst, a) = shuffled_rows();
+        let rel = inst.signature().require("R").unwrap();
+        let method =
+            AccessMethod::unbounded("m", rel, &[0]).with_result_bound(Some(ResultBound::lower(2)));
+        let matching: Vec<Vec<Value>> = inst.tuples(rel).map(<[Value]>::to_vec).collect();
+        for shards in 1..=5 {
+            let response = ShardedBackend::over_instance(&inst, shards)
+                .access(&method, &[(0, a)])
+                .unwrap();
+            // Each of the non-empty shards returns its 2 smallest rows and
+            // the merge keeps them all.
+            assert_eq!(
+                response.tuples.len(),
+                (2 * shards).min(9),
+                "{shards} shards"
+            );
+            assert!(response.tuples.is_sorted());
+            assert!(crate::selection::is_valid_output(
+                &method,
+                &matching,
+                &response.tuples
+            ));
+        }
     }
 
     #[test]

@@ -49,7 +49,10 @@ impl<S: AccessSelection + ?Sized> AccessSelection for &mut S {
 /// Cache key: method name plus the binding.
 type AccessKey = (String, Vec<(usize, Value)>);
 
-fn bounded_size(method: &AccessMethod, matching: usize) -> usize {
+/// The size of the smallest valid output out of `matching` tuples: all of
+/// them without a result bound, `min(k, matching)` under a bound (or lower
+/// bound) of `k`. The truncating picks return exactly this many.
+pub(crate) fn bounded_size(method: &AccessMethod, matching: usize) -> usize {
     match method.result_bound() {
         None => matching,
         Some(rb) => rb.valid_output_sizes(matching).0,

@@ -384,7 +384,7 @@ impl<'s> RequestBuilder<'s> {
         // id range is checkable here; pairing queries with the factory
         // that actually interned them remains the caller's contract
         // (`query_text` guarantees it; `query` + `with_values` must).
-        let interned = values.interner().len();
+        let interned = values.constant_count();
         for (i, q) in self.disjuncts.iter().enumerate() {
             if let Some(c) = q
                 .constants()

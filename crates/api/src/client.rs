@@ -36,10 +36,14 @@ impl WireClient {
         })
     }
 
-    /// Sends one line (newline appended).
+    /// Sends one line (newline appended), in a single write: the socket
+    /// is `TCP_NODELAY`, so writing the newline apart would send it as a
+    /// second segment and wake the server a second time.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line.as_bytes());
+        frame.push(b'\n');
+        self.writer.write_all(&frame)?;
         self.writer.flush()
     }
 
@@ -125,5 +129,40 @@ impl WireClient {
             responses.push(line);
         }
         Ok(responses)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    use super::*;
+
+    #[test]
+    fn each_request_line_goes_out_in_one_write() {
+        // A peer blocked in `read` gets each line and its newline in one
+        // read; a newline written apart arrives as a segment of its own.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client =
+            WireClient::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (mut peer, _) = listener.accept().expect("accept");
+        let reads = std::thread::spawn(move || {
+            let mut buf = [0u8; 64];
+            let mut reads = Vec::new();
+            for _ in 0..1000 {
+                let n = peer.read(&mut buf).expect("read");
+                reads.push(buf[..n].to_vec());
+                peer.write_all(b"ok\n").expect("ack");
+            }
+            reads
+        });
+        for _ in 0..1000 {
+            client.send_line("ping").expect("send");
+            assert_eq!(client.read_line().expect("ack").as_deref(), Some("ok"));
+        }
+        for read in reads.join().expect("peer thread") {
+            assert_eq!(read, b"ping\n", "{:?}", String::from_utf8_lossy(&read));
+        }
     }
 }

@@ -1131,9 +1131,9 @@ fn parse_backend_spec(tokens: &[&str]) -> Result<BackendSpec, ApiError> {
         ["instance"] => Ok(BackendSpec::Instance),
         [spec] if spec.starts_with("sharded:") => {
             let shards: usize = spec["sharded:".len()..].parse().map_err(|_| usage())?;
-            // Bounded: each shard is a full copy slot of the catalog's
-            // dataset, so an unchecked wire-supplied count would be a
-            // one-line memory bomb.
+            // Bounded: every access fans out to each shard, so an
+            // unchecked wire-supplied count would multiply the cost of
+            // every access.
             if shards == 0 || shards > rbqa_service::MAX_SHARDS {
                 return Err(ApiError::new(
                     ApiErrorCode::ProtocolError,

@@ -192,7 +192,7 @@ fn main() {
     let crawl_again = movie_crawl(None);
     let movie_plans = [&crawl_all, &crawl_star, &crawl_again];
 
-    // Sharded scenario: the Example 1.2 salary union over a hash-sharded
+    // Sharded scenario: the Example 1.2 salary union over a sharded
     // federation; both disjuncts crawl the identical directory frontier.
     let mut uni = scenarios::university(None);
     let low = salary_crawl(&mut uni.values, "10000");

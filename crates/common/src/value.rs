@@ -7,8 +7,11 @@
 //! monotonically increasing [`NullId`] handed out by a [`ValueFactory`].
 
 use std::fmt;
+use std::sync::Arc;
 
-/// Identifier of an interned constant symbol (see [`crate::Interner`]).
+use crate::Interner;
+
+/// Identifier of an interned constant symbol (see [`Interner`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConstId(u32);
 
@@ -90,15 +93,24 @@ impl fmt::Display for Value {
     }
 }
 
-/// Factory for fresh values: owns the constant [`crate::Interner`] and the
-/// null counter.
+/// Factory for fresh values: owns the constant interner and the null
+/// counter.
 ///
 /// A single factory is shared by a whole reasoning task (query, constraints,
 /// instances, chase) so that constant identity is global and nulls are never
 /// reused.
+///
+/// The constants live in two layers: a frozen *base*, shared by every clone
+/// through an [`Arc`], and a private *overlay* whose ids continue after the
+/// base's. [`ValueFactory::freeze`] moves the overlay into a new base, so a
+/// factory that is cloned per request (a catalog's) is frozen once and each
+/// clone then copies only the constants it interns itself. Freezing never
+/// changes an id: a frozen factory hands out exactly the ids an unfrozen one
+/// would under the same interning sequence.
 #[derive(Debug, Default, Clone)]
 pub struct ValueFactory {
-    interner: crate::Interner,
+    base: Arc<Interner>,
+    overlay: Interner,
     next_null: u64,
 }
 
@@ -110,12 +122,20 @@ impl ValueFactory {
 
     /// Interns a constant symbol and returns it as a [`Value`].
     pub fn constant(&mut self, name: &str) -> Value {
-        Value::Const(self.interner.intern(name))
+        if let Some(id) = self.base.get(name) {
+            return Value::Const(id);
+        }
+        let local = self.overlay.intern(name);
+        Value::Const(ConstId::from_index(self.base.len() + local.index()))
     }
 
     /// Returns the already-interned constant for `name`, if any.
     pub fn lookup_constant(&self, name: &str) -> Option<Value> {
-        self.interner.get(name).map(Value::Const)
+        let id = match self.base.get(name) {
+            Some(id) => id,
+            None => ConstId::from_index(self.base.len() + self.overlay.get(name)?.index()),
+        };
+        Some(Value::Const(id))
     }
 
     /// Creates a fresh labelled null, never equal to any previously created
@@ -135,14 +155,34 @@ impl ValueFactory {
     /// string, nulls as `_nK`).
     pub fn display(&self, value: Value) -> String {
         match value {
-            Value::Const(c) => self.interner.resolve(c).to_owned(),
+            Value::Const(c) => match c.index().checked_sub(self.base.len()) {
+                None => self.base.resolve(c),
+                Some(local) => self.overlay.resolve(ConstId::from_index(local)),
+            }
+            .to_owned(),
             Value::Null(n) => format!("_n{}", n.raw()),
         }
     }
 
-    /// Access to the underlying interner.
-    pub fn interner(&self) -> &crate::Interner {
-        &self.interner
+    /// Number of constants interned so far; their ids are exactly
+    /// `0..constant_count()`.
+    pub fn constant_count(&self) -> usize {
+        self.base.len() + self.overlay.len()
+    }
+
+    /// Moves every constant interned so far into the shared base, so that
+    /// clones made afterwards share those constants instead of copying
+    /// them. Ids are unchanged. Clones made earlier keep their own layers.
+    pub fn freeze(&mut self) {
+        if self.overlay.is_empty() {
+            return;
+        }
+        let mut base = Arc::unwrap_or_clone(std::mem::take(&mut self.base));
+        let overlay = std::mem::take(&mut self.overlay);
+        for (_, name) in overlay.iter() {
+            base.intern(name);
+        }
+        self.base = Arc::new(base);
     }
 }
 
@@ -207,5 +247,77 @@ mod tests {
         assert!(f.lookup_constant("zzz").is_none());
         f.constant("zzz");
         assert!(f.lookup_constant("zzz").is_some());
+    }
+
+    /// Interns `names` in order, returning the ids.
+    fn intern_all(f: &mut ValueFactory, names: &[&str]) -> Vec<Value> {
+        names.iter().map(|n| f.constant(n)).collect()
+    }
+
+    #[test]
+    fn freezing_never_changes_an_id() {
+        let sequence = ["a", "b", "a", "c", "d", "b", "e"];
+        let mut plain = ValueFactory::new();
+        let expected = intern_all(&mut plain, &sequence);
+        // Freeze after every prefix: the ids stay those of the unfrozen
+        // factory, before and after the boundary.
+        for cut in 0..=sequence.len() {
+            let mut f = ValueFactory::new();
+            let mut ids = intern_all(&mut f, &sequence[..cut]);
+            f.freeze();
+            ids.extend(intern_all(&mut f, &sequence[cut..]));
+            assert_eq!(ids, expected, "frozen after {cut} constants");
+            assert_eq!(f.constant_count(), plain.constant_count());
+        }
+    }
+
+    #[test]
+    fn clones_share_the_base_but_not_their_overlays() {
+        let mut catalog = ValueFactory::new();
+        let a = catalog.constant("a");
+        let b = catalog.constant("b");
+        catalog.freeze();
+        let mut left = catalog.clone();
+        let mut right = catalog.clone();
+        let x = left.constant("x");
+        let y = right.constant("y");
+        // Both clones continue after the base: the same id, different
+        // constants, and neither leaks into the base or the sibling.
+        assert_eq!(x, y);
+        assert_eq!(left.display(x), "x");
+        assert_eq!(right.display(y), "y");
+        assert_eq!(catalog.lookup_constant("x"), None);
+        assert_eq!(right.lookup_constant("x"), None);
+        assert_eq!(left.lookup_constant("y"), None);
+        assert_eq!(catalog.constant_count(), 2);
+        assert_eq!(left.constant_count(), 3);
+        // Constants of the base resolve the same way in every clone.
+        for f in [&catalog, &left, &right] {
+            assert_eq!(f.lookup_constant("a"), Some(a));
+            assert_eq!(f.lookup_constant("b"), Some(b));
+            assert_eq!(f.display(b), "b");
+        }
+        // Re-interning a base constant in a clone reuses its id.
+        assert_eq!(left.constant("a"), a);
+        assert_eq!(left.constant_count(), 3);
+    }
+
+    #[test]
+    fn display_and_lookup_work_across_the_boundary() {
+        let mut f = ValueFactory::new();
+        let below = f.constant("below");
+        f.freeze();
+        let above = f.constant("above");
+        assert_eq!(f.display(below), "below");
+        assert_eq!(f.display(above), "above");
+        assert_eq!(f.lookup_constant("below"), Some(below));
+        assert_eq!(f.lookup_constant("above"), Some(above));
+        assert_eq!(f.lookup_constant("neither"), None);
+        // A second freeze folds the overlay into a new base.
+        f.freeze();
+        assert_eq!(f.display(above), "above");
+        assert_eq!(f.lookup_constant("above"), Some(above));
+        assert_eq!(f.constant("above"), above);
+        assert_eq!(f.constant_count(), 2);
     }
 }

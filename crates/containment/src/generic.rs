@@ -116,6 +116,9 @@ pub fn decide_from_instance_any(
     config: ChaseConfig,
     completeness_depth: Option<usize>,
 ) -> (ContainmentOutcome, Option<usize>) {
+    if let Some(stopped) = ContainmentOutcome::on_expired_deadline() {
+        return (stopped, None);
+    }
     let outcome = chase(start, constraints, values, config);
 
     if outcome.is_fd_failure() {

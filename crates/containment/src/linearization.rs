@@ -347,6 +347,9 @@ impl LinearizedSchema {
         values: &mut ValueFactory,
         config: rbqa_chase::ChaseConfig,
     ) -> ContainmentOutcome {
+        if let Some(stopped) = ContainmentOutcome::on_expired_deadline() {
+            return stopped;
+        }
         let canon = lhs.canonical_database(&self.base_signature, values);
         let seed: FxHashSet<Value> = lhs.constants().into_iter().collect();
         let start = self.initial_instance(&canon.instance, &seed);
@@ -356,6 +359,9 @@ impl LinearizedSchema {
             .iter()
             .filter_map(|v| canon.assignment.get(v).map(|val| (*v, *val)))
             .collect();
+        if let Some(stopped) = ContainmentOutcome::on_expired_deadline() {
+            return stopped;
+        }
         let bound = completeness_depth_for(
             self.rules.tgds(),
             rhs_primed.size(),

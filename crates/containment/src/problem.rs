@@ -64,6 +64,27 @@ pub struct ContainmentOutcome {
 }
 
 impl ContainmentOutcome {
+    /// `Some` once the request deadline has expired (counting the
+    /// expiry): the outcome a chase aborted before its first round
+    /// reports — an uncertified [`Verdict::Unknown`] with no rounds and no
+    /// facts. Every stage that runs ahead of the chase checks it (ElimUB,
+    /// the linearization or AMonDet build, the completeness bound, the
+    /// chase setup), so a timed-out decision stops at the next stage
+    /// rather than at the first chase round.
+    pub fn on_expired_deadline() -> Option<Self> {
+        if !rbqa_obs::deadline_expired() {
+            return None;
+        }
+        rbqa_obs::counters::add_deadline_expiry();
+        Some(ContainmentOutcome {
+            verdict: Verdict::Unknown,
+            chase_completion: Completion::BudgetExhausted,
+            chase_stats: ChaseStats::default(),
+            chased_facts: 0,
+            complete: false,
+        })
+    }
+
     /// Convenience constructor for a decided outcome without chase work
     /// (e.g. trivial containments).
     pub fn trivial(verdict: Verdict) -> Self {

@@ -197,29 +197,66 @@ pub fn decide_monotone_answerability(
     // construction ("other" in the phase breakdown).
     let mut obs = rbqa_obs::span("decide");
     let class = classify_constraints(schema.constraints());
+    let (simplification, strategy) = match (options.axiom_style_override, class) {
+        // Ablation mode: forced axiomatisation style, no simplification.
+        (Some(_), _) => (SimplificationKind::None, Strategy::ForcedAxiomStyle),
+        (None, ConstraintClass::NoConstraints | ConstraintClass::IdsOnly { .. }) => (
+            SimplificationKind::ExistenceCheck,
+            Strategy::IdLinearization,
+        ),
+        (None, ConstraintClass::FdsOnly) => {
+            (SimplificationKind::Fd, Strategy::FdSimplificationChase)
+        }
+        (None, ConstraintClass::UidsAndFds) => (
+            SimplificationKind::Choice,
+            Strategy::ChoiceSeparabilityChase,
+        ),
+        (
+            None,
+            ConstraintClass::FrontierGuardedTgds
+            | ConstraintClass::ArbitraryTgds
+            | ConstraintClass::Mixed,
+        ) => (SimplificationKind::Choice, Strategy::ChoiceChase),
+    };
+    obs.str(
+        "strategy",
+        match strategy {
+            Strategy::IdLinearization => "id_linearization",
+            Strategy::FdSimplificationChase => "fd_simplification_chase",
+            Strategy::ChoiceSeparabilityChase => "choice_separability_chase",
+            Strategy::ChoiceChase => "choice_chase",
+            Strategy::ForcedAxiomStyle => "forced_axiom_style",
+        },
+    );
+    let result = |containment: ContainmentOutcome, plan| AnswerabilityResult {
+        answerability: verdict_to_answerability(containment.verdict),
+        constraint_class: class,
+        simplification,
+        strategy,
+        containment,
+        plan,
+    };
 
+    // An expired request deadline stops the pipeline before each stage
+    // that runs ahead of the chase, not only at the next chase round.
+    if let Some(stopped) = ContainmentOutcome::on_expired_deadline() {
+        return result(stopped, None);
+    }
     // Result upper bounds never matter (Proposition 3.3).
     let schema_lb = schema.eliminate_upper_bounds();
-
-    // Ablation mode: forced axiomatisation style, no simplification.
-    if let Some(style) = options.axiom_style_override {
-        let problem = AmondetProblem::build(&schema_lb, query, values, style);
-        let containment = problem.decide(values, options.chase_config());
-        let answerability = verdict_to_answerability(containment.verdict);
-        obs.str("strategy", "forced_axiom_style");
-        let plan = maybe_plan(schema, query, options, answerability, &containment);
-        return AnswerabilityResult {
-            answerability,
-            constraint_class: class,
-            simplification: SimplificationKind::None,
-            strategy: Strategy::ForcedAxiomStyle,
-            containment,
-            plan,
-        };
+    if let Some(stopped) = ContainmentOutcome::on_expired_deadline() {
+        return result(stopped, None);
     }
 
-    let (simplification, strategy, containment) = match class {
-        ConstraintClass::NoConstraints | ConstraintClass::IdsOnly { .. } => {
+    let containment = match strategy {
+        Strategy::ForcedAxiomStyle => {
+            let style = options
+                .axiom_style_override
+                .expect("the forced strategy is chosen only with a style");
+            let problem = AmondetProblem::build(&schema_lb, query, values, style);
+            problem.decide(values, options.chase_config())
+        }
+        Strategy::IdLinearization => {
             // Existence-check simplifiability (Theorem 4.2) is realised
             // directly by the linearization, which handles result-bounded
             // methods through the result-bounded fact-transfer rules
@@ -232,67 +269,36 @@ pub fn decide_monotone_answerability(
                 &method_signatures(&schema_lb),
                 width,
             );
-            let out = lin.decide(query, query, values, options.chase_config());
-            (
-                SimplificationKind::ExistenceCheck,
-                Strategy::IdLinearization,
-                out,
-            )
+            lin.decide(query, query, values, options.chase_config())
         }
-        ConstraintClass::FdsOnly => {
+        Strategy::FdSimplificationChase => {
             // FD simplification (Theorem 4.5) removes every result bound;
             // the resulting chase terminates (Theorem 5.2).
             let simplified = fd_simplification(&schema_lb);
             let problem = AmondetProblem::build(&simplified, query, values, AxiomStyle::Simplified);
-            let out = problem.decide(values, options.chase_config());
-            (SimplificationKind::Fd, Strategy::FdSimplificationChase, out)
+            problem.decide(values, options.chase_config())
         }
-        ConstraintClass::UidsAndFds => {
+        Strategy::ChoiceSeparabilityChase => {
             // Choice simplification (Theorem 6.4) then the separability
             // rewriting of Theorem 7.2.
             let choice = schema_lb.choice_simplification();
             let problem =
                 AmondetProblem::build(&choice, query, values, AxiomStyle::SeparabilityRewriting);
-            let out = problem.decide(values, options.chase_config());
-            (
-                SimplificationKind::Choice,
-                Strategy::ChoiceSeparabilityChase,
-                out,
-            )
+            problem.decide(values, options.chase_config())
         }
-        ConstraintClass::FrontierGuardedTgds
-        | ConstraintClass::ArbitraryTgds
-        | ConstraintClass::Mixed => {
+        Strategy::ChoiceChase => {
             // Choice simplification (Theorem 6.3); the generic chase is
             // budgeted and may report Unknown.
             let choice = schema_lb.choice_simplification();
             let problem = AmondetProblem::build(&choice, query, values, AxiomStyle::Simplified);
-            let out = problem.decide(values, options.chase_config());
-            (SimplificationKind::Choice, Strategy::ChoiceChase, out)
+            problem.decide(values, options.chase_config())
         }
     };
 
-    let answerability = verdict_to_answerability(containment.verdict);
-    obs.str(
-        "strategy",
-        match strategy {
-            Strategy::IdLinearization => "id_linearization",
-            Strategy::FdSimplificationChase => "fd_simplification_chase",
-            Strategy::ChoiceSeparabilityChase => "choice_separability_chase",
-            Strategy::ChoiceChase => "choice_chase",
-            Strategy::ForcedAxiomStyle => "forced_axiom_style",
-        },
-    );
     obs.num("chase_rounds", containment.chase_stats.rounds as u64);
+    let answerability = verdict_to_answerability(containment.verdict);
     let plan = maybe_plan(schema, query, options, answerability, &containment);
-    AnswerabilityResult {
-        answerability,
-        constraint_class: class,
-        simplification,
-        strategy,
-        containment,
-        plan,
-    }
+    result(containment, plan)
 }
 
 /// Diagnostics of one cross-disjunct rescue attempt during a union decision:
@@ -479,14 +485,21 @@ pub fn decide_monotone_answerability_union(
             ConstraintClass::UidsAndFds => AxiomStyle::SeparabilityRewriting,
             _ => AxiomStyle::Simplified,
         };
-        let schema_lb = schema.eliminate_upper_bounds();
-        let choice = schema_lb.choice_simplification();
+        let mut choice = None;
         for (i, own) in disjuncts.iter().enumerate() {
             if own.answerability == Answerability::Answerable {
                 continue;
             }
+            // An expired deadline leaves this disjunct (and the rest)
+            // unresolved instead of building another rescue problem.
+            if ContainmentOutcome::on_expired_deadline().is_some() {
+                any_unresolved = true;
+                break;
+            }
+            let choice = choice
+                .get_or_insert_with(|| schema.eliminate_upper_bounds().choice_simplification());
             let mut problem =
-                AmondetProblem::build(&choice, &union.disjuncts()[i], values, rescue_style);
+                AmondetProblem::build(choice, &union.disjuncts()[i], values, rescue_style);
             problem.seed_accessible(&union.constants());
             let targets = problem.union_targets(union.disjuncts());
             let (outcome, matched) = problem.decide_union(&targets, values, options.chase_config());

@@ -4,8 +4,8 @@
 //! a [`Schema`] and executes plans against it through any
 //! [`AccessBackend`]: the in-memory [`InstanceBackend`] (the paper's
 //! access-selection semantics), a [`SimulatedRemoteBackend`] with seeded
-//! latency and faults, or a [`ShardedBackend`] federation over hash
-//! partitions of the hidden data. [`ExecOptions`] names the backend and a
+//! latency and faults, or a [`ShardedBackend`] federation of row-assigned
+//! views of the hidden data. [`ExecOptions`] names the backend and a
 //! per-run call budget so higher layers (`rbqa-service`, the wire
 //! protocol) can select them declaratively — and fingerprint the choice.
 //!
@@ -23,15 +23,15 @@ use rbqa_access::plan::{
 };
 use rbqa_access::{
     AccessSelection, BreakerPolicy, Plan, ResilienceStats, ResilientBackend, RetryPolicy, Schema,
-    TruncatingSelection,
 };
 use rbqa_common::{Instance, Value};
 use rustc_hash::FxHashMap;
 
-/// Upper bound on the shard count a request may name. Building a sharded
-/// backend allocates one instance per shard before any access runs, so an
-/// unchecked wire-supplied count would be a one-line memory bomb; 64
-/// comfortably covers every realistic federation at simulator scale.
+/// Upper bound on the shard count a request may name. Shards are views
+/// that copy no data, but every access fans out to all of them (one
+/// scratch list and one pick per shard), so an unchecked wire-supplied
+/// count would multiply the cost of each access; 64 comfortably covers
+/// every realistic federation at simulator scale.
 pub const MAX_SHARDS: usize = 64;
 
 /// Upper bound on the simulated base latency per call a request may name
@@ -61,8 +61,8 @@ pub enum BackendSpec {
         /// draws fresh fault coins instead of replaying the same one.
         transient: bool,
     },
-    /// A sharded federation: the instance hash-partitioned across N child
-    /// backends, every access fanned out and merged.
+    /// A sharded federation: N row-assigned views of the instance, every
+    /// access fanned out to all of them and merged.
     Sharded {
         /// Number of shards (`1..=MAX_SHARDS`).
         shards: usize,
@@ -323,19 +323,15 @@ impl ServiceSimulator {
     }
 
     /// Builds the backend named by `spec` over the hidden instance, with
-    /// deterministic truncating selections throughout.
+    /// the deterministic truncating pick throughout
+    /// ([`InstanceBackend::truncating`]).
     ///
-    /// `Sharded` pays an O(|instance|) partition per call — one full
-    /// hash-partition copy of the hidden data per execution window.
-    /// Acceptable at simulator scale; caching the shard instances per
-    /// (dataset, shard count) is the obvious optimisation once datasets
-    /// grow.
+    /// Every backend borrows the one hidden instance, so building one
+    /// copies no data: `Sharded` makes N row-assigned views of it, and an
+    /// access copies only the rows it returns.
     fn build_backend(&self, spec: BackendSpec) -> Result<Box<dyn AccessBackend + '_>, PlanError> {
         Ok(match spec {
-            BackendSpec::Instance => Box::new(InstanceBackend::with_selection(
-                &self.data,
-                Box::new(TruncatingSelection::new()),
-            )),
+            BackendSpec::Instance => Box::new(InstanceBackend::truncating(&self.data)),
             BackendSpec::SimulatedRemote { latency_micros, .. }
                 if latency_micros > MAX_LATENCY_MICROS =>
             {
@@ -349,7 +345,7 @@ impl ServiceSimulator {
                 fault_rate_pct,
                 transient,
             } => Box::new(SimulatedRemoteBackend::new(
-                InstanceBackend::with_selection(&self.data, Box::new(TruncatingSelection::new())),
+                InstanceBackend::truncating(&self.data),
                 RemoteProfile {
                     seed,
                     base_latency_micros: latency_micros,
@@ -381,7 +377,7 @@ impl ServiceSimulator {
     /// this is the `Execute` semantics of a union request, whose
     /// `call_budget` caps the request's total accesses across all
     /// disjunct plans — not each plan separately. The shared backend also
-    /// keeps accesses idempotent across plans (one selection cache, one
+    /// keeps accesses idempotent across plans (a deterministic pick, one
     /// remote latency/fault stream). Under [`AdaptiveMode::On`] one
     /// [`AdaptiveWindow`] memo serves the whole set as well.
     ///

@@ -113,7 +113,7 @@ fn check_output(
 /// adversarial, a greedy and `random_trials` seeded random access
 /// selections; each output is compared with `query` evaluated directly on
 /// the instance. The runs are then repeated **across backends**: a sharded
-/// federation (2 and 3 hash shards of the instance) — whose merged,
+/// federation (2 and 3 shard views of the instance) — whose merged,
 /// re-bounded accesses are themselves a valid access selection, so a valid
 /// plan must still answer the query — and a record/replay pair, whose
 /// replayed output must equal the recorded run exactly

@@ -200,7 +200,7 @@ impl CqBuilder {
 
     /// Helper for doctests: an arbitrary distinct constant term.
     pub fn constant_value(&mut self) -> Term {
-        let k = self.values.interner().len();
+        let k = self.values.constant_count();
         self.constant(&format!("const_{k}"))
     }
 

@@ -611,10 +611,13 @@ const CHAOS_FAULT_PCT: u64 = 25;
 const CHAOS_RETRIES: u32 = 2;
 /// `option exec.deadline` of the timeout phase, microseconds. The heavy
 /// chain catalog's fresh decide takes well past this, so every request
-/// aborts mid-chase; the between-round check granularity is around a
-/// hundred microseconds, so the overshoot inside the 2x response-time
-/// bound is pure scheduler jitter — the deadline is sized to leave that
-/// bound a full deadline's worth of slack on a noisy CI box.
+/// times out. The decision checks the deadline before each stage that
+/// runs ahead of the chase (ElimUB, the linearization build, the
+/// completeness bound, the chase setup) and at every chase round, so a
+/// request overshoots by at most its longest unchecked stage — the
+/// linearization build, a few milliseconds on the heavy chain — plus
+/// scheduler jitter. The deadline is sized to leave the 2x response-time
+/// bound a full deadline's worth of slack for that on a noisy CI box.
 const CHAOS_DEADLINE_MICROS: u64 = 10_000;
 /// Length of the heavy catalog's constraint chain (= chase rounds).
 /// Sized so an undisturbed fresh decide takes ~1.5x the deadline: long
@@ -627,7 +630,7 @@ const CHAOS_TIMEOUT_REQUESTS: usize = 12;
 /// The chaos traffic: union `execute` keys over the generated catalogs
 /// (two disjuncts per union — the degradable unit) plus a heavy
 /// chain-of-constraints catalog whose fresh decides run long enough to
-/// hit an armed deadline mid-chase.
+/// hit an armed deadline.
 struct ChaosWorkload {
     setup: Vec<String>,
     unions: Vec<String>,

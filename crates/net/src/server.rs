@@ -100,8 +100,7 @@ impl Shared {
             ),
         ));
         let _ = conn.set_write_timeout(Some(Duration::from_millis(500)));
-        let _ = conn.write_all(busy.as_bytes());
-        let _ = conn.write_all(b"\n");
+        let _ = write_line(&mut conn, busy);
         // Dropping the stream closes it.
     }
 
@@ -203,7 +202,7 @@ impl Shared {
                                 self.config.max_line_bytes
                             ),
                         ));
-                        let _ = write_line(&mut writer, &err);
+                        let _ = write_line(&mut writer, err);
                         return true;
                     }
                 }
@@ -249,7 +248,7 @@ impl Shared {
                     "request line is not valid UTF-8",
                 ));
                 self.stats.record_response(0, true, false);
-                return match write_line(writer, &err) {
+                return match write_line(writer, err) {
                     Ok(()) => FrameOutcome::Continue,
                     Err(_) => FrameOutcome::Abort,
                 };
@@ -280,7 +279,7 @@ impl Shared {
             let error = matches!(outcome, FrameOutcome::Continue);
             self.stats
                 .record_response(started.elapsed().as_micros() as u64, error, false);
-            return match write_line(writer, &response) {
+            return match write_line(writer, response) {
                 Ok(()) => outcome,
                 Err(_) => FrameOutcome::Abort,
             };
@@ -294,16 +293,20 @@ impl Shared {
         let timeout = error && response.contains("\"code\":\"REQUEST_TIMEOUT\"");
         self.stats
             .record_response(started.elapsed().as_micros() as u64, error, timeout);
-        match write_line(writer, &response) {
+        match write_line(writer, response) {
             Ok(()) => FrameOutcome::Continue,
             Err(_) => FrameOutcome::Abort,
         }
     }
 }
 
-fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+/// Writes one response frame. The line and its newline go out in a
+/// single write: on a `TCP_NODELAY` socket two writes are two segments,
+/// and a client blocked on the line wakes once for each.
+fn write_line(writer: &mut TcpStream, line: String) -> std::io::Result<()> {
+    let mut frame = line.into_bytes();
+    frame.push(b'\n');
+    writer.write_all(&frame)?;
     writer.flush()
 }
 

@@ -2,7 +2,7 @@
 //! concurrency and cache sharing, batch mode, exports, malformed frames,
 //! timeouts, admission control, reaping, and graceful shutdown.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -542,6 +542,29 @@ fn frames_split_across_tcp_segments_reassemble() {
     reader.read_line(&mut line).expect("pong");
     assert!(line.contains("\"pong\":true"), "{line}");
     drop(reader);
+    server.shutdown_and_join().expect("clean stop");
+}
+
+#[test]
+fn each_response_line_arrives_in_one_read() {
+    // A response and its newline leave the server in one write, so a
+    // client blocked in `read` wakes once per response and gets all of
+    // it; a newline written apart arrives as a segment of its own.
+    let server = spawn_server(|_| {});
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    raw.set_nodelay(true).expect("nodelay");
+    raw.write_all(b"rbqa/1\n").expect("write header");
+    let mut buf = [0u8; 256];
+    for _ in 0..1000 {
+        raw.write_all(b"ping\n").expect("write ping");
+        let n = raw.read(&mut buf).expect("read");
+        let got = std::str::from_utf8(&buf[..n]).expect("utf-8");
+        assert!(
+            got.ends_with('\n') && got.contains("\"pong\":true"),
+            "one read returned {got:?}"
+        );
+    }
+    drop(raw);
     server.shutdown_and_join().expect("clean stop");
 }
 

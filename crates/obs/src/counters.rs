@@ -42,7 +42,7 @@ pub struct CounterSnapshot {
     /// Accesses rejected while a breaker was open.
     pub breaker_rejections: u64,
     /// Cooperative aborts taken because the request deadline expired
-    /// (chase rounds, plan accesses, cache waits).
+    /// (decision stages, chase rounds, plan accesses, cache waits).
     pub deadline_expiries: u64,
     /// Binding-level accesses answered from an adaptive window's memo
     /// instead of calling the backend (short-circuited disjuncts'

@@ -1,7 +1,7 @@
 //! Cooperative per-request deadlines, propagated like the tracer: a
 //! thread-local armed at `QueryService::submit` entry and consulted by
-//! long-running loops (chase rounds, per-access plan execution, cache
-//! waiters) via one cheap check.
+//! long-running work (the decision stages ahead of the chase, chase
+//! rounds, per-access plan execution, cache waiters) via one cheap check.
 //!
 //! The deadline is deliberately **not** part of any fingerprint — like
 //! the trace flag it describes how hard to try, not what to compute —

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use rbqa_access::Schema;
-use rbqa_common::{Instance, Value, ValueFactory};
+use rbqa_common::{Instance, ValueFactory};
 use rbqa_engine::ServiceSimulator;
 
 use crate::fingerprint::{schema_fingerprint, Fingerprint};
@@ -40,8 +40,9 @@ pub struct CatalogEntry {
     pub name: String,
     /// The schema (signature, constraints, access methods).
     pub schema: Schema,
-    /// Factory that interned the schema's constants; clients derive their
-    /// query factories from clones of this.
+    /// Factory that interned the schema's constants, frozen at
+    /// registration: clients derive their query factories from clones of
+    /// this, and a clone shares its constants instead of copying them.
     pub values: ValueFactory,
     /// Fingerprint of the schema, mixed into every request fingerprint.
     pub fingerprint: Fingerprint,
@@ -50,13 +51,11 @@ pub struct CatalogEntry {
 }
 
 impl CatalogEntry {
-    /// Creates an entry, computing the schema fingerprint.
-    pub fn new(name: &str, schema: Schema, values: ValueFactory) -> Self {
-        let resolver = {
-            let values = values.clone();
-            move |v: Value| values.display(v)
-        };
-        let fingerprint = schema_fingerprint(&schema, &resolver);
+    /// Creates an entry, computing the schema fingerprint and freezing
+    /// the factory (see [`ValueFactory::freeze`]).
+    pub fn new(name: &str, schema: Schema, mut values: ValueFactory) -> Self {
+        values.freeze();
+        let fingerprint = schema_fingerprint(&schema, &|v| values.display(v));
         CatalogEntry {
             name: name.to_owned(),
             schema,

@@ -90,10 +90,7 @@ fn dedup_disjuncts(
     if union.len() <= 1 {
         return union;
     }
-    let resolve = {
-        let values = values.clone();
-        move |v| values.display(v)
-    };
+    let resolve = |v| values.display(v);
     let mut seen = std::collections::HashSet::new();
     UnionOfConjunctiveQueries::from_disjuncts(
         union
@@ -273,6 +270,8 @@ impl QueryService {
 
     /// A clone of the catalog's value factory. Build request queries on
     /// top of this so constants shared with the catalog keep their ids.
+    /// The catalog's constants are frozen and shared, so the clone copies
+    /// none of them; only the constants it interns later are its own.
     pub fn catalog_values(&self, id: CatalogId) -> Result<ValueFactory, ServiceError> {
         Ok(self.entry(id)?.values.clone())
     }

@@ -59,7 +59,7 @@ fn main() {
 
     // Execute a hand-written plan for "names of the cast of movie0" against
     // the simulated services, once per backend: the in-memory instance, a
-    // 3-shard hash federation, and a simulated remote with 150µs base
+    // 3-shard federation, and a simulated remote with 150µs base
     // latency per call. All three must return the same names.
     let data = movie_instance(movies.schema.signature(), &mut movies.values, 200, 40, 11);
     let services = ServiceSimulator::new(movies.schema.clone(), data);

@@ -14,13 +14,13 @@
 //! `execute` used to be) is run against the backend-generic executor over
 //! random plans, random data and random selections — row sets and
 //! accounting must be identical. A second differential asserts that a
-//! [`ShardedBackend`] with 1..=4 shards produces exactly the
-//! [`InstanceBackend`] rows on schemas whose methods are unbounded (where
-//! every valid selection returns the full match set, so the backends must
-//! agree tuple for tuple).
+//! [`ShardedBackend`] with 1..=4 shards produces exactly the rows and the
+//! accounting of the truncating [`InstanceBackend`] on schemas whose
+//! methods are unbounded or carry an exact result bound (where merging
+//! each shard's `k` smallest tuples and cutting the merge to `k` gives
+//! the global `k` smallest, whatever the shard assignment).
 
 use proptest::prelude::*;
-use rbqa::access::backend::partition_instance;
 use rbqa::access::plan::{execute, execute_with_backend, PlanError};
 use rbqa::access::{
     AccessBackend, AccessError, AccessMethod, AccessSelection, Condition, InstanceBackend, Plan,
@@ -494,9 +494,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// With only unbounded methods every valid selection returns the full
-    /// match set, so a sharded federation (any shard count) must produce
-    /// exactly the instance backend's rows.
+    /// Unbounded methods return the full match set and an exact bound of
+    /// `k` the `k` smallest matching tuples, from one instance or from any
+    /// number of shards: a sharded federation must produce exactly the
+    /// truncating instance backend's rows and accounting.
     #[test]
     fn sharded_matches_instance_on_unbounded_methods(
         pairs_r in prop::collection::vec((0u8..6, 0u8..6), 0..12),
@@ -504,8 +505,10 @@ proptest! {
         singles_t in prop::collection::vec(0u8..6, 0..4),
         ops in prop::collection::vec((0u8..4, 0u8..9), 0..4),
         shards in 1usize..=4,
+        s_bound in 0usize..=5,
     ) {
-        let schema = differential_schema(None);
+        // 0 draws an unbounded `s_all`, 1..=5 an exact bound.
+        let schema = differential_schema((s_bound > 0).then_some(s_bound));
         let (inst, _vf) = differential_instance(&schema, &pairs_r, &pairs_s, &singles_t);
         let plan = random_plan(&ops);
 
@@ -515,26 +518,12 @@ proptest! {
         let mut sharded = ShardedBackend::over_instance(&inst, shards);
         let federated = execute_with_backend(&plan, &schema, &mut sharded).unwrap();
         prop_assert_eq!(&federated.output, &direct.output, "{} shards", shards);
-        // Disjoint partition: the same tuples matched overall.
+        // Every matching row sits on exactly one shard: the same tuples
+        // matched overall.
         prop_assert_eq!(federated.tuples_matched, direct.tuples_matched);
+        prop_assert_eq!(federated.tuples_fetched, direct.tuples_fetched);
+        prop_assert_eq!(federated.truncated_accesses, direct.truncated_accesses);
         prop_assert_eq!(federated.accesses_performed, direct.accesses_performed);
-    }
-}
-
-#[test]
-fn partitioning_is_a_disjoint_cover_of_the_instance() {
-    let schema = differential_schema(None);
-    let (inst, _) = differential_instance(
-        &schema,
-        &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
-        &[(0, 0), (1, 1), (2, 2)],
-        &[0, 1, 2, 3],
-    );
-    for shards in 1..=4 {
-        let parts = partition_instance(&inst, shards);
-        assert_eq!(parts.len(), shards);
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, inst.len(), "{shards} shards cover every row");
     }
 }
 
