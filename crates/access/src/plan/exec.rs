@@ -22,7 +22,7 @@ use rbqa_common::{Instance, Value};
 use rustc_hash::FxHashMap;
 
 use crate::backend::{AccessBackend, InstanceBackend};
-use crate::plan::ra::{PlanError, TempTable};
+use crate::plan::ra::{project_into, PlanError, TempTable};
 use crate::plan::{Command, Plan};
 use crate::schema::Schema;
 use crate::selection::AccessSelection;
@@ -126,16 +126,12 @@ pub fn execute_plan_adaptive(
     run_plan(plan, schema, backend, Some(window))
 }
 
-/// Projects source-arity `tuples` through `output_map` into `out`.
-fn project_into(
-    out: &mut TempTable,
-    output_map: &[usize],
-    tuples: &[Vec<Value>],
-) -> Result<(), PlanError> {
-    for tuple in tuples {
-        out.insert(output_map.iter().map(|&p| tuple[p]).collect())?;
-    }
-    Ok(())
+/// Counts an expired deadline (and the accesses skipped so far) and
+/// returns the abort.
+fn deadline_abort(accesses_skipped: usize) -> PlanError {
+    rbqa_obs::counters::add_deadline_expiry();
+    rbqa_obs::counters::add_adaptive(accesses_skipped as u64, 0);
+    PlanError::DeadlineExceeded
 }
 
 /// The one per-binding executor loop behind both entry points.
@@ -155,11 +151,18 @@ fn run_plan(
     let mut truncated_accesses = 0usize;
     let mut latency_micros = 0u64;
     let mut calls_per_method: FxHashMap<String, usize> = FxHashMap::default();
+    let mut binding: Vec<(usize, Value)> = Vec::new();
+    let mut scratch: Vec<Value> = Vec::new();
 
     for command in plan.commands() {
+        // Cooperative deadline check, once per command: a timed-out
+        // request stops before its next middleware command too.
+        if rbqa_obs::deadline_expired() {
+            return Err(deadline_abort(accesses_skipped));
+        }
         match command {
             Command::Middleware { output, expr } => {
-                let table = expr.evaluate(&tables)?;
+                let table = expr.eval(&tables)?.into_owned();
                 tables.insert(output.clone(), table);
             }
             Command::Access {
@@ -171,7 +174,8 @@ fn run_plan(
             } => {
                 let mut access_span = rbqa_obs::span("access");
                 access_span.str("method", method);
-                let (fetched0, matched0, truncated0, skipped0) = (
+                let (performed0, fetched0, matched0, truncated0, skipped0) = (
+                    accesses_performed,
                     tuples_fetched,
                     tuples_matched,
                     truncated_accesses,
@@ -180,7 +184,7 @@ fn run_plan(
                 let m = schema
                     .method(method)
                     .ok_or_else(|| PlanError::UnknownMethod(method.clone()))?;
-                let bindings_table = input.evaluate(&tables)?;
+                let bindings_table = input.eval(&tables)?;
                 access_span.num("bindings", bindings_table.len() as u64);
                 let input_positions = m.input_positions_vec();
                 let mut out = TempTable::new(output_map.len());
@@ -188,35 +192,40 @@ fn run_plan(
                     .as_deref_mut()
                     .map(|w| w.memo.entry(method.clone()).or_default());
                 for binding_row in bindings_table.rows() {
-                    // Cooperative deadline check, once per access: a timed
-                    // out request stops occupying the worker mid-plan
-                    // instead of running to completion.
+                    // And once per access: a long access command stops
+                    // occupying the worker mid-command.
                     if rbqa_obs::deadline_expired() {
-                        rbqa_obs::counters::add_deadline_expiry();
-                        rbqa_obs::counters::add_adaptive(accesses_skipped as u64, 0);
-                        return Err(PlanError::DeadlineExceeded);
+                        return Err(deadline_abort(accesses_skipped));
                     }
-                    let binding: Vec<(usize, Value)> = input_positions
-                        .iter()
-                        .zip(input_map.iter())
-                        .map(|(&pos, &col)| (pos, binding_row[col]))
-                        .collect();
-                    if let Some(tuples) = memo.as_ref().and_then(|memo| memo.get(&binding)) {
+                    binding.clear();
+                    binding.extend(
+                        input_positions
+                            .iter()
+                            .zip(input_map.iter())
+                            .map(|(&pos, &col)| (pos, binding_row[col])),
+                    );
+                    if let Some(tuples) =
+                        memo.as_ref().and_then(|memo| memo.get(binding.as_slice()))
+                    {
                         accesses_skipped += 1;
-                        project_into(&mut out, output_map, tuples)?;
+                        project_into(tuples, output_map, &mut out, &mut scratch)?;
                         continue;
                     }
                     let response = backend.access(m, &binding)?;
                     accesses_performed += 1;
-                    *calls_per_method.entry(method.clone()).or_insert(0) += 1;
                     tuples_fetched += response.tuples.len();
                     tuples_matched += response.tuples_matched;
                     truncated_accesses += response.truncated as usize;
                     latency_micros += response.latency_micros;
-                    project_into(&mut out, output_map, &response.tuples)?;
+                    project_into(&response.tuples, output_map, &mut out, &mut scratch)?;
                     if let Some(memo) = memo.as_mut() {
-                        memo.insert(binding, response.tuples);
+                        memo.insert(binding.clone(), response.tuples);
                     }
+                }
+                drop(bindings_table);
+                if accesses_performed > performed0 {
+                    *calls_per_method.entry(method.clone()).or_insert(0) +=
+                        accesses_performed - performed0;
                 }
                 access_span.num("fetched", (tuples_fetched - fetched0) as u64);
                 access_span.num("matched", (tuples_matched - matched0) as u64);

@@ -6,8 +6,11 @@
 //! plans (paper, Section 2).
 
 use rbqa_common::Value;
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::{FxHashMap, FxHasher};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Errors raised while validating or evaluating plans.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,7 +30,8 @@ pub enum PlanError {
     /// unavailable, method not served).
     Access(crate::backend::AccessError),
     /// The request's deadline expired mid-execution and the plan run was
-    /// aborted cooperatively (checked before every access).
+    /// aborted cooperatively (checked before every command and every
+    /// access).
     DeadlineExceeded,
 }
 
@@ -60,12 +64,24 @@ impl From<crate::backend::AccessError> for PlanError {
 impl std::error::Error for PlanError {}
 
 /// A deduplicated temporary table with a fixed arity.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Each row is stored once, in insertion order; a hash index over the row
+/// store rejects a duplicate without copying it. Equality compares the
+/// arity and the rows only.
+#[derive(Debug, Clone)]
 pub struct TempTable {
     arity: usize,
     rows: Vec<Vec<Value>>,
-    present: FxHashSet<Vec<Value>>,
+    index: HashChains,
 }
+
+impl PartialEq for TempTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.arity == other.arity && self.rows == other.rows
+    }
+}
+
+impl Eq for TempTable {}
 
 impl TempTable {
     /// Creates an empty table of the given arity.
@@ -73,7 +89,7 @@ impl TempTable {
         TempTable {
             arity,
             rows: Vec::new(),
-            present: FxHashSet::default(),
+            index: HashChains::default(),
         }
     }
 
@@ -108,6 +124,26 @@ impl TempTable {
 
     /// Inserts a row, ignoring duplicates.
     pub fn insert(&mut self, row: Vec<Value>) -> Result<bool, PlanError> {
+        let Some(hash) = self.vacancy(&row)? else {
+            return Ok(false);
+        };
+        self.push(hash, row);
+        Ok(true)
+    }
+
+    /// Inserts a copy of `row`, ignoring duplicates; a duplicate allocates
+    /// nothing.
+    pub(crate) fn insert_slice(&mut self, row: &[Value]) -> Result<bool, PlanError> {
+        let Some(hash) = self.vacancy(row)? else {
+            return Ok(false);
+        };
+        self.push(hash, row.to_vec());
+        Ok(true)
+    }
+
+    /// The hash under which `row` would be stored, or `None` when the
+    /// table already holds it.
+    fn vacancy(&self, row: &[Value]) -> Result<Option<u64>, PlanError> {
         if row.len() != self.arity {
             return Err(PlanError::Malformed(format!(
                 "row of length {} inserted into table of arity {}",
@@ -115,12 +151,15 @@ impl TempTable {
                 self.arity
             )));
         }
-        if self.present.contains(&row) {
-            return Ok(false);
-        }
-        self.present.insert(row.clone());
+        let hash = hash_values(row);
+        let present = self.index.chain(hash).any(|i| self.rows[i] == row);
+        Ok((!present).then_some(hash))
+    }
+
+    /// Appends a row the table does not hold, under its hash.
+    fn push(&mut self, hash: u64, row: Vec<Value>) {
+        self.index.push(hash);
         self.rows.push(row);
-        Ok(true)
     }
 
     /// The rows as a sorted vector (for deterministic comparison).
@@ -129,6 +168,61 @@ impl TempTable {
         rows.sort();
         rows
     }
+}
+
+/// Positions `0..n` grouped by a 64-bit hash: each chain lists the
+/// positions pushed under one hash, in push order.
+#[derive(Debug, Clone, Default)]
+struct HashChains {
+    /// Hash → the first and the last position of its chain.
+    ends: FxHashMap<u64, (u32, u32)>,
+    /// Position → the next position in its chain, or [`CHAIN_END`].
+    next: Vec<u32>,
+}
+
+const CHAIN_END: u32 = u32::MAX;
+
+impl HashChains {
+    /// Appends the next position to the chain of `hash`.
+    fn push(&mut self, hash: u64) {
+        assert!(
+            self.next.len() < CHAIN_END as usize,
+            "a hash chain indexes fewer than u32::MAX positions"
+        );
+        let position = self.next.len() as u32;
+        self.next.push(CHAIN_END);
+        match self.ends.entry(hash) {
+            Entry::Occupied(mut ends) => {
+                let last = &mut ends.get_mut().1;
+                self.next[*last as usize] = position;
+                *last = position;
+            }
+            Entry::Vacant(ends) => {
+                ends.insert((position, position));
+            }
+        }
+    }
+
+    /// The positions pushed under `hash`, in push order.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut position = self.ends.get(&hash).map_or(CHAIN_END, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            (position != CHAIN_END).then(|| {
+                let current = position as usize;
+                position = self.next[current];
+                current
+            })
+        })
+    }
+}
+
+/// The hash of a sequence of values (a row, or a row's join key).
+fn hash_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
+    let mut hasher = FxHasher::default();
+    for value in values {
+        value.hash(&mut hasher);
+    }
+    hasher.finish()
 }
 
 /// A selection condition over the columns of a row.
@@ -354,62 +448,133 @@ impl RaExpr {
     /// Evaluates the expression against the environment of temporary
     /// tables.
     pub fn evaluate(&self, env: &FxHashMap<String, TempTable>) -> Result<TempTable, PlanError> {
+        self.eval(env).map(Cow::into_owned)
+    }
+
+    /// Evaluates the expression, copying only the rows it outputs.
+    ///
+    /// A result that is one table of `env` unchanged (a scan, `unit ⋈ E`,
+    /// a `True` selection) is borrowed. Every other result holds exactly
+    /// the rows of the nested-loop evaluation in the same insertion order,
+    /// so the order of the access calls a plan makes does not depend on
+    /// this kernel.
+    pub(crate) fn eval<'a>(
+        &self,
+        env: &'a FxHashMap<String, TempTable>,
+    ) -> Result<Cow<'a, TempTable>, PlanError> {
         match self {
             RaExpr::Table(name) => env
                 .get(name)
-                .cloned()
+                .map(Cow::Borrowed)
                 .ok_or_else(|| PlanError::UnknownTable(name.clone())),
-            RaExpr::Constant { arity, rows } => TempTable::from_rows(*arity, rows.clone()),
+            RaExpr::Constant { arity, rows } => {
+                let mut out = TempTable::new(*arity);
+                for row in rows {
+                    out.insert_slice(row)?;
+                }
+                Ok(Cow::Owned(out))
+            }
             RaExpr::Select { input, condition } => {
-                let table = input.evaluate(env)?;
+                let table = input.eval(env)?;
+                if matches!(condition, Condition::True) {
+                    return Ok(table);
+                }
                 let mut out = TempTable::new(table.arity());
                 for row in table.rows() {
                     if condition.matches(row) {
-                        out.insert(row.clone())?;
+                        out.insert_slice(row)?;
                     }
                 }
-                Ok(out)
+                Ok(Cow::Owned(out))
             }
             RaExpr::Project { input, columns } => {
-                let table = input.evaluate(env)?;
+                let table = input.eval(env)?;
                 let mut out = TempTable::new(columns.len());
-                for row in table.rows() {
-                    let projected: Vec<Value> = columns.iter().map(|&c| row[c]).collect();
-                    out.insert(projected)?;
-                }
-                Ok(out)
+                project_into(table.rows(), columns, &mut out, &mut Vec::new())?;
+                Ok(Cow::Owned(out))
             }
             RaExpr::Join { left, right, on } => {
-                let lt = left.evaluate(env)?;
-                let rt = right.evaluate(env)?;
-                let mut out = TempTable::new(lt.arity() + rt.arity());
-                for lrow in lt.rows() {
-                    for rrow in rt.rows() {
-                        if on.iter().all(|(l, r)| lrow[*l] == rrow[*r]) {
-                            let mut row = lrow.clone();
-                            row.extend(rrow.iter().copied());
-                            out.insert(row)?;
-                        }
+                let lt = left.eval(env)?;
+                let rt = right.eval(env)?;
+                if on.is_empty() && is_unit(&lt) {
+                    return Ok(rt);
+                }
+                Ok(Cow::Owned(hash_join(&lt, &rt, on)))
+            }
+            // A union chain is left-deep (plan synthesis folds it so): the
+            // left side's owned result is extended in place, so each leaf's
+            // rows are inserted once, and a projected leaf streams its rows
+            // in without a table of its own.
+            RaExpr::Union { left, right } => {
+                let mut out = left.eval(env)?.into_owned();
+                let mismatch =
+                    || PlanError::Malformed("union of tables with different arities".to_owned());
+                if let RaExpr::Project { input, columns } = &**right {
+                    let table = input.eval(env)?;
+                    if out.arity() != columns.len() {
+                        return Err(mismatch());
+                    }
+                    project_into(table.rows(), columns, &mut out, &mut Vec::new())?;
+                } else {
+                    let rt = right.eval(env)?;
+                    if out.arity() != rt.arity() {
+                        return Err(mismatch());
+                    }
+                    for row in rt.rows() {
+                        out.insert_slice(row)?;
                     }
                 }
-                Ok(out)
-            }
-            RaExpr::Union { left, right } => {
-                let lt = left.evaluate(env)?;
-                let rt = right.evaluate(env)?;
-                if lt.arity() != rt.arity() {
-                    return Err(PlanError::Malformed(
-                        "union of tables with different arities".to_owned(),
-                    ));
-                }
-                let mut out = TempTable::new(lt.arity());
-                for row in lt.rows().iter().chain(rt.rows().iter()) {
-                    out.insert(row.clone())?;
-                }
-                Ok(out)
+                Ok(Cow::Owned(out))
             }
         }
     }
+}
+
+/// Inserts the projection of every row of `rows` onto `columns` into
+/// `out`, building each projected row in `scratch`.
+pub(crate) fn project_into(
+    rows: &[Vec<Value>],
+    columns: &[usize],
+    out: &mut TempTable,
+    scratch: &mut Vec<Value>,
+) -> Result<(), PlanError> {
+    for row in rows {
+        scratch.clear();
+        scratch.extend(columns.iter().map(|&c| row[c]));
+        out.insert_slice(scratch)?;
+    }
+    Ok(())
+}
+
+/// Whether `table` is the unit relation: arity 0, one (empty) row.
+fn is_unit(table: &TempTable) -> bool {
+    table.arity() == 0 && table.len() == 1
+}
+
+/// `left ⋈ right` on the column pairs `on`, by hashing `right` on its join
+/// columns. Left rows are probed in order and each bucket is visited in
+/// right order, which is the nested loop's output order.
+fn hash_join(left: &TempTable, right: &TempTable, on: &[(usize, usize)]) -> TempTable {
+    let mut buckets = HashChains::default();
+    for row in right.rows() {
+        buckets.push(hash_values(on.iter().map(|&(_, r)| &row[r])));
+    }
+    let mut out = TempTable::new(left.arity() + right.arity());
+    for lrow in left.rows() {
+        let key = hash_values(on.iter().map(|&(l, _)| &lrow[l]));
+        for i in buckets.chain(key) {
+            let rrow = &right.rows()[i];
+            if on.iter().all(|&(l, r)| lrow[l] == rrow[r]) {
+                let mut row = Vec::with_capacity(out.arity());
+                row.extend_from_slice(lrow);
+                row.extend_from_slice(rrow);
+                // Distinct input rows of fixed arities concatenate to
+                // distinct output rows, so no duplicate check is needed.
+                out.push(hash_values(&row), row);
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -544,6 +709,107 @@ mod tests {
         assert!(t.insert(vec![a, a]).is_ok());
         assert!(!t.insert(vec![a, a]).unwrap());
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn unchanged_tables_are_borrowed_not_copied() {
+        let mut vf = ValueFactory::new();
+        let a = vf.constant("a");
+        let env = env_with("t", TempTable::from_rows(2, vec![vec![a, a]]).unwrap());
+        let t = RaExpr::table("t");
+        for expr in [
+            t.clone(),
+            RaExpr::join(RaExpr::unit(), t.clone(), vec![]),
+            RaExpr::select(t.clone(), Condition::True),
+        ] {
+            assert!(
+                matches!(expr.eval(&env).unwrap(), Cow::Borrowed(_)),
+                "{expr:?}"
+            );
+        }
+        let swapped = RaExpr::project(t, vec![1, 0]);
+        assert!(matches!(swapped.eval(&env).unwrap(), Cow::Owned(_)));
+    }
+
+    #[test]
+    fn hash_join_keeps_nested_loop_order() {
+        let mut vf = ValueFactory::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| vf.constant(n));
+        let left = TempTable::from_rows(2, vec![vec![b, a], vec![a, b], vec![c, a]]).unwrap();
+        let right = TempTable::from_rows(2, vec![vec![a, d], vec![b, c], vec![a, c]]).unwrap();
+        let mut env = env_with("l", left);
+        env.insert("r".to_owned(), right);
+        let expr = RaExpr::join(RaExpr::table("l"), RaExpr::table("r"), vec![(1, 0)]);
+        let joined = expr.evaluate(&env).unwrap();
+        // Left rows in order, each with its matches in right order.
+        assert_eq!(
+            joined.rows(),
+            &[
+                vec![b, a, a, d],
+                vec![b, a, a, c],
+                vec![a, b, b, c],
+                vec![c, a, a, d],
+                vec![c, a, a, c],
+            ]
+        );
+        let product = RaExpr::join(RaExpr::table("l"), RaExpr::table("r"), vec![]);
+        assert_eq!(product.evaluate(&env).unwrap().len(), 9);
+    }
+
+    #[test]
+    fn union_chains_keep_first_occurrence_order() {
+        let mut vf = ValueFactory::new();
+        let [a, b, c] = ["a", "b", "c"].map(|n| vf.constant(n));
+        let mut env = env_with(
+            "x",
+            TempTable::from_rows(1, vec![vec![b], vec![a]]).unwrap(),
+        );
+        env.insert(
+            "y".to_owned(),
+            TempTable::from_rows(2, vec![vec![c, a], vec![a, b]]).unwrap(),
+        );
+        let leaves = || {
+            [
+                RaExpr::table("x"),
+                RaExpr::project(RaExpr::table("y"), vec![0]),
+                RaExpr::select(RaExpr::table("x"), Condition::eq_const(0, a)),
+                RaExpr::singleton(vec![c]),
+            ]
+        };
+        let left_deep = leaves().into_iter().reduce(RaExpr::union).unwrap();
+        let right_deep = leaves()
+            .into_iter()
+            .rev()
+            .reduce(|acc, e| RaExpr::union(e, acc))
+            .unwrap();
+        for expr in [left_deep, right_deep] {
+            assert_eq!(
+                expr.evaluate(&env).unwrap().rows(),
+                &[vec![b], vec![a], vec![c]]
+            );
+        }
+        // A leaf of another arity fails with the nested evaluator's error.
+        let bad = RaExpr::union(
+            RaExpr::table("x"),
+            RaExpr::union(RaExpr::table("x"), RaExpr::table("y")),
+        );
+        assert_eq!(
+            bad.evaluate(&env).unwrap_err(),
+            PlanError::Malformed("union of tables with different arities".to_owned())
+        );
+    }
+
+    #[test]
+    fn equality_compares_arity_and_rows_only() {
+        let mut vf = ValueFactory::new();
+        let [a, b] = ["a", "b"].map(|n| vf.constant(n));
+        let mut t = TempTable::new(1);
+        assert!(t.insert_slice(&[a]).unwrap());
+        assert!(!t.insert_slice(&[a]).unwrap());
+        assert!(t.insert(vec![b]).unwrap());
+        assert_eq!(t, TempTable::from_rows(1, vec![vec![a], vec![b]]).unwrap());
+        assert_ne!(t, TempTable::from_rows(1, vec![vec![b], vec![a]]).unwrap());
+        assert_ne!(TempTable::new(1), TempTable::new(2));
     }
 
     #[test]

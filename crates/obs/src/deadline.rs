@@ -1,7 +1,8 @@
 //! Cooperative per-request deadlines, propagated like the tracer: a
 //! thread-local armed at `QueryService::submit` entry and consulted by
 //! long-running work (the decision stages ahead of the chase, chase
-//! rounds, per-access plan execution, cache waiters) via one cheap check.
+//! rounds, plan commands and their accesses, cache waiters) via one cheap
+//! check.
 //!
 //! The deadline is deliberately **not** part of any fingerprint — like
 //! the trace flag it describes how hard to try, not what to compute —
@@ -12,8 +13,8 @@
 //! [`deadline_expired`] is a single thread-local load plus branch when
 //! no deadline is armed — the same one-branch guarantee as the tracing
 //! hooks. When armed it additionally reads the monotonic clock, which
-//! is why callers check once per chase round / per access rather than
-//! per tuple.
+//! is why callers check once per chase round / per plan command and
+//! access rather than per tuple.
 //!
 //! ## Threading model
 //!

@@ -13,9 +13,10 @@
 //! naive run exhausts (that asymmetry is the feature), while the reverse
 //! direction — adaptive failing where naive succeeded, or any row
 //! divergence — is a bug. This test, not a production mode, is where the
-//! two executors are compared. A final case drives a deadline abort: an
+//! two executors are compared. Two final cases drive a deadline abort: an
 //! expired deadline must surface as `DeadlineExceeded` under both
-//! executors, never as a partial row set.
+//! executors, never as a partial row set, also for a plan that makes no
+//! access at all.
 
 use std::time::Duration;
 
@@ -182,6 +183,34 @@ fn deadline_abort_is_a_timeout_not_a_mismatch() {
                 Err(PlanError::DeadlineExceeded) => {}
                 other => panic!("{adaptive:?}: expected DeadlineExceeded, got {other:?}"),
             }
+        }
+    }
+}
+
+/// The deadline is checked before every plan command, not only before
+/// each access: a plan made only of middleware commands times out too.
+#[test]
+fn deadline_abort_stops_a_middleware_only_plan() {
+    let mut scenario = scenarios::university(None);
+    let id = scenario.values.constant("id0");
+    let plan = PlanBuilder::new()
+        .middleware("seed", RaExpr::singleton(vec![id]))
+        .middleware(
+            "pairs",
+            RaExpr::join(RaExpr::table("seed"), RaExpr::table("seed"), vec![(0, 0)]),
+        )
+        .returns("pairs");
+    let data = university_instance(scenario.schema.signature(), &mut scenario.values, 5, 7);
+    let simulator = ServiceSimulator::new(scenario.schema.clone(), data);
+
+    let _guard = rbqa::obs::arm_deadline(Duration::ZERO);
+    for adaptive in [AdaptiveMode::Off, AdaptiveMode::On] {
+        let mut exec = ExecOptions::with_backend(BackendSpec::Instance);
+        exec.adaptive = adaptive;
+        let (results, _) = simulator.run_plans_exec_results(&[&plan], &exec).unwrap();
+        match &results[..] {
+            [Err(PlanError::DeadlineExceeded)] => {}
+            other => panic!("{adaptive:?}: expected DeadlineExceeded, got {other:?}"),
         }
     }
 }

@@ -11,9 +11,13 @@
 //!
 //! Part 2 is differential: a verbatim copy of the **pre-refactor**
 //! executor (the `(&Instance, &mut dyn AccessSelection)` loop that
-//! `execute` used to be) is run against the backend-generic executor over
-//! random plans, random data and random selections — row sets and
-//! accounting must be identical. A second differential asserts that a
+//! `execute` used to be), evaluating middleware with a copy of the
+//! nested-loop relational algebra evaluator the kernel replaced, is run
+//! against the backend-generic executor over random plans, random data
+//! and random selections — row sets and accounting must be identical. The
+//! same reference evaluator checks the kernel's `RaExpr::evaluate` on
+//! random expression trees: same arity, same rows in the same insertion
+//! order, same error. A second differential asserts that a
 //! [`ShardedBackend`] with 1..=4 shards produces exactly the rows and the
 //! accounting of the truncating [`InstanceBackend`] on schemas whose
 //! methods are unbounded or carry an exact result bound (where merging
@@ -21,16 +25,18 @@
 //! the global `k` smallest, whatever the shard assignment).
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rbqa::access::plan::{execute, execute_with_backend, PlanError};
 use rbqa::access::{
     AccessBackend, AccessError, AccessMethod, AccessSelection, Condition, InstanceBackend, Plan,
     PlanBuilder, RaExpr, RandomSelection, RecordingBackend, RemoteProfile, RetryPolicy, Schema,
-    ShardedBackend, SimulatedRemoteBackend, TruncatingSelection,
+    ShardedBackend, SimulatedRemoteBackend, TempTable, TruncatingSelection,
 };
 use rbqa::api::WireServer;
 use rbqa::common::{Instance, Signature, Value, ValueFactory};
 use rbqa::engine::{BackendSpec, ExecOptions, ServiceSimulator};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 
 // ---------------------------------------------------------------------------
 // Part 1: conformance suite over all four backends
@@ -272,9 +278,124 @@ execute uni Q(n) :- Prof(i, n, '10000')",
 // Part 2: differential against the pre-refactor executor
 // ---------------------------------------------------------------------------
 
+/// The deduplicated temporary table of the nested-loop evaluator: rows
+/// in insertion order plus a set of every row (a second copy of each).
+#[derive(Debug, Clone)]
+struct RefTable {
+    arity: usize,
+    rows: Vec<Vec<Value>>,
+    present: FxHashSet<Vec<Value>>,
+}
+
+impl RefTable {
+    fn new(arity: usize) -> Self {
+        RefTable {
+            arity,
+            rows: Vec::new(),
+            present: FxHashSet::default(),
+        }
+    }
+
+    fn from_rows(arity: usize, rows: Vec<Vec<Value>>) -> Result<Self, PlanError> {
+        let mut t = RefTable::new(arity);
+        for row in rows {
+            t.insert(row)?;
+        }
+        Ok(t)
+    }
+
+    fn insert(&mut self, row: Vec<Value>) -> Result<bool, PlanError> {
+        if row.len() != self.arity {
+            return Err(PlanError::Malformed(format!(
+                "row of length {} inserted into table of arity {}",
+                row.len(),
+                self.arity
+            )));
+        }
+        if self.present.contains(&row) {
+            return Ok(false);
+        }
+        self.present.insert(row.clone());
+        self.rows.push(row);
+        Ok(true)
+    }
+
+    fn sorted_rows(&self) -> Vec<Vec<Value>> {
+        let mut rows = self.rows.clone();
+        rows.sort();
+        rows
+    }
+}
+
+/// A verbatim copy of the nested-loop `RaExpr::evaluate` the RA kernel
+/// replaced: every scan clones its table, every union level copies both
+/// sides, joins are nested loops. Its insertion order is the contract the
+/// kernel keeps.
+fn reference_evaluate(
+    expr: &RaExpr,
+    env: &FxHashMap<String, RefTable>,
+) -> Result<RefTable, PlanError> {
+    match expr {
+        RaExpr::Table(name) => env
+            .get(name)
+            .cloned()
+            .ok_or_else(|| PlanError::UnknownTable(name.clone())),
+        RaExpr::Constant { arity, rows } => RefTable::from_rows(*arity, rows.clone()),
+        RaExpr::Select { input, condition } => {
+            let table = reference_evaluate(input, env)?;
+            let mut out = RefTable::new(table.arity);
+            for row in &table.rows {
+                if condition.matches(row) {
+                    out.insert(row.clone())?;
+                }
+            }
+            Ok(out)
+        }
+        RaExpr::Project { input, columns } => {
+            let table = reference_evaluate(input, env)?;
+            let mut out = RefTable::new(columns.len());
+            for row in &table.rows {
+                let projected: Vec<Value> = columns.iter().map(|&c| row[c]).collect();
+                out.insert(projected)?;
+            }
+            Ok(out)
+        }
+        RaExpr::Join { left, right, on } => {
+            let lt = reference_evaluate(left, env)?;
+            let rt = reference_evaluate(right, env)?;
+            let mut out = RefTable::new(lt.arity + rt.arity);
+            for lrow in &lt.rows {
+                for rrow in &rt.rows {
+                    if on.iter().all(|(l, r)| lrow[*l] == rrow[*r]) {
+                        let mut row = lrow.clone();
+                        row.extend(rrow.iter().copied());
+                        out.insert(row)?;
+                    }
+                }
+            }
+            Ok(out)
+        }
+        RaExpr::Union { left, right } => {
+            let lt = reference_evaluate(left, env)?;
+            let rt = reference_evaluate(right, env)?;
+            if lt.arity != rt.arity {
+                return Err(PlanError::Malformed(
+                    "union of tables with different arities".to_owned(),
+                ));
+            }
+            let mut out = RefTable::new(lt.arity);
+            for row in lt.rows.iter().chain(rt.rows.iter()) {
+                out.insert(row.clone())?;
+            }
+            Ok(out)
+        }
+    }
+}
+
 /// A verbatim copy of the pre-refactor `execute` loop: instance +
-/// selection, no backend indirection. This is the semantics the
-/// backend-generic executor must reproduce exactly.
+/// selection, no backend indirection, middleware through
+/// [`reference_evaluate`]. This is the semantics the backend-generic
+/// executor must reproduce exactly.
 fn reference_execute(
     plan: &Plan,
     schema: &Schema,
@@ -282,16 +403,15 @@ fn reference_execute(
     selection: &mut dyn AccessSelection,
 ) -> Result<(Vec<Vec<Value>>, usize, usize), PlanError> {
     use rbqa::access::plan::Command;
-    use rbqa::access::TempTable;
     plan.validate(schema)?;
-    let mut tables: FxHashMap<String, TempTable> = FxHashMap::default();
+    let mut tables: FxHashMap<String, RefTable> = FxHashMap::default();
     let mut accesses_performed = 0usize;
     let mut tuples_fetched = 0usize;
     let mut row_ids: Vec<u32> = Vec::new();
     for command in plan.commands() {
         match command {
             Command::Middleware { output, expr } => {
-                let table = expr.evaluate(&tables)?;
+                let table = reference_evaluate(expr, &tables)?;
                 tables.insert(output.clone(), table);
             }
             Command::Access {
@@ -304,10 +424,10 @@ fn reference_execute(
                 let m = schema
                     .method(method)
                     .ok_or_else(|| PlanError::UnknownMethod(method.clone()))?;
-                let bindings_table = input.evaluate(&tables)?;
+                let bindings_table = reference_evaluate(input, &tables)?;
                 let input_positions = m.input_positions_vec();
-                let mut out = TempTable::new(output_map.len());
-                for binding_row in bindings_table.rows() {
+                let mut out = RefTable::new(output_map.len());
+                for binding_row in &bindings_table.rows {
                     let binding: Vec<(usize, Value)> = input_positions
                         .iter()
                         .zip(input_map.iter())
@@ -488,6 +608,188 @@ proptest! {
         prop_assert_eq!(run.tuples_fetched, expected_fetched);
         prop_assert!(run.tuples_matched >= run.tuples_fetched,
             "bounds can only drop tuples, never add them");
+    }
+}
+
+/// Random expression trees over the tables `tables` (name, arity) and
+/// the value domain `values`, small enough that every join stays cheap.
+struct ExprGen<'a> {
+    rng: StdRng,
+    tables: &'a [(String, usize)],
+    values: &'a [Value],
+    joins_left: usize,
+}
+
+impl ExprGen<'_> {
+    fn value(&mut self) -> Value {
+        self.values[self.rng.gen_range(0..self.values.len())]
+    }
+
+    /// Up to three rows of `arity` random values, duplicates included.
+    fn constant(&mut self, arity: usize) -> RaExpr {
+        let rows = (0..self.rng.gen_range(0..4))
+            .map(|_| (0..arity).map(|_| self.value()).collect())
+            .collect();
+        RaExpr::Constant { arity, rows }
+    }
+
+    fn condition(&mut self, arity: usize) -> Condition {
+        if arity == 0 {
+            return Condition::True;
+        }
+        let simple = |g: &mut Self| match g.rng.gen_range(0..3) {
+            0 => Condition::eq_const(g.rng.gen_range(0..arity), g.value()),
+            1 => Condition::eq_columns(g.rng.gen_range(0..arity), g.rng.gen_range(0..arity)),
+            _ => Condition::True,
+        };
+        if self.rng.gen_bool(1.0 / 3.0) {
+            simple(self).and(simple(self))
+        } else {
+            simple(self)
+        }
+    }
+
+    /// `expr` (of arity `from`) turned into an expression of arity `to`.
+    fn coerce(&mut self, expr: RaExpr, from: usize, to: usize) -> RaExpr {
+        if from == to {
+            expr
+        } else if from == 0 {
+            let constant = self.constant(to);
+            RaExpr::join(expr, constant, vec![])
+        } else {
+            let columns = (0..to).map(|_| self.rng.gen_range(0..from)).collect();
+            RaExpr::project(expr, columns)
+        }
+    }
+
+    /// A random expression with at most `depth` operator levels, and its
+    /// arity. One table reference in sixteen names a missing table.
+    fn expr(&mut self, depth: usize) -> (RaExpr, usize) {
+        let kind = if depth == 0 {
+            self.rng.gen_range(0..3)
+        } else {
+            self.rng.gen_range(0..8)
+        };
+        match kind {
+            0 if self.rng.gen_bool(1.0 / 16.0) => (RaExpr::table("missing"), 1),
+            0 => {
+                let (name, arity) = &self.tables[self.rng.gen_range(0..self.tables.len())];
+                (RaExpr::table(name), *arity)
+            }
+            1 => {
+                let arity = self.rng.gen_range(0..3);
+                (self.constant(arity), arity)
+            }
+            2 => (RaExpr::unit(), 0),
+            3 => {
+                let (input, arity) = self.expr(depth - 1);
+                let condition = self.condition(arity);
+                (RaExpr::select(input, condition), arity)
+            }
+            4 => {
+                let (input, arity) = self.expr(depth - 1);
+                let width = if arity == 0 {
+                    0
+                } else {
+                    self.rng.gen_range(0..4)
+                };
+                let columns: Vec<usize> =
+                    (0..width).map(|_| self.rng.gen_range(0..arity)).collect();
+                (RaExpr::project(input, columns), width)
+            }
+            5 if self.joins_left > 0 => {
+                self.joins_left -= 1;
+                let (left, la) = match self.rng.gen_range(0..4) {
+                    0 => (RaExpr::unit(), 0),
+                    _ => self.expr(depth - 1),
+                };
+                let (right, ra) = match self.rng.gen_range(0..4) {
+                    0 => (RaExpr::unit(), 0),
+                    _ => self.expr(depth - 1),
+                };
+                let pairs = if la == 0 || ra == 0 {
+                    0
+                } else {
+                    self.rng.gen_range(0..3)
+                };
+                let on = (0..pairs)
+                    .map(|_| (self.rng.gen_range(0..la), self.rng.gen_range(0..ra)))
+                    .collect();
+                (RaExpr::join(left, right, on), la + ra)
+            }
+            5 => self.expr(depth - 1),
+            // A union chain of 2–4 leaves, left-deep or right-deep; one
+            // chain in eight has a leaf of another arity.
+            _ => {
+                let leaves = self.rng.gen_range(2..5);
+                let (first, arity) = self.expr(depth - 1);
+                let mismatch = self
+                    .rng
+                    .gen_bool(1.0 / 8.0)
+                    .then(|| self.rng.gen_range(0..leaves - 1));
+                let mut chain = vec![first];
+                for i in 0..leaves - 1 {
+                    let (leaf, leaf_arity) = self.expr(depth - 1);
+                    let want = if mismatch == Some(i) {
+                        arity + 1
+                    } else {
+                        arity
+                    };
+                    chain.push(self.coerce(leaf, leaf_arity, want));
+                }
+                let tree = if self.rng.gen_bool(0.5) {
+                    let first = chain.remove(0);
+                    chain.into_iter().fold(first, RaExpr::union)
+                } else {
+                    let last = chain.pop().expect("two leaves or more");
+                    chain
+                        .into_iter()
+                        .rev()
+                        .fold(last, |acc, e| RaExpr::union(e, acc))
+                };
+                (tree, arity)
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The RA kernel (borrowed scans, one-pass unions, hash joins) returns
+    /// exactly what the nested-loop reference returns: the same arity and
+    /// the same rows in the same insertion order, or the same error.
+    #[test]
+    fn ra_kernel_matches_the_nested_loop_reference(seed in any::<u64>()) {
+        let mut vf = ValueFactory::new();
+        let values: Vec<Value> = (0..3).map(|i| vf.constant(&format!("v{i}"))).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tables = Vec::new();
+        let mut env = FxHashMap::default();
+        let mut reference_env = FxHashMap::default();
+        for t in 0..3 {
+            let name = format!("t{t}");
+            let arity = rng.gen_range(1..4);
+            let rows: Vec<Vec<Value>> = (0..rng.gen_range(0..7))
+                .map(|_| (0..arity).map(|_| values[rng.gen_range(0..values.len())]).collect())
+                .collect();
+            env.insert(name.clone(), TempTable::from_rows(arity, rows.clone()).unwrap());
+            reference_env.insert(name.clone(), RefTable::from_rows(arity, rows).unwrap());
+            tables.push((name, arity));
+        }
+        let mut gen = ExprGen { rng, tables: &tables, values: &values, joins_left: 2 };
+        for _ in 0..4 {
+            gen.joins_left = 2;
+            let (expr, _) = gen.expr(4);
+            match (expr.evaluate(&env), reference_evaluate(&expr, &reference_env)) {
+                (Ok(kernel), Ok(reference)) => {
+                    prop_assert_eq!(kernel.arity(), reference.arity, "{:?}", expr);
+                    prop_assert_eq!(kernel.rows(), &reference.rows[..], "{:?}", expr);
+                }
+                (Err(kernel), Err(reference)) => prop_assert_eq!(kernel, reference, "{:?}", expr),
+                (kernel, reference) => panic!("{expr:?}: kernel {kernel:?}, reference {reference:?}"),
+            }
+        }
     }
 }
 
