@@ -249,13 +249,11 @@ pub fn chase_engine_cases(quick: bool) -> Vec<ChaseCase> {
                 .expect("generator emits queries")
                 .clone();
             // The same schema preparation the Table-1 decision pipeline
-            // applies before chasing (ElimUB plus the class
-            // simplification), so the measured chase is the decision's
-            // actual hot path.
-            let schema_lb = workload.schema.eliminate_upper_bounds();
+            // applies before chasing (the class simplification), so the
+            // measured chase is the decision's actual hot path.
             let prepared = match class {
-                RandomClass::Fds => fd_simplification(&schema_lb),
-                _ => schema_lb.choice_simplification(),
+                RandomClass::Fds => fd_simplification(&workload.schema),
+                _ => workload.schema.choice_simplification(),
             };
             let problem = AmondetProblem::build(&prepared, &query, &mut workload.values, style);
             cases.push(ChaseCase {

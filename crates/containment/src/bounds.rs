@@ -22,7 +22,7 @@ use rbqa_common::ValueFactory;
 
 use crate::generic::decide_with_completeness;
 use crate::problem::{ContainmentOutcome, ContainmentProblem, Verdict};
-use crate::semi_width::{max_width, semi_width_decomposition};
+use crate::semi_width::smallest_semi_width_decomposition;
 
 /// The Johnson–Klug depth bound `k · |Σ| · m^(w+1)` for a right-hand query
 /// of `query_atoms` atoms, `n_dependencies` dependencies, signature arity
@@ -57,23 +57,22 @@ pub fn semi_width_depth_bound(
 
 /// The completeness depth for a set of linear dependencies and a right-hand
 /// query of `rhs_atoms` atoms: the semi-width bound for the smallest width at
-/// which the greedy semi-width decomposition succeeds (falling back to the
-/// maximal width of the set).
+/// which the greedy semi-width decomposition succeeds (at the latest the
+/// maximal width of the set, where the acyclic part is empty).
 pub fn completeness_depth_for(
     tgds: &[rbqa_logic::Tgd],
     rhs_atoms: usize,
     max_arity: usize,
 ) -> usize {
-    let width_cap = max_width(tgds);
-    let mut chosen: Option<(usize, usize, usize)> = None; // (w, |Σ1|, |Σ2|)
-    for w in 0..=width_cap {
-        if let Some(d) = semi_width_decomposition(tgds, w) {
-            chosen = Some((w, d.bounded_part.len(), d.acyclic_part.len()));
-            break;
-        }
-    }
-    let (w, n1, n2) = chosen.unwrap_or((width_cap, tgds.len(), 0));
-    semi_width_depth_bound(rhs_atoms, n1, n2, max_arity, w)
+    let _obs = rbqa_obs::span("completeness_bound");
+    let d = smallest_semi_width_decomposition(tgds);
+    semi_width_depth_bound(
+        rhs_atoms,
+        d.bounded_part.len(),
+        d.acyclic_part.len(),
+        max_arity,
+        d.width,
+    )
 }
 
 /// Decides `problem` (whose TGDs should be linear — IDs or linearized rules)

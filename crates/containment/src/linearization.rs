@@ -90,6 +90,7 @@ impl LinearizedSchema {
         methods: &[MethodSignature],
         width: usize,
     ) -> LinearizedSchema {
+        let _obs = rbqa_obs::span("linearize");
         // The construction needs annotated relations for every exported-
         // position set of every ID, so the width bound is at least the
         // maximal ID width (and at least 1).

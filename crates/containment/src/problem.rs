@@ -67,10 +67,10 @@ impl ContainmentOutcome {
     /// `Some` once the request deadline has expired (counting the
     /// expiry): the outcome a chase aborted before its first round
     /// reports — an uncertified [`Verdict::Unknown`] with no rounds and no
-    /// facts. Every stage that runs ahead of the chase checks it (ElimUB,
-    /// the linearization or AMonDet build, the completeness bound, the
-    /// chase setup), so a timed-out decision stops at the next stage
-    /// rather than at the first chase round.
+    /// facts. Every stage that runs ahead of the chase checks it (the
+    /// linearization or AMonDet build, the completeness bound, the chase
+    /// setup), so a timed-out decision stops at the next stage rather than
+    /// at the first chase round.
     pub fn on_expired_deadline() -> Option<Self> {
         if !rbqa_obs::deadline_expired() {
             return None;

@@ -8,70 +8,52 @@
 //! position graph of `Σ2` acyclic (paper, Section 5). Semi-width is the
 //! measure under which the Johnson–Klug NP bound generalises
 //! (Proposition 5.6 / E.8).
+//!
+//! The semi-width queries compute each dependency's width and edges once;
+//! each candidate width is then one Kahn pass over the edges of the wider
+//! dependencies, with no dependency cloned and no graph rebuilt.
 
 use rbqa_common::RelationId;
 use rbqa_logic::Tgd;
-use rustc_hash::{FxHashMap, FxHashSet};
 
 /// A position node `(relation, position)`.
 pub type PosNode = (RelationId, usize);
+
+/// Calls `edge` for each position-graph edge of `tgd`: a body position and
+/// a head position holding the same variable. Only exported variables
+/// occur on both sides.
+fn for_each_edge(tgd: &Tgd, mut edge: impl FnMut(PosNode, PosNode)) {
+    for body_atom in tgd.body() {
+        for (bpos, &term) in body_atom.args().iter().enumerate() {
+            if !term.is_var() {
+                continue;
+            }
+            for head_atom in tgd.head() {
+                for (hpos, &t) in head_atom.args().iter().enumerate() {
+                    if t == term {
+                        edge((body_atom.relation(), bpos), (head_atom.relation(), hpos));
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// The basic position graph of a set of linear dependencies: edges from
 /// body positions to head positions of exported variables.
 pub fn position_graph(tgds: &[Tgd]) -> Vec<(PosNode, PosNode)> {
     let mut edges = Vec::new();
     for tgd in tgds {
-        let exported: FxHashSet<_> = tgd.exported_variables().into_iter().collect();
-        for body_atom in tgd.body() {
-            for x in body_atom.variables() {
-                if !exported.contains(&x) {
-                    continue;
-                }
-                for bpos in body_atom.positions_of(x) {
-                    for head_atom in tgd.head() {
-                        for hpos in head_atom.positions_of(x) {
-                            edges
-                                .push(((body_atom.relation(), bpos), (head_atom.relation(), hpos)));
-                        }
-                    }
-                }
-            }
-        }
+        for_each_edge(tgd, |from, to| edges.push((from, to)));
     }
     edges
 }
 
 /// Whether the position graph of `tgds` is acyclic.
 pub fn position_graph_is_acyclic(tgds: &[Tgd]) -> bool {
-    let edges = position_graph(tgds);
-    let mut nodes: Vec<PosNode> = Vec::new();
-    for (a, b) in &edges {
-        nodes.push(*a);
-        nodes.push(*b);
-    }
-    nodes.sort();
-    nodes.dedup();
-    let index: FxHashMap<PosNode, usize> = nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-    let n = nodes.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indegree = vec![0usize; n];
-    for (a, b) in &edges {
-        adj[index[a]].push(index[b]);
-        indegree[index[b]] += 1;
-    }
-    // Kahn's algorithm: the graph is acyclic iff all nodes can be removed.
-    let mut queue: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
-    let mut removed = 0;
-    while let Some(v) = queue.pop() {
-        removed += 1;
-        for &w in &adj[v] {
-            indegree[w] -= 1;
-            if indegree[w] == 0 {
-                queue.push(w);
-            }
-        }
-    }
-    removed == n
+    // An edge needs an exported variable, so every edge comes from a
+    // dependency of width at least 1.
+    WidthGraph::new(tgds).wider_part_is_acyclic(0)
 }
 
 /// The maximum number of exported variables over `tgds` (their width).
@@ -81,7 +63,7 @@ pub fn max_width(tgds: &[Tgd]) -> usize {
 
 /// A decomposition certifying bounded semi-width: indices of the dependencies
 /// assigned to the bounded-width part `Σ1` and to the acyclic part `Σ2`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SemiWidthDecomposition {
     /// Indices (into the input slice) of dependencies with width ≤ w.
     pub bounded_part: Vec<usize>,
@@ -90,6 +72,98 @@ pub struct SemiWidthDecomposition {
     pub acyclic_part: Vec<usize>,
     /// The width bound used.
     pub width: usize,
+}
+
+/// The widths and position-graph edges of a set of dependencies, computed
+/// once.
+struct WidthGraph {
+    /// `widths[i]` is the width of dependency `i`.
+    widths: Vec<usize>,
+    /// `(width, from, to)`: an edge between dense node indices (`(R, p)`
+    /// is `first[R] + p`) and the width of the dependency it comes from.
+    edges: Vec<(usize, usize, usize)>,
+    nodes: usize,
+}
+
+impl WidthGraph {
+    fn new(tgds: &[Tgd]) -> WidthGraph {
+        // Each relation gets as many nodes as its widest atom has positions.
+        let mut arity: Vec<usize> = Vec::new();
+        for atom in tgds.iter().flat_map(|t| t.body().iter().chain(t.head())) {
+            let r = atom.relation().index();
+            if arity.len() <= r {
+                arity.resize(r + 1, 0);
+            }
+            arity[r] = arity[r].max(atom.arity());
+        }
+        let mut first = Vec::with_capacity(arity.len());
+        let mut nodes = 0;
+        for a in arity {
+            first.push(nodes);
+            nodes += a;
+        }
+        let node = |(r, p): PosNode| first[r.index()] + p;
+        let widths: Vec<usize> = tgds.iter().map(|t| t.width()).collect();
+        let mut edges = Vec::new();
+        for (tgd, &width) in tgds.iter().zip(&widths) {
+            for_each_edge(tgd, |from, to| edges.push((width, node(from), node(to))));
+        }
+        WidthGraph {
+            widths,
+            edges,
+            nodes,
+        }
+    }
+
+    /// Whether the position graph of the dependencies wider than `w` is
+    /// acyclic: Kahn's algorithm over their edges in adjacency-array form.
+    fn wider_part_is_acyclic(&self, w: usize) -> bool {
+        let n = self.nodes;
+        let kept = || self.edges.iter().filter(move |e| e.0 > w);
+        let mut indegree = vec![0usize; n];
+        // Out-edge counts, then offsets: `v`'s out-edges are
+        // `targets[start[v]..start[v + 1]]`.
+        let mut start = vec![0usize; n + 1];
+        for &(_, a, b) in kept() {
+            start[a + 1] += 1;
+            indegree[b] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut targets = vec![0usize; start[n]];
+        for &(_, a, b) in kept() {
+            targets[next[a]] = b;
+            next[a] += 1;
+        }
+        let mut ready: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
+        let mut removed = 0;
+        while let Some(v) = ready.pop() {
+            removed += 1;
+            for &u in &targets[start[v]..start[v + 1]] {
+                indegree[u] -= 1;
+                if indegree[u] == 0 {
+                    ready.push(u);
+                }
+            }
+        }
+        removed == n
+    }
+
+    /// The greedy split at width `w`, when the wider part is acyclic.
+    fn decomposition(&self, w: usize) -> Option<SemiWidthDecomposition> {
+        if !self.wider_part_is_acyclic(w) {
+            return None;
+        }
+        let (acyclic_part, bounded_part) =
+            (0..self.widths.len()).partition(|&i| self.widths[i] > w);
+        Some(SemiWidthDecomposition {
+            bounded_part,
+            acyclic_part,
+            width: w,
+        })
+    }
 }
 
 /// Attempts to certify that `tgds` have semi-width at most `w`, using the
@@ -101,32 +175,28 @@ pub struct SemiWidthDecomposition {
 /// used by the paper's constructions, where the wide dependencies are the
 /// transfer axioms, which are acyclic by design).
 pub fn semi_width_decomposition(tgds: &[Tgd], w: usize) -> Option<SemiWidthDecomposition> {
-    let mut bounded = Vec::new();
-    let mut rest = Vec::new();
-    for (i, tgd) in tgds.iter().enumerate() {
-        if tgd.width() <= w {
-            bounded.push(i);
-        } else {
-            rest.push(i);
-        }
-    }
-    let rest_tgds: Vec<Tgd> = rest.iter().map(|&i| tgds[i].clone()).collect();
-    if position_graph_is_acyclic(&rest_tgds) {
-        Some(SemiWidthDecomposition {
-            bounded_part: bounded,
-            acyclic_part: rest,
-            width: w,
-        })
-    } else {
-        None
-    }
+    WidthGraph::new(tgds).decomposition(w)
 }
 
-/// The smallest `w` for which [`semi_width_decomposition`] succeeds, if any
-/// (bounded by the maximal width of the input).
-pub fn semi_width(tgds: &[Tgd]) -> Option<usize> {
-    let max = max_width(tgds);
-    (0..=max).find(|&w| semi_width_decomposition(tgds, w).is_some())
+/// The greedy decomposition at the smallest `w` for which it succeeds. One
+/// always does: at the maximal width of `tgds` every dependency is in the
+/// bounded part and the acyclic part is empty.
+pub fn smallest_semi_width_decomposition(tgds: &[Tgd]) -> SemiWidthDecomposition {
+    let graph = WidthGraph::new(tgds);
+    let cap = graph.widths.iter().copied().max().unwrap_or(0);
+    (0..cap)
+        .find_map(|w| graph.decomposition(w))
+        .unwrap_or_else(|| SemiWidthDecomposition {
+            bounded_part: (0..tgds.len()).collect(),
+            acyclic_part: Vec::new(),
+            width: cap,
+        })
+}
+
+/// The smallest `w` for which [`semi_width_decomposition`] succeeds (at most
+/// the maximal width of the input).
+pub fn semi_width(tgds: &[Tgd]) -> usize {
+    smallest_semi_width_decomposition(tgds).width
 }
 
 #[cfg(test)]
@@ -134,6 +204,8 @@ mod tests {
     use super::*;
     use rbqa_common::Signature;
     use rbqa_logic::constraints::tgd::inclusion_dependency;
+    use rbqa_logic::constraints::TgdBuilder;
+    use rbqa_logic::Term;
 
     fn sig() -> (Signature, RelationId, RelationId, RelationId) {
         let mut s = Signature::new();
@@ -176,7 +248,7 @@ mod tests {
         let decomposition = semi_width_decomposition(&set, 1).unwrap();
         assert_eq!(decomposition.bounded_part.len(), 2);
         assert_eq!(decomposition.acyclic_part, vec![2]);
-        assert_eq!(semi_width(&set), Some(1));
+        assert_eq!(semi_width(&set), 1);
     }
 
     #[test]
@@ -188,12 +260,28 @@ mod tests {
         let wide2 = inclusion_dependency(&s2, v, &[0, 1], u, &[0, 1]);
         let set = vec![wide1, wide2];
         assert!(semi_width_decomposition(&set, 1).is_none());
-        assert_eq!(semi_width(&set), Some(2));
+        assert_eq!(semi_width(&set), 2);
     }
 
     #[test]
     fn empty_set_has_semi_width_zero() {
-        assert_eq!(semi_width(&[]), Some(0));
+        assert_eq!(semi_width(&[]), 0);
         assert!(position_graph_is_acyclic(&[]));
+    }
+
+    #[test]
+    fn shared_constants_draw_no_edges() {
+        // R(x, 'c') -> R('c', x): only x travels, so the one edge
+        // (R, 0) -> (R, 1) makes no cycle.
+        let (_sig, r, _t, _u) = sig();
+        let c = Term::Const(rbqa_common::ValueFactory::new().constant("c"));
+        let mut b = TgdBuilder::new();
+        let x = Term::Var(b.var("x"));
+        b.body_atom(r, vec![x, c]);
+        b.head_atom(r, vec![c, x]);
+        let set = [b.build()];
+        assert_eq!(position_graph(&set), vec![((r, 0), (r, 1))]);
+        assert!(position_graph_is_acyclic(&set));
+        assert_eq!(semi_width(&set), 0);
     }
 }

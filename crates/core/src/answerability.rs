@@ -191,12 +191,24 @@ pub fn decide_monotone_answerability(
     values: &mut ValueFactory,
     options: &AnswerabilityOptions,
 ) -> AnswerabilityResult {
+    let class = classify_constraints(schema.constraints());
+    decide_in_class(schema, class, query, values, options)
+}
+
+/// The per-CQ pipeline over a schema already classified as `class`.
+fn decide_in_class(
+    schema: &Schema,
+    class: ConstraintClass,
+    query: &ConjunctiveQuery,
+    values: &mut ValueFactory,
+    options: &AnswerabilityOptions,
+) -> AnswerabilityResult {
     // Pipeline-level span: the chase / FD-fixpoint / saturation /
-    // containment work below attributes itself to its own phases, so this
-    // span's self-time is classification, simplification and axiom
+    // containment work below attributes itself to its own phases, and the
+    // linearization build and completeness bound have their own spans, so
+    // this span's self-time is simplification and AMonDet axiom
     // construction ("other" in the phase breakdown).
     let mut obs = rbqa_obs::span("decide");
-    let class = classify_constraints(schema.constraints());
     let (simplification, strategy) = match (options.axiom_style_override, class) {
         // Ablation mode: forced axiomatisation style, no simplification.
         (Some(_), _) => (SimplificationKind::None, Strategy::ForcedAxiomStyle),
@@ -242,18 +254,18 @@ pub fn decide_monotone_answerability(
     if let Some(stopped) = ContainmentOutcome::on_expired_deadline() {
         return result(stopped, None);
     }
-    // Result upper bounds never matter (Proposition 3.3).
-    let schema_lb = schema.eliminate_upper_bounds();
-    if let Some(stopped) = ContainmentOutcome::on_expired_deadline() {
-        return result(stopped, None);
-    }
+    // No stage below reads a result bound as an upper bound: the method
+    // signatures, the FD simplification and the axioms only ask whether a
+    // method is bounded, the choice simplification sets every bound to 1,
+    // and the naive ablation reads only the limit. So `ElimUB`
+    // (Proposition 3.3) holds without building the relaxed schema.
 
     let containment = match strategy {
         Strategy::ForcedAxiomStyle => {
             let style = options
                 .axiom_style_override
                 .expect("the forced strategy is chosen only with a style");
-            let problem = AmondetProblem::build(&schema_lb, query, values, style);
+            let problem = AmondetProblem::build(schema, query, values, style);
             problem.decide(values, options.chase_config())
         }
         Strategy::IdLinearization => {
@@ -261,12 +273,11 @@ pub fn decide_monotone_answerability(
             // directly by the linearization, which handles result-bounded
             // methods through the result-bounded fact-transfer rules
             // (Appendix E.5.2).
-            let ids: Vec<_> = schema_lb.constraints().tgds().to_vec();
-            let width = schema_lb.constraints().max_id_width();
+            let width = schema.constraints().max_id_width();
             let lin = LinearizedSchema::build(
-                schema_lb.signature(),
-                &ids,
-                &method_signatures(&schema_lb),
+                schema.signature(),
+                schema.constraints().tgds(),
+                &method_signatures(schema),
                 width,
             );
             lin.decide(query, query, values, options.chase_config())
@@ -274,14 +285,14 @@ pub fn decide_monotone_answerability(
         Strategy::FdSimplificationChase => {
             // FD simplification (Theorem 4.5) removes every result bound;
             // the resulting chase terminates (Theorem 5.2).
-            let simplified = fd_simplification(&schema_lb);
+            let simplified = fd_simplification(schema);
             let problem = AmondetProblem::build(&simplified, query, values, AxiomStyle::Simplified);
             problem.decide(values, options.chase_config())
         }
         Strategy::ChoiceSeparabilityChase => {
             // Choice simplification (Theorem 6.4) then the separability
             // rewriting of Theorem 7.2.
-            let choice = schema_lb.choice_simplification();
+            let choice = schema.choice_simplification();
             let problem =
                 AmondetProblem::build(&choice, query, values, AxiomStyle::SeparabilityRewriting);
             problem.decide(values, options.chase_config())
@@ -289,7 +300,7 @@ pub fn decide_monotone_answerability(
         Strategy::ChoiceChase => {
             // Choice simplification (Theorem 6.3); the generic chase is
             // budgeted and may report Unknown.
-            let choice = schema_lb.choice_simplification();
+            let choice = schema.choice_simplification();
             let problem = AmondetProblem::build(&choice, query, values, AxiomStyle::Simplified);
             problem.decide(values, options.chase_config())
         }
@@ -408,12 +419,13 @@ impl UnionAnswerabilityResult {
 /// Decides whether the union query is monotone answerable over `schema`.
 ///
 /// The empty union (constantly false) is trivially answerable by the empty
-/// plan. A single disjunct delegates to [`decide_monotone_answerability`]
-/// unchanged. For larger unions, each disjunct runs the full per-CQ
-/// pipeline; disjuncts that are not answerable alone get a *union rescue*
-/// chase — the AMonDet containment over the choice-simplified schema whose
-/// right-hand side is the whole primed union and whose accessible seed
-/// includes every constant of the union. The union is:
+/// plan. The schema is classified once; a single disjunct then runs the
+/// per-CQ pipeline of [`decide_monotone_answerability`] unchanged. For
+/// larger unions, each disjunct runs the full per-CQ pipeline; disjuncts
+/// that are not answerable alone get a *union rescue* chase — the AMonDet
+/// containment over the choice-simplified schema whose right-hand side is
+/// the whole primed union and whose accessible seed includes every
+/// constant of the union. The union is:
 ///
 /// * `Answerable` when every disjunct is answerable alone or rescued;
 /// * `NotAnswerable` when some disjunct's union containment definitively
@@ -463,7 +475,7 @@ pub fn decide_monotone_answerability_union(
     let disjuncts: Vec<AnswerabilityResult> = union
         .disjuncts()
         .iter()
-        .map(|q| decide_monotone_answerability(schema, q, values, options))
+        .map(|q| decide_in_class(schema, class, q, values, options))
         .collect();
 
     let mut rescues = Vec::new();
@@ -471,10 +483,11 @@ pub fn decide_monotone_answerability_union(
     let mut any_unresolved = false;
 
     if union.len() > 1 {
-        // Cross-disjunct rescue for disjuncts that fail alone. ElimUB and the
-        // choice simplification are sound for every constraint class
-        // (Prop. 3.3, Thms 6.3/6.4), so the generic budgeted chase over the
-        // simplified schema is a sound union check; it is complete whenever
+        // Cross-disjunct rescue for disjuncts that fail alone. The choice
+        // simplification is sound for every constraint class (Thms
+        // 6.3/6.4, with ElimUB of Prop. 3.3 implicit as in the per-CQ
+        // pipeline), so the generic budgeted chase over the simplified
+        // schema is a sound union check; it is complete whenever
         // that chase saturates. The axiomatisation style must match the
         // class, exactly as in the per-CQ dispatch: for UIDs + FDs the
         // plain simplified axioms under-derive (the separability rewriting
@@ -496,8 +509,7 @@ pub fn decide_monotone_answerability_union(
                 any_unresolved = true;
                 break;
             }
-            let choice = choice
-                .get_or_insert_with(|| schema.eliminate_upper_bounds().choice_simplification());
+            let choice = choice.get_or_insert_with(|| schema.choice_simplification());
             let mut problem =
                 AmondetProblem::build(choice, &union.disjuncts()[i], values, rescue_style);
             problem.seed_accessible(&union.constants());

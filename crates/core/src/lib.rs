@@ -10,9 +10,9 @@
 //!    constraint classes of Table 1 ([`classify`]).
 //! 2. **Simplify** the schema: existence-check simplification for IDs
 //!    (Theorem 4.2), FD simplification for FDs (Theorem 4.5), choice
-//!    simplification for TGDs and for UIDs + FDs (Theorems 6.3 and 6.4), and
-//!    `ElimUB` to drop result upper bounds (Proposition 3.3)
-//!    ([`simplification`]).
+//!    simplification for TGDs and for UIDs + FDs (Theorems 6.3 and 6.4)
+//!    ([`simplification`]). Every stage reads a result bound as a lower
+//!    bound, so `ElimUB` (Proposition 3.3) needs no stage of its own.
 //! 3. **Reduce to query containment**: build the AMonDet containment
 //!    `Q ⊆_Γ Q'` with accessibility axioms over an expanded signature
 //!    (Section 3, Proposition 3.4) ([`amondet`]).

@@ -19,8 +19,11 @@
 //!   FO / TGDs and for UIDs + FDs): every result bound is replaced by 1 —
 //!   the *value* of the bound never matters.
 //!
-//! `ElimUB` (Proposition 3.3) is available as
-//! [`rbqa_access::Schema::eliminate_upper_bounds`].
+//! `ElimUB` (Proposition 3.3) is not a stage: every stage reads a result
+//! bound as a lower bound. The relaxed schema itself is
+//! [`rbqa_access::Schema::eliminate_upper_bounds`], against which the root
+//! test `simplification_soundness::elim_ub_does_not_change_decisions`
+//! checks the proposition.
 
 use rbqa_access::{AccessMethod, Schema};
 use rbqa_logic::constraints::TgdBuilder;

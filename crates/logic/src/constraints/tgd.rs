@@ -61,13 +61,17 @@ impl Tgd {
     }
 
     /// The exported (frontier) variables: body variables occurring in the
-    /// head.
+    /// head, in order of first occurrence in the body.
     pub fn exported_variables(&self) -> Vec<VarId> {
-        let head: FxHashSet<VarId> = self.head_variables().into_iter().collect();
-        self.body_variables()
-            .into_iter()
-            .filter(|v| head.contains(v))
-            .collect()
+        let mut exported = Vec::new();
+        for term in self.body.iter().flat_map(|a| a.args()) {
+            if let Term::Var(v) = term {
+                if !exported.contains(v) && self.head.iter().any(|h| h.args().contains(term)) {
+                    exported.push(*v);
+                }
+            }
+        }
+        exported
     }
 
     /// The existential variables: head variables not occurring in the body.
@@ -339,6 +343,21 @@ mod tests {
         let tgd = b.build();
         assert!(!tgd.is_guarded());
         assert!(tgd.is_frontier_guarded());
+    }
+
+    #[test]
+    fn exported_variables_follow_the_body_order() {
+        // U(y, x, z), R(x, z) -> R(z, y): x stays in the body, and the
+        // frontier lists y before z, as the body first mentions them.
+        let (_sig, r, _t, u) = sig();
+        let mut b = TgdBuilder::new();
+        let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
+        b.body_atom(u, vec![Term::Var(y), Term::Var(x), Term::Var(z)]);
+        b.body_atom(r, vec![Term::Var(x), Term::Var(z)]);
+        b.head_atom(r, vec![Term::Var(z), Term::Var(y)]);
+        let tgd = b.build();
+        assert_eq!(tgd.exported_variables(), vec![y, z]);
+        assert_eq!(tgd.width(), 2);
     }
 
     #[test]

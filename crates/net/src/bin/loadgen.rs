@@ -612,18 +612,24 @@ const CHAOS_RETRIES: u32 = 2;
 /// `option exec.deadline` of the timeout phase, microseconds. The heavy
 /// chain catalog's fresh decide takes well past this, so every request
 /// times out. The decision checks the deadline before each stage that
-/// runs ahead of the chase (ElimUB, the linearization build, the
-/// completeness bound, the chase setup) and at every chase round, so a
-/// request overshoots by at most its longest unchecked stage — the
-/// linearization build, a few milliseconds on the heavy chain — plus
-/// scheduler jitter. The deadline is sized to leave the 2x response-time
-/// bound a full deadline's worth of slack for that on a noisy CI box.
+/// runs ahead of the chase (the linearization build, the completeness
+/// bound, the chase setup) and at every chase round, so a request
+/// overshoots by at most its longest unchecked stage — the linearization
+/// build, a few milliseconds on the heavy chain — plus scheduler jitter.
+/// The deadline is sized to leave the 2x response-time bound a full
+/// deadline's worth of slack for that on a noisy CI box.
 const CHAOS_DEADLINE_MICROS: u64 = 10_000;
-/// Length of the heavy catalog's constraint chain (= chase rounds).
-/// Sized so an undisturbed fresh decide takes ~1.5x the deadline: long
-/// enough that all storm requests time out, short enough that the
+/// Length of the heavy catalog's constraint chain. The chase runs to the
+/// budget's depth along it, and [`CHAOS_HEAVY_BRANCHES`] sets the work
+/// per round, so an undisturbed fresh decide takes ~1.5x the deadline:
+/// long enough that all storm requests time out, short enough that the
 /// no-deadline replay stays cheap.
 const CHAOS_HEAVY_CHAIN: usize = 192;
+/// Constant-led side atoms of the heavy decide's query (see
+/// [`heavy_decide`]): chase work that checks the deadline every round,
+/// where a longer chain would also lengthen the unchecked linearization
+/// build.
+const CHAOS_HEAVY_BRANCHES: usize = 2;
 /// Requests in the timeout storm (and its no-deadline replay).
 const CHAOS_TIMEOUT_REQUESTS: usize = 12;
 
@@ -666,8 +672,15 @@ fn generate_chaos_workload(catalogs: usize, queries: usize) -> ChaosWorkload {
 
 /// A decide against the heavy catalog with a fresh selecting constant:
 /// a guaranteed cache miss, so the full multi-millisecond chase runs.
+/// Each of the [`CHAOS_HEAVY_BRANCHES`] side atoms `C{3+j}('k{j}', ..)`
+/// starts one more chain whose values are all accessible (its first
+/// position is a constant and the method on it takes that position), so
+/// every chase round carries its annotated and primed copies too.
 fn heavy_decide(tag: &str, idx: usize) -> String {
-    format!("decide heavy Q(y) :- C0(x, y, w), C1(y, z, v), C2(z, u, '{tag}{idx}')")
+    let branches: String = (0..CHAOS_HEAVY_BRANCHES)
+        .map(|j| format!(", C{}('k{j}', b{j}, c{j})", 3 + j))
+        .collect();
+    format!("decide heavy Q(y) :- C0(x, y, w), C1(y, z, v), C2(z, u, '{tag}{idx}'){branches}")
 }
 
 #[derive(Default)]

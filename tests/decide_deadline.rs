@@ -1,5 +1,5 @@
 //! A decision whose request deadline has expired stops at the next
-//! pipeline stage. The stages that run ahead of the chase (ElimUB, the
+//! pipeline stage. The stages that run ahead of the chase (the
 //! linearization or AMonDet build, the completeness bound, the chase
 //! setup) check the deadline too, so a timed-out decide does not finish
 //! the pre-chase work before noticing at its first chase round.

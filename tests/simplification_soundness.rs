@@ -1,5 +1,6 @@
 //! Cross-crate integration tests for the schema-simplification theorems:
-//! decisions must be invariant under `ElimUB` (Proposition 3.3), invariant
+//! decisions must be invariant under `ElimUB` (Proposition 3.3, down to the
+//! strategy and the chase's round and fact counts), invariant
 //! under the *value* of result bounds for the classes covered by Sections 4
 //! and 6 (down to the chase's round and fact counts), and consistent
 //! between a schema and its simplification; the naive cardinality axioms
@@ -9,11 +10,15 @@ use rbqa::access::{AccessMethod, Schema};
 use rbqa::chase::Budget;
 use rbqa::common::{Signature, ValueFactory};
 use rbqa::core::{
-    choice_simplification, decide_monotone_answerability, existence_check_simplification,
-    fd_simplification, Answerability, AnswerabilityOptions, AxiomStyle,
+    choice_simplification, classify_constraints, decide_monotone_answerability,
+    decide_monotone_answerability_union, existence_check_simplification, fd_simplification,
+    Answerability, AnswerabilityOptions, AnswerabilityResult, AxiomStyle, ConstraintClass,
+    Strategy,
 };
+use rbqa::logic::constraints::TgdBuilder;
 use rbqa::logic::parser::parse_cq;
-use rbqa::workloads::random::{RandomClass, RandomSchemaConfig};
+use rbqa::logic::{ConjunctiveQuery, Term, UnionOfConjunctiveQueries};
+use rbqa::workloads::random::{RandomClass, RandomSchemaConfig, RandomWorkload};
 use rbqa::workloads::scenarios;
 
 fn decide(
@@ -25,18 +30,180 @@ fn decide(
         .answerability
 }
 
-#[test]
-fn elim_ub_does_not_change_decisions() {
-    for bound in [1, 10, 100] {
-        let mut scenario = scenarios::university(Some(bound));
-        let relaxed = scenario.schema.eliminate_upper_bounds();
-        for name in ["Q1_salary_names", "Q2_directory_nonempty"] {
-            let query = scenario.query(name).unwrap().clone();
-            let original = decide(&scenario.schema, &query, &mut scenario.values);
-            let after = decide(&relaxed, &query, &mut scenario.values);
-            assert_eq!(original, after, "ElimUB changed the verdict of {name}");
+/// What `ElimUB` must leave unchanged in a decision: the verdict, its
+/// certification, the strategy and the size of the chase.
+fn footprint(result: &AnswerabilityResult) -> (Answerability, bool, Strategy, usize, usize) {
+    (
+        result.answerability,
+        result.containment.complete,
+        result.strategy,
+        result.containment.chase_stats.rounds,
+        result.containment.chased_facts,
+    )
+}
+
+/// Decides every query over `schema` and over `ElimUB(schema)` under the
+/// class's own strategy and under forced axiom styles, and asserts equal
+/// footprints.
+fn assert_elim_ub_invariant(
+    schema: &Schema,
+    queries: &[ConjunctiveQuery],
+    values: &ValueFactory,
+    what: &str,
+) {
+    assert!(schema.has_result_bounds(), "{what}: a bounded schema");
+    let relaxed = schema.eliminate_upper_bounds();
+    let forced = |style| AnswerabilityOptions {
+        axiom_style_override: Some(style),
+        budget: Budget::small(),
+        ..AnswerabilityOptions::default()
+    };
+    for options in [
+        AnswerabilityOptions::default(),
+        forced(AxiomStyle::Simplified),
+        forced(AxiomStyle::NaiveCardinality { cap: 4 }),
+    ] {
+        for (i, query) in queries.iter().enumerate() {
+            let decide = |schema: &Schema| {
+                let mut values = values.clone();
+                decide_monotone_answerability(schema, query, &mut values, &options)
+            };
+            assert_eq!(
+                footprint(&decide(schema)),
+                footprint(&decide(&relaxed)),
+                "{what}, query {i}, style {:?}",
+                options.axiom_style_override
+            );
         }
     }
+}
+
+/// A random bounded schema of `class`, with its chain queries.
+fn random_bounded(class: RandomClass, seed: u64) -> RandomWorkload {
+    RandomSchemaConfig {
+        relations: 4,
+        dependencies: 4,
+        class,
+        bounded_percent: 100,
+        ..Default::default()
+    }
+    .generate(seed)
+}
+
+/// A random bounded ID schema plus the frontier-guarded, unguarded TGD
+/// `R0(x, ..), R1(y, ..) -> R2(x, ..)`.
+fn random_bounded_fgtgd(seed: u64) -> RandomWorkload {
+    let mut workload = random_bounded(RandomClass::Ids { width: 1 }, seed);
+    let schema = &workload.schema;
+    let sig = schema.signature();
+    let rel = |name: &str| sig.require(name).unwrap();
+    let mut b = TgdBuilder::new();
+    let atom = |b: &mut TgdBuilder, name: &str, first: &str, prefix: &str| {
+        let args = (0..sig.arity(rel(name)))
+            .map(|p| match p {
+                0 => Term::Var(b.var(first)),
+                _ => Term::Var(b.var(&format!("{prefix}{p}"))),
+            })
+            .collect();
+        (rel(name), args)
+    };
+    let (r0, body0) = atom(&mut b, "R0", "x", "u");
+    let (r1, body1) = atom(&mut b, "R1", "y", "v");
+    let (r2, head) = atom(&mut b, "R2", "x", "z");
+    b.body_atom(r0, body0);
+    b.body_atom(r1, body1);
+    b.head_atom(r2, head);
+    let mut constraints = schema.constraints().clone();
+    constraints.push_tgd(b.build());
+    workload.schema =
+        Schema::with_parts(sig.clone(), constraints, schema.methods().to_vec()).unwrap();
+    workload
+}
+
+#[test]
+fn elim_ub_does_not_change_decisions() {
+    // Proposition 3.3. The pipeline never builds `ElimUB(Sch)`: every
+    // stage reads a bound as a lower bound. So this compares two different
+    // inputs, the schema and its relaxation, strategy by strategy.
+    for scenario in scenarios::all_scenarios()
+        .into_iter()
+        .filter(|s| s.schema.has_result_bounds())
+    {
+        let queries: Vec<ConjunctiveQuery> =
+            scenario.queries.iter().map(|(_, q, _)| q.clone()).collect();
+        assert_elim_ub_invariant(&scenario.schema, &queries, &scenario.values, &scenario.name);
+    }
+
+    for (seed, workload, class) in [
+        (
+            1,
+            random_bounded(RandomClass::Ids { width: 2 }, 1),
+            ConstraintClass::IdsOnly { max_width: 2 },
+        ),
+        (
+            2,
+            random_bounded(RandomClass::Ids { width: 1 }, 2),
+            ConstraintClass::IdsOnly { max_width: 1 },
+        ),
+        (
+            3,
+            random_bounded(RandomClass::Fds, 3),
+            ConstraintClass::FdsOnly,
+        ),
+        (
+            4,
+            random_bounded(RandomClass::UidsAndFds, 4),
+            ConstraintClass::UidsAndFds,
+        ),
+        (
+            5,
+            random_bounded_fgtgd(5),
+            ConstraintClass::FrontierGuardedTgds,
+        ),
+    ] {
+        let what = format!("random {class:?}, seed {seed}");
+        assert_eq!(
+            classify_constraints(workload.schema.constraints()),
+            class,
+            "{what}"
+        );
+        assert_elim_ub_invariant(&workload.schema, &workload.queries, &workload.values, &what);
+    }
+
+    // A union whose salary disjunct is not answerable alone takes the
+    // union rescue, which chases the choice simplification.
+    let scenario = scenarios::university(Some(100));
+    let q1 = scenario.query("Q1_salary_names").unwrap().clone();
+    let union = UnionOfConjunctiveQueries::from_disjuncts(vec![q1.clone(), q1]);
+    let relaxed = scenario.schema.eliminate_upper_bounds();
+    let decide_union = |schema: &Schema| {
+        let mut values = scenario.values.clone();
+        let result = decide_monotone_answerability_union(
+            schema,
+            &union,
+            &mut values,
+            &AnswerabilityOptions::default(),
+        );
+        let disjuncts: Vec<_> = result.disjuncts.iter().map(footprint).collect();
+        let rescues: Vec<_> = result
+            .rescues
+            .iter()
+            .map(|r| {
+                (
+                    r.disjunct,
+                    r.outcome.verdict,
+                    r.outcome.complete,
+                    r.outcome.chase_stats.rounds,
+                    r.outcome.chased_facts,
+                    r.matched,
+                )
+            })
+            .collect();
+        (result.answerability, result.complete, disjuncts, rescues)
+    };
+    let original = decide_union(&scenario.schema);
+    assert!(!original.3.is_empty(), "the union takes the rescue");
+    assert_eq!(original, decide_union(&relaxed));
 }
 
 #[test]
