@@ -1594,7 +1594,7 @@ fact Udirectory('8', 'sidest', '556')
         let mut server = WireServer::new();
         server.handle_stream(EXEC_PREAMBLE);
         let outputs = server.handle_stream(
-            "option exec.backend remote seed=5 latency=0 faults=40 transient\n\
+            "option exec.backend remote seed=2 latency=0 faults=40 transient\n\
              option exec.retry 6\n\
              execute uni Q(n) :- Prof(i, n, '10000')\n",
         );

@@ -25,12 +25,13 @@
 
 use rbqa_common::{Instance, RelationId, Value, ValueFactory};
 use rbqa_logic::constraints::ConstraintSet;
-use rbqa_logic::{Fd, VarId};
+use rbqa_logic::Fd;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::budget::Budget;
+use crate::proof::ProofLog;
 use crate::result::{ChaseOutcome, ChaseStats, Completion};
-use crate::trigger::{assignment_get, TgdKernel};
+use crate::trigger::{assignment_get, TgdKernel, Trigger};
 
 /// Per-row derivation depths, aligned with the instance's stable row ids
 /// (`relation index → row id → depth`). Replaces the former `Fact`-keyed
@@ -158,8 +159,32 @@ pub fn chase(
     values: &mut ValueFactory,
     config: ChaseConfig,
 ) -> ChaseOutcome {
+    traced_chase(instance, constraints, values, config, None)
+}
+
+/// Runs [`chase`] and records in `log` the firing behind every derived
+/// fact (see [`ProofLog`]). The run itself — rounds, firings, nulls and the
+/// chased instance — is the one [`chase`] makes; only the recording is
+/// added.
+pub fn chase_with_proof(
+    instance: &Instance,
+    constraints: &ConstraintSet,
+    values: &mut ValueFactory,
+    config: ChaseConfig,
+    log: &mut ProofLog,
+) -> ChaseOutcome {
+    traced_chase(instance, constraints, values, config, Some(log))
+}
+
+fn traced_chase(
+    instance: &Instance,
+    constraints: &ConstraintSet,
+    values: &mut ValueFactory,
+    config: ChaseConfig,
+    proof: Option<&mut ProofLog>,
+) -> ChaseOutcome {
     let mut obs = rbqa_obs::phase_span("chase", rbqa_obs::Phase::Chase);
-    let outcome = crate::seminaive::chase_seminaive(instance, constraints, values, config);
+    let outcome = crate::seminaive::chase_seminaive(instance, constraints, values, config, proof);
     rbqa_obs::counters::add_chase_rounds(outcome.stats.rounds as u64);
     obs.num("rounds", outcome.stats.rounds as u64);
     obs.num("firings", outcome.stats.tgd_firings as u64);
@@ -267,7 +292,7 @@ pub fn chase_naive(
             }
             match fire_trigger(
                 tgd,
-                &trigger.assignment,
+                &trigger,
                 &mut current,
                 &mut depths,
                 &mut stats,
@@ -275,6 +300,7 @@ pub fn chase_naive(
                 budget,
                 None,
                 &mut scratch,
+                None,
             ) {
                 FireResult::Fired => {
                     fired_any = true;
@@ -342,17 +368,18 @@ pub(crate) enum FireResult {
     OverBudget,
 }
 
-/// Fires `tgd` on `assignment` (sorted `(variable, value)` pairs): computes
-/// the derivation depth from the matched body facts, draws fresh nulls for
-/// the existential variables and inserts every head atom. Newly inserted
-/// rows are also recorded in `new_rows` when provided (the semi-naive
-/// engine's delta). `scratch` is a reusable tuple buffer — the firing path
+/// Fires `tgd` on `trigger` (its sorted `(variable, value)` assignment):
+/// computes the derivation depth from the matched body facts, draws fresh
+/// nulls for the existential variables and inserts every head atom. Newly
+/// inserted rows are also recorded in `new_rows` when provided (the
+/// semi-naive engine's delta), and attributed to this firing in `proof`
+/// when provided. `scratch` is a reusable tuple buffer — the firing path
 /// materialises no `Fact` at all. Shared by [`chase`] and [`chase_naive`] so
 /// that depth bookkeeping and budget checks cannot drift apart.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fire_trigger(
     tgd: &rbqa_logic::Tgd,
-    assignment: &[(VarId, Value)],
+    trigger: &Trigger,
     current: &mut Instance,
     depths: &mut DepthMap,
     stats: &mut ChaseStats,
@@ -360,7 +387,9 @@ pub(crate) fn fire_trigger(
     budget: Budget,
     mut new_rows: Option<&mut RowSet>,
     scratch: &mut Vec<Value>,
+    mut proof: Option<&mut ProofLog>,
 ) -> FireResult {
+    let assignment = &trigger.assignment[..];
     // Depth of the new facts: the maximum depth among the matched body rows
     // (depth 0 when a body fact is no longer resolvable — matching the
     // previous engine's defensive `unwrap_or(0)` for FD-rewritten facts).
@@ -388,6 +417,9 @@ pub(crate) fn fire_trigger(
         stats.nulls_created += 1;
     }
     extended.sort_unstable_by_key(|&(v, _)| v);
+    let firing = proof
+        .as_deref_mut()
+        .map(|log| log.push_firing(trigger.tgd_index, assignment));
     for atom in tgd.head() {
         let ok = atom.instantiate_into(|v| assignment_get(&extended, v), scratch);
         debug_assert!(ok, "all head variables are assigned");
@@ -400,6 +432,9 @@ pub(crate) fn fire_trigger(
             stats.max_depth_reached = stats.max_depth_reached.max(new_depth);
             if let Some(delta) = new_rows.as_deref_mut() {
                 delta.insert((atom.relation(), row));
+            }
+            if let (Some(log), Some(firing)) = (proof.as_deref_mut(), firing) {
+                log.record(atom.relation(), row, firing);
             }
         }
     }

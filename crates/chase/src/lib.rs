@@ -23,6 +23,9 @@
 //!   per-rule trigger enumeration ([`Budget::trigger_limit`]), so that
 //!   non-terminating chases surface as explicit
 //!   [`result::Completion::BudgetExhausted`] outcomes rather than hangs;
+//! * **proof logs** ([`chase_with_proof`], [`ProofLog`]): on request, the
+//!   rule and trigger behind every derived fact, so a caller can walk a
+//!   match back to the firings it depends on (plan extraction does);
 //! * a **weak acyclicity** test ([`termination::is_weakly_acyclic`]) which
 //!   guarantees chase termination for the constraint sets produced by the FD
 //!   simplification pipeline.
@@ -77,12 +80,14 @@
 
 pub mod budget;
 pub mod engine;
+pub mod proof;
 pub mod result;
 pub mod seminaive;
 pub mod termination;
 pub mod trigger;
 
 pub use budget::Budget;
-pub use engine::{chase, chase_naive, ChaseConfig};
+pub use engine::{chase, chase_naive, chase_with_proof, ChaseConfig};
+pub use proof::{Firing, ProofLog};
 pub use result::{ChaseOutcome, ChaseStats, Completion};
 pub use termination::is_weakly_acyclic;

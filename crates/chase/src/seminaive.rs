@@ -52,6 +52,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use crate::engine::{
     apply_fds_to_fixpoint, fire_trigger, ChaseConfig, DepthMap, FireResult, RowSet,
 };
+use crate::proof::ProofLog;
 use crate::result::{ChaseOutcome, ChaseStats, Completion};
 use crate::trigger::{HeadCheck, Trigger, TriggerAssignment};
 
@@ -248,6 +249,7 @@ pub(crate) fn chase_seminaive(
     constraints: &ConstraintSet,
     values: &mut ValueFactory,
     config: ChaseConfig,
+    mut proof: Option<&mut ProofLog>,
 ) -> ChaseOutcome {
     let budget = config.budget;
     let mut current = instance.clone();
@@ -377,7 +379,7 @@ pub(crate) fn chase_seminaive(
             }
             match fire_trigger(
                 tgd,
-                &trigger.assignment,
+                &trigger,
                 &mut current,
                 &mut depths,
                 &mut stats,
@@ -385,6 +387,7 @@ pub(crate) fn chase_seminaive(
                 budget,
                 Some(&mut new_delta),
                 &mut scratch,
+                proof.as_deref_mut(),
             ) {
                 FireResult::Fired => {
                     fired_any = true;

@@ -15,7 +15,7 @@
 //! An FD failure during the chase (two distinct constants forced equal)
 //! means `Q ∧ Σ` is unsatisfiable, so the containment holds vacuously.
 
-use rbqa_chase::{chase, ChaseConfig, Completion};
+use rbqa_chase::{chase, chase_with_proof, ChaseConfig, Completion, ProofLog};
 use rbqa_common::{Instance, ValueFactory};
 use rbqa_logic::constraints::ConstraintSet;
 use rbqa_logic::homomorphism::{find_homomorphism, Homomorphism};
@@ -116,10 +116,90 @@ pub fn decide_from_instance_any(
     config: ChaseConfig,
     completeness_depth: Option<usize>,
 ) -> (ContainmentOutcome, Option<usize>) {
+    let (outcome, matched) = decide_any(
+        start,
+        targets,
+        constraints,
+        values,
+        config,
+        completeness_depth,
+        None,
+    );
+    (outcome, matched.map(|(index, _, _)| index))
+}
+
+/// A chase proof of a containment: what a caller needs to walk the match
+/// of the target back to the firings that derived it.
+#[derive(Debug, Clone)]
+pub struct ContainmentProof {
+    /// The chased instance the target matched in.
+    pub instance: Instance,
+    /// The firing behind every derived fact of `instance`.
+    pub log: ProofLog,
+    /// Index of the matched target in the caller's target list.
+    pub target: usize,
+    /// The match: the target's variables mapped into `instance`, extending
+    /// the target's seed.
+    pub homomorphism: Homomorphism,
+}
+
+/// Like [`decide_from_instance_any`], but the chase records its
+/// derivations, and a match comes back as a [`ContainmentProof`]. The
+/// chase and the verdict are those of [`decide_from_instance_any`]; there
+/// is no proof when no target matched (including a vacuous `Holds` from an
+/// FD failure).
+pub fn decide_from_instance_any_with_proof(
+    start: &Instance,
+    targets: &[(&ConjunctiveQuery, &Homomorphism)],
+    constraints: &ConstraintSet,
+    values: &mut ValueFactory,
+    config: ChaseConfig,
+    completeness_depth: Option<usize>,
+) -> (ContainmentOutcome, Option<ContainmentProof>) {
+    let mut log = ProofLog::new();
+    let (outcome, matched) = decide_any(
+        start,
+        targets,
+        constraints,
+        values,
+        config,
+        completeness_depth,
+        Some(&mut log),
+    );
+    let proof = matched.map(|(target, homomorphism, instance)| ContainmentProof {
+        instance: instance.expect("a proof run keeps its instance"),
+        log,
+        target,
+        homomorphism,
+    });
+    (outcome, proof)
+}
+
+/// The shared body of the `decide_from_instance_any` entry points: chases
+/// `start` (recording into `proof` when given) and returns the outcome with
+/// the first matching target, its match, and — on a proof run — the chased
+/// instance.
+#[allow(clippy::type_complexity)]
+fn decide_any(
+    start: &Instance,
+    targets: &[(&ConjunctiveQuery, &Homomorphism)],
+    constraints: &ConstraintSet,
+    values: &mut ValueFactory,
+    config: ChaseConfig,
+    completeness_depth: Option<usize>,
+    proof: Option<&mut ProofLog>,
+) -> (
+    ContainmentOutcome,
+    Option<(usize, Homomorphism, Option<Instance>)>,
+) {
     if let Some(stopped) = ContainmentOutcome::on_expired_deadline() {
         return (stopped, None);
     }
-    let outcome = chase(start, constraints, values, config);
+    let keep_instance = proof.is_some();
+    let outcome = match proof {
+        Some(log) => chase_with_proof(start, constraints, values, config, log),
+        None => chase(start, constraints, values, config),
+    };
 
     if outcome.is_fd_failure() {
         // Q ∧ Σ is unsatisfiable: containment holds vacuously.
@@ -141,8 +221,9 @@ pub fn decide_from_instance_any(
         let mut obs = rbqa_obs::phase_span("containment_match", rbqa_obs::Phase::Containment);
         obs.num("targets", targets.len() as u64);
         obs.num("facts", outcome.instance.len() as u64);
-        targets.iter().position(|(rhs, seed)| {
-            find_homomorphism(&rhs.boolean_closure(), &outcome.instance, seed).is_some()
+        targets.iter().enumerate().find_map(|(index, (rhs, seed))| {
+            find_homomorphism(&rhs.boolean_closure(), &outcome.instance, seed)
+                .map(|hom| (index, hom))
         })
     };
     let saturated = outcome.completion == Completion::Saturated;
@@ -165,16 +246,15 @@ pub fn decide_from_instance_any(
         Verdict::Unknown
     };
 
-    (
-        ContainmentOutcome {
-            verdict,
-            chase_completion: outcome.completion,
-            chase_stats: outcome.stats,
-            chased_facts: outcome.instance.len(),
-            complete,
-        },
-        matched,
-    )
+    let decided = ContainmentOutcome {
+        verdict,
+        chase_completion: outcome.completion,
+        chase_stats: outcome.stats,
+        chased_facts: outcome.instance.len(),
+        complete,
+    };
+    let instance = keep_instance.then_some(outcome.instance);
+    (decided, matched.map(|(index, hom)| (index, hom, instance)))
 }
 
 /// Decides the containment problem using only chase saturation as the

@@ -330,6 +330,17 @@ impl LinearizedSchema {
         out
     }
 
+    /// The chase depth at which [`LinearizedSchema::decide`] certifies a
+    /// missing match of `rhs`: the semi-width completeness bound of the
+    /// linearized rules for the primed copy of `rhs`.
+    pub fn completeness_depth(&self, rhs: &ConjunctiveQuery) -> usize {
+        completeness_depth_for(
+            self.rules.tgds(),
+            rhs.size(),
+            self.lin_signature.max_arity(),
+        )
+    }
+
     /// Decides the AMonDet-style containment `Q ⊆ Q'` through the
     /// linearization: chase `I0^Lin` with `Σ^Lin` (depth-bounded by the
     /// semi-width completeness bound) and check the primed right-hand query.
@@ -363,11 +374,7 @@ impl LinearizedSchema {
         if let Some(stopped) = ContainmentOutcome::on_expired_deadline() {
             return stopped;
         }
-        let bound = completeness_depth_for(
-            self.rules.tgds(),
-            rhs_primed.size(),
-            self.lin_signature.max_arity(),
-        );
+        let bound = self.completeness_depth(rhs);
         let depth = bound.min(config.budget.max_depth);
         let config = rbqa_chase::ChaseConfig {
             budget: config.budget.with_max_depth(depth),

@@ -25,7 +25,9 @@ use rbqa_access::Schema;
 use rbqa_chase::Budget;
 use rbqa_chase::ChaseConfig;
 use rbqa_common::{Instance, RelationId, Signature, ValueFactory};
-use rbqa_containment::generic::decide_from_instance_seeded;
+use rbqa_containment::generic::{
+    decide_from_instance_any_with_proof, decide_from_instance_seeded, ContainmentProof,
+};
 use rbqa_containment::ContainmentOutcome;
 use rbqa_logic::constraints::{ConstraintSet, TgdBuilder};
 use rbqa_logic::homomorphism::Homomorphism;
@@ -88,6 +90,11 @@ pub struct AmondetProblem {
     pub answer_values: Vec<rbqa_common::Value>,
     primed: FxHashMap<RelationId, RelationId>,
     accessed: FxHashMap<RelationId, RelationId>,
+    /// `R_Accessed` → `R`, for walking proofs back.
+    accessed_base: FxHashMap<RelationId, RelationId>,
+    /// Per TGD of `constraints`: the index (in the built schema) of the
+    /// method whose accessibility axiom it is, `None` for every other rule.
+    axiom_methods: Vec<Option<usize>>,
 }
 
 impl AmondetProblem {
@@ -122,6 +129,7 @@ impl AmondetProblem {
         }
 
         let mut constraints = ConstraintSet::new();
+        let mut axiom_methods: Vec<Option<usize>> = Vec::new();
         // Σ and Σ'.
         for tgd in schema.constraints().tgds() {
             constraints.push_tgd(tgd.clone());
@@ -137,7 +145,8 @@ impl AmondetProblem {
         }
 
         // Accessibility axioms per method.
-        for method in schema.methods() {
+        axiom_methods.resize(constraints.tgds().len(), None);
+        for (method_index, method) in schema.methods().iter().enumerate() {
             let relation = method.relation();
             let arity = base.arity(relation);
             let inputs = method.input_positions_vec();
@@ -200,6 +209,7 @@ impl AmondetProblem {
                     }
                 }
             }
+            axiom_methods.resize(constraints.tgds().len(), Some(method_index));
         }
 
         // R_Accessed(w) -> R(w) ∧ R'(w) ∧ accessible(w_i).
@@ -216,6 +226,7 @@ impl AmondetProblem {
             }
             constraints.push_tgd(b.build());
         }
+        axiom_methods.resize(constraints.tgds().len(), None);
 
         // Start instance: CanonDB(Q) + accessible(c) for query constants.
         // Only the query's *constants* are seeded as accessible; the frozen
@@ -257,7 +268,9 @@ impl AmondetProblem {
             accessible,
             answer_values,
             primed,
+            accessed_base: accessed.iter().map(|(&r, &a)| (a, r)).collect(),
             accessed,
+            axiom_methods,
         }
     }
 
@@ -340,6 +353,56 @@ impl AmondetProblem {
             None,
         );
         (outcome, matched.map(|k| targets[k].0))
+    }
+
+    /// Like [`AmondetProblem::decide_union`], but the chase records its
+    /// derivations and a match comes back as a proof, whose `target`
+    /// indexes `targets`. Plan extraction for a rescued disjunct reads it.
+    pub fn decide_union_with_proof(
+        &self,
+        targets: &[(usize, ConjunctiveQuery, Homomorphism)],
+        values: &mut ValueFactory,
+        config: ChaseConfig,
+    ) -> (ContainmentOutcome, Option<ContainmentProof>) {
+        let candidates: Vec<(&ConjunctiveQuery, &Homomorphism)> =
+            targets.iter().map(|(_, q, seed)| (q, seed)).collect();
+        decide_from_instance_any_with_proof(
+            &self.start,
+            &candidates,
+            &self.constraints,
+            values,
+            config,
+            None,
+        )
+    }
+
+    /// Like [`AmondetProblem::decide`], but the chase records its
+    /// derivations and a match of [`AmondetProblem::rhs`] comes back as a
+    /// proof. Plan extraction reads it; Decide never asks for one.
+    pub fn decide_with_proof(
+        &self,
+        values: &mut ValueFactory,
+        config: ChaseConfig,
+    ) -> (ContainmentOutcome, Option<ContainmentProof>) {
+        decide_from_instance_any_with_proof(
+            &self.start,
+            &[(&self.rhs, &self.rhs_seed)],
+            &self.constraints,
+            values,
+            config,
+            None,
+        )
+    }
+
+    /// The index, among the built schema's methods, of the method whose
+    /// accessibility axiom is TGD `tgd_index` of [`AmondetProblem::constraints`].
+    pub(crate) fn axiom_method(&self, tgd_index: usize) -> Option<usize> {
+        self.axiom_methods.get(tgd_index).copied().flatten()
+    }
+
+    /// The base relation `R` of an `R_Accessed` relation.
+    pub(crate) fn base_of_accessed(&self, relation: RelationId) -> Option<RelationId> {
+        self.accessed_base.get(&relation).copied()
     }
 
     /// The primed copy of a base relation.

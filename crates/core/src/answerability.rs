@@ -16,8 +16,16 @@
 //! Positive and negative answers are certified whenever the back-end is
 //! complete for the class (saturation, or the Johnson–Klug depth bound for
 //! IDs); otherwise the result is [`Answerability::Unknown`].
+//!
+//! When a plan is wanted, an answerable query's plan is read off the chase
+//! proof of its containment ([`crate::proof_plan`]). The AMonDet strategies
+//! record that proof in the decision's own chase; the ID strategy, whose
+//! linearized rules hide the accesses, chases the plain AMonDet containment
+//! once more, capped at the linearization's completeness depth. An
+//! unusable proof falls back to the crawl, and [`PlanKind`] counts it. A
+//! plain Decide records no proof.
 
-use rbqa_access::{Plan, Schema};
+use rbqa_access::{Command, Plan, Schema};
 use rbqa_chase::{Budget, ChaseConfig};
 use rbqa_common::ValueFactory;
 use rbqa_containment::linearization::LinearizedSchema;
@@ -28,7 +36,8 @@ use rbqa_logic::{ConjunctiveQuery, UnionOfConjunctiveQueries};
 use crate::amondet::{AmondetProblem, AxiomStyle};
 use crate::classify::{classify_constraints, ConstraintClass};
 use crate::plan_synthesis::synthesize_crawling_plan;
-use crate::simplification::{fd_simplification, SimplificationKind};
+use crate::proof_plan::{extract_plan, Fallback, PlanKind};
+use crate::simplification::{fd_simplification_with_origins, MethodOrigin, SimplificationKind};
 
 /// The outcome of an answerability decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,10 +77,11 @@ pub struct AnswerabilityOptions {
     /// axiomatisation style directly with the generic chase (used by the
     /// naive-cardinality ablation test).
     pub axiom_style_override: Option<AxiomStyle>,
-    /// Whether to synthesise a crawling plan when the query is answerable.
+    /// Whether to synthesise a plan when the query is answerable: the plan
+    /// of the containment's chase proof, or the crawl as a counted fallback.
     pub synthesize_plan: bool,
-    /// Number of crawl rounds used for plan synthesis (0 = derive from the
-    /// containment chase depth).
+    /// Number of rounds of the fallback crawl (0 = derive from the
+    /// containment chase depth). Proof plans do not read it.
     pub crawl_rounds: usize,
 }
 
@@ -106,9 +116,11 @@ pub struct AnswerabilityResult {
     pub strategy: Strategy,
     /// The underlying containment outcome (chase statistics, completeness).
     pub containment: ContainmentOutcome,
-    /// A synthesised crawling plan, when requested and the query is
-    /// answerable.
+    /// The synthesised plan, when requested and the query is answerable.
     pub plan: Option<Plan>,
+    /// Where `plan` came from: `Some` exactly when a plan was requested
+    /// and the query is answerable.
+    pub plan_kind: Option<PlanKind>,
 }
 
 impl AnswerabilityResult {
@@ -153,7 +165,7 @@ pub struct DecisionSummary {
     pub chase_rounds: usize,
     /// Facts in the chased instance when the decision was made.
     pub chased_facts: usize,
-    /// Whether a crawling plan was synthesised.
+    /// Whether a plan was synthesised.
     pub has_plan: bool,
 }
 
@@ -240,13 +252,17 @@ fn decide_in_class(
             Strategy::ForcedAxiomStyle => "forced_axiom_style",
         },
     );
-    let result = |containment: ContainmentOutcome, plan| AnswerabilityResult {
-        answerability: verdict_to_answerability(containment.verdict),
-        constraint_class: class,
-        simplification,
-        strategy,
-        containment,
-        plan,
+    let result = |containment: ContainmentOutcome, planned: Option<(Option<Plan>, PlanKind)>| {
+        let (plan, plan_kind) = unzip_planned(planned);
+        AnswerabilityResult {
+            answerability: verdict_to_answerability(containment.verdict),
+            constraint_class: class,
+            simplification,
+            strategy,
+            containment,
+            plan,
+            plan_kind,
+        }
     };
 
     // An expired request deadline stops the pipeline before each stage
@@ -260,13 +276,13 @@ fn decide_in_class(
     // and the naive ablation reads only the limit. So `ElimUB`
     // (Proposition 3.3) holds without building the relaxed schema.
 
-    let containment = match strategy {
+    let (containment, planned) = match strategy {
         Strategy::ForcedAxiomStyle => {
             let style = options
                 .axiom_style_override
                 .expect("the forced strategy is chosen only with a style");
             let problem = AmondetProblem::build(schema, query, values, style);
-            problem.decide(values, options.chase_config())
+            decide_amondet(schema, query, &problem, schema, None, values, options)
         }
         Strategy::IdLinearization => {
             // Existence-check simplifiability (Theorem 4.2) is realised
@@ -280,14 +296,37 @@ fn decide_in_class(
                 &method_signatures(schema),
                 width,
             );
-            lin.decide(query, query, values, options.chase_config())
+            let containment = lin.decide(query, query, values, options.chase_config());
+            // The linearized rules hide the accesses, so the plan comes from
+            // the plain AMonDet chase (choice-simplified axioms, sound for
+            // every class), capped at the linearization's completeness depth.
+            let planned = wants_plan(options, &containment).then(|| {
+                plan_step(schema, query, options, &containment, || {
+                    let problem =
+                        AmondetProblem::build(schema, query, values, AxiomStyle::Simplified);
+                    let depth = lin.completeness_depth(query).min(options.budget.max_depth);
+                    let config = ChaseConfig::with_budget(options.budget.with_max_depth(depth));
+                    let (outcome, proof) = problem.decide_with_proof(values, config);
+                    let proof = proof.ok_or(Fallback::NoProof)?;
+                    extract_plan(&problem, schema, None, &problem.rhs, &proof, &outcome)
+                })
+            });
+            (containment, planned)
         }
         Strategy::FdSimplificationChase => {
             // FD simplification (Theorem 4.5) removes every result bound;
             // the resulting chase terminates (Theorem 5.2).
-            let simplified = fd_simplification(schema);
+            let (simplified, origins) = fd_simplification_with_origins(schema);
             let problem = AmondetProblem::build(&simplified, query, values, AxiomStyle::Simplified);
-            problem.decide(values, options.chase_config())
+            decide_amondet(
+                schema,
+                query,
+                &problem,
+                &simplified,
+                Some(&origins),
+                values,
+                options,
+            )
         }
         Strategy::ChoiceSeparabilityChase => {
             // Choice simplification (Theorem 6.4) then the separability
@@ -295,21 +334,107 @@ fn decide_in_class(
             let choice = schema.choice_simplification();
             let problem =
                 AmondetProblem::build(&choice, query, values, AxiomStyle::SeparabilityRewriting);
-            problem.decide(values, options.chase_config())
+            decide_amondet(schema, query, &problem, &choice, None, values, options)
         }
         Strategy::ChoiceChase => {
             // Choice simplification (Theorem 6.3); the generic chase is
             // budgeted and may report Unknown.
             let choice = schema.choice_simplification();
             let problem = AmondetProblem::build(&choice, query, values, AxiomStyle::Simplified);
-            problem.decide(values, options.chase_config())
+            decide_amondet(schema, query, &problem, &choice, None, values, options)
         }
     };
 
     obs.num("chase_rounds", containment.chase_stats.rounds as u64);
-    let answerability = verdict_to_answerability(containment.verdict);
-    let plan = maybe_plan(schema, query, options, answerability, &containment);
-    result(containment, plan)
+    result(containment, planned)
+}
+
+/// Decides the AMonDet containment `problem`, built from `built_from`
+/// (whose methods map to `schema`'s through `origins`, or are `schema`'s
+/// own when `None`). A plain decision runs the chase alone. When a plan is
+/// wanted, the same chase records its proof, and an answerable verdict
+/// gets the proof's plan (or the crawl, counted as a fallback).
+fn decide_amondet(
+    schema: &Schema,
+    query: &ConjunctiveQuery,
+    problem: &AmondetProblem,
+    built_from: &Schema,
+    origins: Option<&[MethodOrigin]>,
+    values: &mut ValueFactory,
+    options: &AnswerabilityOptions,
+) -> (ContainmentOutcome, Option<(Option<Plan>, PlanKind)>) {
+    if !options.synthesize_plan {
+        return (problem.decide(values, options.chase_config()), None);
+    }
+    let (containment, proof) = problem.decide_with_proof(values, options.chase_config());
+    let planned = wants_plan(options, &containment).then(|| {
+        plan_step(schema, query, options, &containment, || {
+            let proof = proof.as_ref().ok_or(Fallback::NoProof)?;
+            extract_plan(
+                problem,
+                built_from,
+                origins,
+                &problem.rhs,
+                proof,
+                &containment,
+            )
+        })
+    });
+    (containment, planned)
+}
+
+/// Splits an optional plan step into a result's `plan` and `plan_kind`.
+fn unzip_planned(planned: Option<(Option<Plan>, PlanKind)>) -> (Option<Plan>, Option<PlanKind>) {
+    planned.map_or((None, None), |(plan, kind)| (plan, Some(kind)))
+}
+
+/// Whether the pipeline owes `containment`'s query a plan.
+fn wants_plan(options: &AnswerabilityOptions, containment: &ContainmentOutcome) -> bool {
+    options.synthesize_plan && containment.verdict == Verdict::Holds
+}
+
+/// The plan step of an answerable query, traced as `plan_extract`: the
+/// plan `extract` reads off a proof, or else the crawl, counted as a
+/// [`PlanKind::Fallback`].
+fn plan_step(
+    schema: &Schema,
+    query: &ConjunctiveQuery,
+    options: &AnswerabilityOptions,
+    containment: &ContainmentOutcome,
+    extract: impl FnOnce() -> Result<Plan, Fallback>,
+) -> (Option<Plan>, PlanKind) {
+    traced_plan_step(extract, || crawl_plan(schema, query, options, containment))
+}
+
+/// Runs `extract` under the `plan_extract` span, and `fallback` when it
+/// yields no plan. The span records the number of accesses, whether the
+/// plan fell back, and the methods a proof plan calls, in order.
+fn traced_plan_step(
+    extract: impl FnOnce() -> Result<Plan, Fallback>,
+    fallback: impl FnOnce() -> Option<Plan>,
+) -> (Option<Plan>, PlanKind) {
+    let mut obs = rbqa_obs::span("plan_extract");
+    let (plan, kind) = match extract() {
+        Ok(plan) => (Some(plan), PlanKind::Proof),
+        Err(reason) => (fallback(), PlanKind::Fallback(reason)),
+    };
+    obs.num(
+        "accesses",
+        plan.as_ref().map_or(0, Plan::access_command_count) as u64,
+    );
+    obs.num("fallback", u64::from(kind != PlanKind::Proof));
+    if let (true, PlanKind::Proof, Some(plan)) = (rbqa_obs::enabled(), kind, &plan) {
+        let methods: Vec<&str> = plan
+            .commands()
+            .iter()
+            .filter_map(|command| match command {
+                Command::Access { method, .. } => Some(method.as_str()),
+                Command::Middleware { .. } => None,
+            })
+            .collect();
+        obs.str("sequence", &methods.join(","));
+    }
+    (plan, kind)
 }
 
 /// Diagnostics of one cross-disjunct rescue attempt during a union decision:
@@ -324,6 +449,13 @@ pub struct UnionRescue {
     pub outcome: ContainmentOutcome,
     /// Index of the disjunct whose primed copy matched, when one did.
     pub matched: Option<usize>,
+    /// The rescued disjunct's plan, read off the rescue chase's proof when
+    /// a plan was requested. It is sound for the union and complete for
+    /// the disjunct. A rescue proof that falls back leaves it `None`.
+    pub plan: Option<Plan>,
+    /// Where `plan` came from: `Some` exactly when a plan was requested
+    /// and the rescue matched.
+    pub plan_kind: Option<PlanKind>,
 }
 
 /// The result of a monotone answerability decision for a **union** of
@@ -358,17 +490,35 @@ impl UnionAnswerabilityResult {
         self.answerability == Answerability::Answerable
     }
 
-    /// The synthesised plans of the disjuncts, in disjunct order, when every
-    /// disjunct carries one. Executing all plans and unioning their rows
-    /// computes the union query (each plan computes its disjunct exactly).
-    /// `None` when some disjunct has no plan — in particular when a disjunct
-    /// was only *rescued* (answerable as part of the union but not alone):
-    /// plan synthesis for that case is not implemented.
+    /// The plans of the disjuncts, in disjunct order, when every disjunct
+    /// carries one: its own plan, or the plan of its rescue. Executing all
+    /// plans and unioning their rows computes the union query (each plan
+    /// returns only answers of the union, and every answer of its
+    /// disjunct). `None` when some disjunct has no plan — a rescue whose
+    /// proof fell back, counted in its [`UnionRescue::plan_kind`].
     pub fn union_plans(&self) -> Option<Vec<&Plan>> {
         self.disjuncts
             .iter()
-            .map(|r| r.plan.as_ref())
+            .enumerate()
+            .map(|(i, own)| {
+                own.plan.as_ref().or_else(|| {
+                    self.rescues
+                        .iter()
+                        .find(|rescue| rescue.disjunct == i)?
+                        .plan
+                        .as_ref()
+                })
+            })
             .collect::<Option<Vec<_>>>()
+    }
+
+    /// The kind of every plan the decision synthesised: the disjuncts'
+    /// own, then the rescues'.
+    pub fn plan_kinds(&self) -> impl Iterator<Item = PlanKind> + '_ {
+        self.disjuncts
+            .iter()
+            .filter_map(|r| r.plan_kind)
+            .chain(self.rescues.iter().filter_map(|r| r.plan_kind))
     }
 
     /// Total chase rounds across all per-disjunct decisions and rescues.
@@ -514,17 +664,44 @@ pub fn decide_monotone_answerability_union(
                 AmondetProblem::build(choice, &union.disjuncts()[i], values, rescue_style);
             problem.seed_accessible(&union.constants());
             let targets = problem.union_targets(union.disjuncts());
-            let (outcome, matched) = problem.decide_union(&targets, values, options.chase_config());
-            match outcome.verdict {
+            let rescue = if options.synthesize_plan {
+                let (outcome, proof) =
+                    problem.decide_union_with_proof(&targets, values, options.chase_config());
+                let planned = wants_plan(options, &outcome).then(|| {
+                    traced_plan_step(
+                        || {
+                            let proof = proof.as_ref().ok_or(Fallback::NoProof)?;
+                            let target = &targets[proof.target].1;
+                            extract_plan(&problem, choice, None, target, proof, &outcome)
+                        },
+                        || None,
+                    )
+                });
+                let (plan, plan_kind) = unzip_planned(planned);
+                UnionRescue {
+                    disjunct: i,
+                    matched: proof.map(|p| targets[p.target].0),
+                    outcome,
+                    plan,
+                    plan_kind,
+                }
+            } else {
+                let (outcome, matched) =
+                    problem.decide_union(&targets, values, options.chase_config());
+                UnionRescue {
+                    disjunct: i,
+                    outcome,
+                    matched,
+                    plan: None,
+                    plan_kind: None,
+                }
+            };
+            match rescue.outcome.verdict {
                 Verdict::Holds => {}
-                Verdict::DoesNotHold if outcome.complete => any_certified_fail = true,
+                Verdict::DoesNotHold if rescue.outcome.complete => any_certified_fail = true,
                 _ => any_unresolved = true,
             }
-            rescues.push(UnionRescue {
-                disjunct: i,
-                outcome,
-                matched,
-            });
+            rescues.push(rescue);
         }
     } else if disjuncts[0].answerability != Answerability::Answerable {
         // Single disjunct: the per-CQ pipeline *is* the union decision.
@@ -554,16 +731,13 @@ pub fn decide_monotone_answerability_union(
     }
 }
 
-fn maybe_plan(
+/// The fallback crawl for an answerable query whose proof was unusable.
+fn crawl_plan(
     schema: &Schema,
     query: &ConjunctiveQuery,
     options: &AnswerabilityOptions,
-    answerability: Answerability,
     containment: &ContainmentOutcome,
 ) -> Option<Plan> {
-    if !options.synthesize_plan || answerability != Answerability::Answerable {
-        return None;
-    }
     let rounds = if options.crawl_rounds > 0 {
         options.crawl_rounds
     } else {
@@ -878,15 +1052,35 @@ mod tests {
         assert_eq!(result.answerability, Answerability::Answerable);
         assert_eq!(result.rescues.len(), 1);
         assert_eq!(result.rescues[0].matched, Some(1), "rescued by Q2'");
-        // A rescued disjunct has no standalone plan, so no union plan.
+        // The rescued disjunct's plan comes from the rescue chase's proof:
+        // the existence check of Q2, which answers Q1 too.
         let options = AnswerabilityOptions {
             synthesize_plan: true,
             ..Default::default()
         };
         let with_plans = decide_monotone_answerability_union(&schema, &union, &mut vf, &options);
         assert!(with_plans.is_answerable());
-        assert!(with_plans.union_plans().is_none());
-        assert!(!with_plans.summary().has_plan);
+        assert_eq!(with_plans.rescues[0].plan_kind, Some(PlanKind::Proof));
+        let plans = with_plans.union_plans().expect("the rescue carries a plan");
+        assert_eq!(plans.len(), 2);
+        assert!(with_plans.summary().has_plan);
+        assert!(with_plans.plan_kinds().all(|kind| kind == PlanKind::Proof));
+
+        // On a world with a professor, both plans answer `true`.
+        let mut world = rbqa_common::Instance::new(schema.signature().clone());
+        let row = |vf: &mut ValueFactory, names: [&str; 3]| names.map(|n| vf.constant(n)).to_vec();
+        let prof = schema.signature().require("Prof").unwrap();
+        let udir = schema.signature().require("Udirectory").unwrap();
+        let fact = row(&mut vf, ["7", "ada", "10000"]);
+        world.insert(prof, fact).unwrap();
+        let fact = row(&mut vf, ["7", "main st", "555"]);
+        world.insert(udir, fact).unwrap();
+        for plan in plans {
+            plan.validate(&schema).unwrap();
+            let mut selection = rbqa_access::TruncatingSelection::new();
+            let run = rbqa_access::plan::execute(plan, &schema, &world, &mut selection).unwrap();
+            assert_eq!(run.output, vec![Vec::<rbqa_common::Value>::new()]);
+        }
     }
 
     #[test]

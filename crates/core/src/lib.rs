@@ -21,14 +21,16 @@
 //!    terminating chase for FDs, the separability rewriting for UIDs + FDs
 //!    (Theorem 7.2), and the generic budgeted chase otherwise
 //!    ([`answerability`]).
-//! 5. Optionally **synthesise a plan** and verify it empirically
-//!    ([`plan_synthesis`]).
+//! 5. Optionally **extract a plan** from the chase proof of that
+//!    containment ([`proof_plan`]), with the crawl of [`plan_synthesis`]
+//!    as the counted fallback.
 
 pub mod amondet;
 pub mod answerability;
 pub mod classify;
 pub mod finite;
 pub mod plan_synthesis;
+pub mod proof_plan;
 pub mod simplification;
 
 pub use amondet::{AmondetProblem, AxiomStyle};
@@ -42,6 +44,7 @@ pub use finite::{
     decide_finite_monotone_answerability, FiniteAnswerabilityResult, FiniteReduction,
 };
 pub use plan_synthesis::synthesize_crawling_plan;
+pub use proof_plan::{Fallback, PlanKind};
 pub use simplification::{
     choice_simplification, existence_check_simplification, fd_simplification, SimplificationKind,
 };

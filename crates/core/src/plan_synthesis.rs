@@ -1,9 +1,10 @@
-//! Heuristic synthesis of candidate monotone plans.
+//! The crawling plan: the fallback plan and the test oracle.
 //!
-//! The proof-driven plan generation of Benedikt et al. extracts plans from
-//! interpolation certificates; re-implementing that machinery is outside the
-//! scope of this reproduction (see DESIGN.md). Instead, when a query is
-//! found monotone answerable we synthesise a *crawling plan*:
+//! An answerable query's plan is extracted from the chase proof of its
+//! AMonDet containment ([`crate::proof_plan`]). When no usable proof is
+//! available — the chase merged values, or found no match within its
+//! budget — the pipeline falls back to the *crawling plan* synthesised
+//! here, and counts the fallback:
 //!
 //! 1. seed the set of known values with the constants of the query;
 //! 2. for a bounded number of rounds, call every access method with every
@@ -16,12 +17,12 @@
 //!
 //! The crawling plan realises the accessible-part characterisation of
 //! Section 3 directly. It is always *sound* (its output is a subset of the
-//! query answer, by monotonicity); its *completeness* on instances
-//! satisfying the constraints is exactly what answerability asserts for
-//! plans that also exploit the constraints, so the synthesised plan is
-//! validated empirically by `rbqa-engine`'s harness rather than proven
-//! correct. The number of crawling rounds is a parameter; the answerability
-//! pipeline derives it from the chase statistics of the containment proof.
+//! query answer, by monotonicity); its *completeness* depends on enough
+//! rounds, so it is validated empirically by `rbqa-engine`'s harness rather
+//! than proven. The number of crawling rounds is a parameter; the
+//! answerability pipeline derives it from the chase statistics of the
+//! containment proof. The differential tests keep the crawl as an oracle
+//! next to the proof plans.
 
 use rbqa_access::{Condition, Plan, PlanBuilder, RaExpr, Schema};
 use rbqa_logic::{ConjunctiveQuery, Term};
@@ -126,9 +127,12 @@ pub fn synthesize_crawling_plan(
     }
 
     // Evaluate the query over the accumulated relation tables.
-    let final_round = rounds;
-    let (answer_expr, _) = query_to_ra(query, final_round);
-    builder = builder.middleware("answers", answer_expr);
+    let tables: Vec<String> = query
+        .atoms()
+        .iter()
+        .map(|atom| format!("rel_{}_{rounds}", atom.relation().index()))
+        .collect();
+    builder = builder.middleware("answers", query_to_ra(query, &tables));
     Some(builder.returns("answers"))
 }
 
@@ -138,20 +142,20 @@ fn fold_union(mut exprs: Vec<RaExpr>) -> RaExpr {
     exprs.into_iter().fold(first, RaExpr::union)
 }
 
-/// Translates a CQ into a monotone RA expression over the accumulated
-/// relation tables `rel_<relation>_<round>`. Returns the expression and the
-/// mapping from query variables to output columns before the final
-/// projection.
-fn query_to_ra(
-    query: &ConjunctiveQuery,
-    round: usize,
-) -> (RaExpr, FxHashMap<rbqa_logic::VarId, usize>) {
+/// Translates a CQ into a monotone RA expression in which atom `i` ranges
+/// over the table `tables[i]`: selections for constants and repeated
+/// variables, joins on shared variables, and a projection onto the free
+/// variables (the empty projection for a Boolean CQ). The crawl scans each
+/// relation's accumulated table; a proof plan scans each support fact's
+/// access table.
+pub(crate) fn query_to_ra(query: &ConjunctiveQuery, tables: &[String]) -> RaExpr {
+    debug_assert_eq!(query.atoms().len(), tables.len());
     let mut combined: Option<RaExpr> = None;
     let mut var_columns: FxHashMap<rbqa_logic::VarId, usize> = FxHashMap::default();
     let mut width = 0usize;
 
-    for atom in query.atoms() {
-        let table = RaExpr::table(&format!("rel_{}_{round}", atom.relation().index()));
+    for (atom, table) in query.atoms().iter().zip(tables) {
+        let table = RaExpr::table(table);
         // Intra-atom conditions: constants and repeated variables.
         let mut condition = Condition::True;
         let mut local_first: FxHashMap<rbqa_logic::VarId, usize> = FxHashMap::default();
@@ -203,7 +207,7 @@ fn query_to_ra(
         .iter()
         .filter_map(|v| var_columns.get(v).copied())
         .collect();
-    (RaExpr::project(combined, columns), var_columns)
+    RaExpr::project(combined, columns)
 }
 
 #[cfg(test)]

@@ -69,7 +69,7 @@ impl SimplificationKind {
 /// a Boolean (all-input) method on `R_mt` without a result bound. Methods
 /// without result bounds are kept unchanged.
 pub fn existence_check_simplification(schema: &Schema) -> Schema {
-    view_based_simplification(schema, |_schema, method| method.input_positions_vec())
+    view_based_simplification(schema, |_schema, method| method.input_positions_vec()).0
 }
 
 /// The FD simplification of `schema` (Section 4).
@@ -80,6 +80,12 @@ pub fn existence_check_simplification(schema: &Schema) -> Schema {
 /// (images of the) original input positions as inputs. When the schema
 /// implies no FDs this coincides with the existence-check simplification.
 pub fn fd_simplification(schema: &Schema) -> Schema {
+    fd_simplification_with_origins(schema).0
+}
+
+/// [`fd_simplification`], with the [`MethodOrigin`] of every method of the
+/// simplified schema (index-aligned with its methods).
+pub(crate) fn fd_simplification_with_origins(schema: &Schema) -> (Schema, Vec<MethodOrigin>) {
     view_based_simplification(schema, |schema, method| {
         det_by(
             schema.constraints().fds(),
@@ -91,6 +97,30 @@ pub fn fd_simplification(schema: &Schema) -> Schema {
     })
 }
 
+/// How a plan makes the accesses of one method of a simplified schema on
+/// the original schema: the original method it calls and the positions of
+/// the original relation it keeps. A method kept unchanged calls itself
+/// and keeps every position; the view method `{mt}__check` of a view-based
+/// simplification calls `mt` and keeps the view's positions (all inputs
+/// among them, in position order, so the view method's inputs are the
+/// original inputs in the same order).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct MethodOrigin {
+    /// The name of the method called on the original schema.
+    pub method: String,
+    /// The positions of its relation the access keeps, in order.
+    pub output_map: Vec<usize>,
+}
+
+impl MethodOrigin {
+    fn unchanged(schema: &Schema, method: &AccessMethod) -> Self {
+        MethodOrigin {
+            method: method.name().to_owned(),
+            output_map: (0..schema.signature().arity(method.relation())).collect(),
+        }
+    }
+}
+
 /// The choice simplification of `schema` (Section 6): every result bound is
 /// replaced by 1.
 pub fn choice_simplification(schema: &Schema) -> Schema {
@@ -100,8 +130,9 @@ pub fn choice_simplification(schema: &Schema) -> Schema {
 /// Shared construction for the existence-check and FD simplifications: the
 /// `view_positions` callback chooses which positions of the accessed
 /// relation the view retains (the input positions for existence-check,
-/// `DetBy(mt)` for FD simplification).
-fn view_based_simplification<F>(schema: &Schema, view_positions: F) -> Schema
+/// `DetBy(mt)` for FD simplification). Returns the simplified schema and
+/// the origin of each of its methods.
+fn view_based_simplification<F>(schema: &Schema, view_positions: F) -> (Schema, Vec<MethodOrigin>)
 where
     F: Fn(&Schema, &AccessMethod) -> Vec<usize>,
 {
@@ -112,6 +143,10 @@ where
         .iter()
         .filter(|m| !m.is_result_bounded())
         .cloned()
+        .collect();
+    let mut origins: Vec<MethodOrigin> = methods
+        .iter()
+        .map(|m| MethodOrigin::unchanged(schema, m))
         .collect();
 
     for method in schema.methods().iter().filter(|m| m.is_result_bounded()) {
@@ -161,10 +196,15 @@ where
             view,
             &new_inputs,
         ));
+        origins.push(MethodOrigin {
+            method: method.name().to_owned(),
+            output_map: kept,
+        });
     }
 
-    Schema::with_parts(signature, constraints, methods)
-        .expect("the simplified schema is well-formed by construction")
+    let simplified = Schema::with_parts(signature, constraints, methods)
+        .expect("the simplified schema is well-formed by construction");
+    (simplified, origins)
 }
 
 #[cfg(test)]

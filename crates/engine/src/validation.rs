@@ -6,9 +6,10 @@
 //! empirically: it executes the plan under several access selections on each
 //! supplied instance and compares the outputs against the query evaluated
 //! directly on the instance. It reports the first counterexample found, or
-//! success over all trials. This is how the synthesised crawling plans of
-//! `rbqa-core` are vetted (they are produced heuristically rather than
-//! extracted from proofs — see DESIGN.md).
+//! success over all trials. The tests vet both kinds of plan `rbqa-core`
+//! synthesises with it: plans read off containment proofs, which are
+//! correct by construction, and the crawl they fall back to, which is not
+//! (see DESIGN.md).
 
 use rbqa_access::backend::{AccessBackend, InstanceBackend, RecordingBackend, ShardedBackend};
 use rbqa_access::plan::execute_with_backend;

@@ -189,8 +189,8 @@ fn exec_retry_policy_rides_out_transient_faults() {
     let metrics = response.plan_metrics.as_ref().unwrap();
     assert_eq!(
         (metrics.total_calls, metrics.retries),
-        (26, 11),
-        "seed 0: 26 logical calls take 11 retries"
+        (5, 4),
+        "seed 0: 5 logical calls take 4 retries"
     );
     assert_eq!(service.metrics().retries, metrics.retries);
 }

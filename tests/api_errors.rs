@@ -241,8 +241,8 @@ fn exec_backends_agree_and_budgets_fail_fast_through_the_api() {
     assert_eq!(err.code.as_str(), "BUDGET_EXHAUSTED");
 
     // The budget caps the whole request: a union whose first disjunct
-    // alone would fit must still exhaust once the second disjunct's plan
-    // pushes the request past the cap.
+    // alone fits exactly must still exhaust once the second disjunct's
+    // plan (one `ud` listing) pushes the request past the cap.
     let single_calls = service
         .request(id)
         .query_text("Q(n) :- Prof(i, n, '10000')")
@@ -256,7 +256,7 @@ fn exec_backends_agree_and_budgets_fail_fast_through_the_api() {
         .request(id)
         .query_text("Q(n) :- Prof(i, n, '10000') || Q(a) :- Udirectory(i, a, p)")
         .execute()
-        .call_budget(single_calls + 1)
+        .call_budget(single_calls)
         .submit()
         .unwrap_err();
     assert_eq!(err.code, ApiErrorCode::BudgetExhausted);
