@@ -23,15 +23,18 @@
 //! homomorphisms per round, so it may still saturate where the naive
 //! engine reports [`Completion::BudgetExhausted`] — never the reverse.
 
+use std::borrow::Cow;
+use std::hash::{Hash, Hasher};
+
 use rbqa_common::{Instance, RelationId, Value, ValueFactory};
 use rbqa_logic::constraints::ConstraintSet;
-use rbqa_logic::Fd;
+use rbqa_logic::{Fd, VarId};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::budget::Budget;
 use crate::proof::ProofLog;
 use crate::result::{ChaseOutcome, ChaseStats, Completion};
-use crate::trigger::{assignment_get, TgdKernel, Trigger};
+use crate::trigger::{assignment_get, SearchScratch, TgdKernel};
 
 /// Per-row derivation depths, aligned with the instance's stable row ids
 /// (`relation index → row id → depth`). Replaces the former `Fact`-keyed
@@ -159,7 +162,18 @@ pub fn chase(
     values: &mut ValueFactory,
     config: ChaseConfig,
 ) -> ChaseOutcome {
-    traced_chase(instance, constraints, values, config, None)
+    traced_chase(Cow::Borrowed(instance), constraints, values, config, None)
+}
+
+/// [`chase`] of an instance the caller built only to chase it: the run
+/// takes it over instead of copying it.
+pub fn chase_owned(
+    instance: Instance,
+    constraints: &ConstraintSet,
+    values: &mut ValueFactory,
+    config: ChaseConfig,
+) -> ChaseOutcome {
+    traced_chase(Cow::Owned(instance), constraints, values, config, None)
 }
 
 /// Runs [`chase`] and records in `log` the firing behind every derived
@@ -173,11 +187,17 @@ pub fn chase_with_proof(
     config: ChaseConfig,
     log: &mut ProofLog,
 ) -> ChaseOutcome {
-    traced_chase(instance, constraints, values, config, Some(log))
+    traced_chase(
+        Cow::Borrowed(instance),
+        constraints,
+        values,
+        config,
+        Some(log),
+    )
 }
 
 fn traced_chase(
-    instance: &Instance,
+    instance: Cow<'_, Instance>,
     constraints: &ConstraintSet,
     values: &mut ValueFactory,
     config: ChaseConfig,
@@ -209,7 +229,9 @@ pub fn chase_naive(
     let mut current = instance.clone();
     let mut depths = DepthMap::zeros(&current);
     let mut stats = ChaseStats::default();
-    let mut scratch: Vec<Value> = Vec::new();
+    let mut fire = FireScratch::default();
+    let mut fd = FdScratch::default();
+    let mut search = SearchScratch::default();
 
     // Apply the FDs once before any TGD round so that the input instance is
     // already consistent.
@@ -220,6 +242,7 @@ pub fn chase_naive(
             &mut depths,
             &mut stats,
             None,
+            &mut fd,
         )
         .is_err()
     {
@@ -287,19 +310,22 @@ pub fn chase_naive(
             // Re-check activeness against the *current* instance: earlier
             // firings in this round may have satisfied the head already
             // (this is what makes the chase "restricted").
-            if kernels[trigger.tgd_index].head_satisfied(&current, &trigger.assignment) {
+            if kernels[trigger.tgd_index].head_satisfied(&current, &trigger.assignment, &mut search)
+            {
                 continue;
             }
             match fire_trigger(
                 tgd,
-                &trigger,
+                trigger.tgd_index,
+                &trigger.assignment,
+                &tgd.existential_variables(),
                 &mut current,
                 &mut depths,
                 &mut stats,
                 values,
                 budget,
                 None,
-                &mut scratch,
+                &mut fire,
                 None,
             ) {
                 FireResult::Fired => {
@@ -326,6 +352,7 @@ pub fn chase_naive(
                 &mut depths,
                 &mut stats,
                 None,
+                &mut fd,
             )
             .is_err()
         {
@@ -368,36 +395,49 @@ pub(crate) enum FireResult {
     OverBudget,
 }
 
-/// Fires `tgd` on `trigger` (its sorted `(variable, value)` assignment):
-/// computes the derivation depth from the matched body facts, draws fresh
-/// nulls for the existential variables and inserts every head atom. Newly
-/// inserted rows are also recorded in `new_rows` when provided (the
-/// semi-naive engine's delta), and attributed to this firing in `proof`
-/// when provided. `scratch` is a reusable tuple buffer — the firing path
-/// materialises no `Fact` at all. Shared by [`chase`] and [`chase_naive`] so
-/// that depth bookkeeping and budget checks cannot drift apart.
+/// Reusable buffers of [`fire_trigger`]: the tuple under construction and
+/// the trigger's assignment extended with fresh nulls. One per chase run, so
+/// a firing allocates only what the instance keeps.
+#[derive(Debug, Default)]
+pub(crate) struct FireScratch {
+    tuple: Vec<Value>,
+    extended: Vec<(VarId, Value)>,
+}
+
+/// Fires `tgd` (index `tgd_index`) on `assignment`, its trigger's sorted
+/// `(variable, value)` body assignment: computes the derivation depth from
+/// the matched body facts, draws fresh nulls for the `existentials` (the
+/// TGD's [`rbqa_logic::Tgd::existential_variables`], cached by the caller)
+/// and inserts every head atom. Newly inserted rows are also recorded in
+/// `new_rows` when provided (the semi-naive engine's delta), and attributed
+/// to this firing in `proof` when provided. The firing path materialises no
+/// `Fact` and, through `scratch`, allocates nothing of its own. Shared by
+/// [`chase`] and [`chase_naive`] so that depth bookkeeping and budget checks
+/// cannot drift apart.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fire_trigger(
     tgd: &rbqa_logic::Tgd,
-    trigger: &Trigger,
+    tgd_index: usize,
+    assignment: &[(VarId, Value)],
+    existentials: &[VarId],
     current: &mut Instance,
     depths: &mut DepthMap,
     stats: &mut ChaseStats,
     values: &mut ValueFactory,
     budget: Budget,
     mut new_rows: Option<&mut RowSet>,
-    scratch: &mut Vec<Value>,
+    scratch: &mut FireScratch,
     mut proof: Option<&mut ProofLog>,
 ) -> FireResult {
-    let assignment = &trigger.assignment[..];
+    let FireScratch { tuple, extended } = scratch;
     // Depth of the new facts: the maximum depth among the matched body rows
     // (depth 0 when a body fact is no longer resolvable — matching the
     // previous engine's defensive `unwrap_or(0)` for FD-rewritten facts).
     let mut body_depth = 0usize;
     for atom in tgd.body() {
-        let ok = atom.instantiate_into(|v| assignment_get(assignment, v), scratch);
+        let ok = atom.instantiate_into(|v| assignment_get(assignment, v), tuple);
         debug_assert!(ok, "trigger assigns every body variable");
-        if let Some(row) = current.row_id(atom.relation(), scratch) {
+        if let Some(row) = current.row_id(atom.relation(), tuple) {
             body_depth = body_depth.max(depths.get(atom.relation(), row));
         }
     }
@@ -408,8 +448,9 @@ pub(crate) fn fire_trigger(
 
     // Extend the assignment with fresh nulls for the existential variables,
     // then add every head atom.
-    let mut extended = assignment.to_vec();
-    for v in tgd.existential_variables() {
+    extended.clear();
+    extended.extend_from_slice(assignment);
+    for &v in existentials {
         if stats.nulls_created >= budget.max_nulls {
             return FireResult::OverBudget;
         }
@@ -419,12 +460,12 @@ pub(crate) fn fire_trigger(
     extended.sort_unstable_by_key(|&(v, _)| v);
     let firing = proof
         .as_deref_mut()
-        .map(|log| log.push_firing(trigger.tgd_index, assignment));
+        .map(|log| log.push_firing(tgd_index, assignment));
     for atom in tgd.head() {
-        let ok = atom.instantiate_into(|v| assignment_get(&extended, v), scratch);
+        let ok = atom.instantiate_into(|v| assignment_get(extended, v), tuple);
         debug_assert!(ok, "all head variables are assigned");
         if current
-            .insert_slice(atom.relation(), scratch)
+            .insert_slice(atom.relation(), tuple)
             .expect("head atoms respect the signature")
         {
             let row = (current.relation_len(atom.relation()) - 1) as u32;
@@ -530,6 +571,7 @@ pub(crate) fn apply_fds_to_fixpoint(
     depths: &mut DepthMap,
     stats: &mut ChaseStats,
     delta: Option<&mut RowSet>,
+    scratch: &mut FdScratch,
 ) -> Result<FdRewrite, ()> {
     if fds.is_empty() {
         return Ok(FdRewrite::default());
@@ -540,13 +582,120 @@ pub(crate) fn apply_fds_to_fixpoint(
     let mut obs = rbqa_obs::phase_span("fd_fixpoint", rbqa_obs::Phase::FdFixpoint);
     let unifications_before = stats.fd_unifications;
     let mut passes = 0u64;
-    let result = fd_fixpoint_loop(instance, fds, depths, stats, delta, &mut passes);
+    let result = fd_fixpoint_loop(instance, fds, depths, stats, delta, scratch, &mut passes);
     rbqa_obs::counters::add_fd_fixpoint(
         passes,
         (stats.fd_unifications - unifications_before) as u64,
     );
     obs.num("passes", passes);
     result
+}
+
+/// The determiner values of one tuple under an FD, borrowed from the tuple.
+/// It hashes exactly as the `Vec` of those values would, so a map keyed by
+/// it lays out, and iterates, its groups as a map keyed by owned value
+/// vectors does: the grouping allocates no key per tuple, and value pairs
+/// reach the union-find in the same order as they would through owned keys.
+#[derive(Clone, Copy)]
+struct DeterminerKey<'a> {
+    tuple: &'a [Value],
+    positions: &'a [usize],
+}
+
+impl Hash for DeterminerKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // `<[T] as Hash>::hash`: a length prefix, then every element.
+        state.write_usize(self.positions.len());
+        for &p in self.positions {
+            self.tuple[p].hash(state);
+        }
+    }
+}
+
+impl PartialEq for DeterminerKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.positions.len() == other.positions.len()
+            && self
+                .positions
+                .iter()
+                .zip(other.positions)
+                .all(|(&p, &q)| self.tuple[p] == other.tuple[q])
+    }
+}
+
+impl Eq for DeterminerKey<'_> {}
+
+/// Reusable buffers of the FD fixpoint's grouping: the FD's determiner
+/// positions, each tuple's group, the groups' bounds, and the determined
+/// values laid out group after group.
+#[derive(Debug, Default)]
+pub(crate) struct FdScratch {
+    positions: Vec<usize>,
+    group_of: Vec<u32>,
+    starts: Vec<u32>,
+    fill: Vec<u32>,
+    grouped: Vec<Value>,
+}
+
+impl FdScratch {
+    /// Groups the tuples of `fd`'s relation by their determiner values and
+    /// calls `pair` on consecutive determined values of each group: groups in
+    /// the grouping map's iteration order, values in tuple order.
+    fn for_each_pair(
+        &mut self,
+        instance: &Instance,
+        fd: &Fd,
+        mut pair: impl FnMut(Value, Value) -> Result<(), ()>,
+    ) -> Result<(), ()> {
+        let FdScratch {
+            positions,
+            group_of,
+            starts,
+            fill,
+            grouped,
+        } = self;
+        positions.clear();
+        positions.extend(fd.determiners().iter().copied());
+        let positions = positions.as_slice();
+        // A fresh map per FD and pass: reusing one across calls would keep
+        // its capacity, and with it change the iteration order.
+        let mut groups: FxHashMap<DeterminerKey<'_>, u32> = FxHashMap::default();
+        group_of.clear();
+        for tuple in instance.tuples(fd.relation()) {
+            let next = groups.len() as u32;
+            let group = *groups
+                .entry(DeterminerKey { tuple, positions })
+                .or_insert(next);
+            group_of.push(group);
+        }
+        // Counting sort of the determined values by group.
+        starts.clear();
+        starts.resize(groups.len() + 1, 0);
+        for &g in group_of.iter() {
+            starts[g as usize + 1] += 1;
+        }
+        for g in 0..groups.len() {
+            starts[g + 1] += starts[g];
+        }
+        fill.clear();
+        fill.extend_from_slice(&starts[..groups.len()]);
+        grouped.clear();
+        grouped.resize(
+            group_of.len(),
+            Value::Null(rbqa_common::NullId::from_raw(0)),
+        );
+        for (tuple, &g) in instance.tuples(fd.relation()).zip(group_of.iter()) {
+            grouped[fill[g as usize] as usize] = tuple[fd.determined()];
+            fill[g as usize] += 1;
+        }
+        for &g in groups.values() {
+            let vals = &grouped[starts[g as usize] as usize..starts[g as usize + 1] as usize];
+            for w in vals.windows(2) {
+                pair(w[0], w[1])?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The fixpoint loop of [`apply_fds_to_fixpoint`]; `passes` counts loop
@@ -557,6 +706,7 @@ fn fd_fixpoint_loop(
     depths: &mut DepthMap,
     stats: &mut ChaseStats,
     mut delta: Option<&mut RowSet>,
+    scratch: &mut FdScratch,
     passes: &mut u64,
 ) -> Result<FdRewrite, ()> {
     let mut rewrite = FdRewrite::default();
@@ -565,20 +715,13 @@ fn fd_fixpoint_loop(
         let mut uf = UnionFind::new();
         let mut merged_any = false;
         for fd in fds {
-            // Group tuples of the FD's relation by their determiner values.
-            let mut groups: FxHashMap<Vec<Value>, Vec<Value>> = FxHashMap::default();
-            for tuple in instance.tuples(fd.relation()) {
-                let key: Vec<Value> = fd.determiners().iter().map(|&p| tuple[p]).collect();
-                groups.entry(key).or_default().push(tuple[fd.determined()]);
-            }
-            for (_, vals) in groups {
-                for pair in vals.windows(2) {
-                    if uf.find(pair[0]) != uf.find(pair[1]) && uf.union(pair[0], pair[1])? {
-                        merged_any = true;
-                        stats.fd_unifications += 1;
-                    }
+            scratch.for_each_pair(instance, fd, |a, b| {
+                if uf.find(a) != uf.find(b) && uf.union(a, b)? {
+                    merged_any = true;
+                    stats.fd_unifications += 1;
                 }
-            }
+                Ok(())
+            })?;
         }
         if !merged_any {
             return Ok(rewrite);
@@ -664,6 +807,49 @@ mod tests {
     fn both_engines(check: impl Fn(Engine)) {
         check(chase_naive);
         check(chase);
+    }
+
+    #[test]
+    fn determiner_keys_group_in_the_order_of_owned_keys() {
+        // The FD fixpoint feeds value pairs to the union-find in the
+        // grouping map's iteration order: the borrowed keys must reproduce
+        // the order of a map keyed by owned determiner vectors.
+        let mut sig = Signature::new();
+        let r = sig.add_relation("R", 3).unwrap();
+        let mut vf = ValueFactory::new();
+        let mut vals: Vec<Value> = (0..5).map(|i| vf.constant(&format!("c{i}"))).collect();
+        vals.extend((0..5).map(|_| vf.fresh_null()));
+        let mut inst = Instance::new(sig);
+        let mut state = 7u64;
+        for _ in 0..300 {
+            let tuple: Vec<Value> = (0..3)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    vals[(state >> 33) as usize % vals.len()]
+                })
+                .collect();
+            inst.insert(r, tuple).unwrap();
+        }
+        for fd in [Fd::new(r, vec![0, 2], 1), Fd::new(r, vec![1], 0)] {
+            let mut owned: FxHashMap<Vec<Value>, Vec<Value>> = FxHashMap::default();
+            for tuple in inst.tuples(r) {
+                let key: Vec<Value> = fd.determiners().iter().map(|&p| tuple[p]).collect();
+                owned.entry(key).or_default().push(tuple[fd.determined()]);
+            }
+            let expected: Vec<(Value, Value)> = owned
+                .values()
+                .flat_map(|vals| vals.windows(2).map(|w| (w[0], w[1])))
+                .collect();
+            let mut got = Vec::new();
+            FdScratch::default()
+                .for_each_pair(&inst, &fd, |a, b| {
+                    got.push((a, b));
+                    Ok(())
+                })
+                .unwrap();
+            assert!(!expected.is_empty());
+            assert_eq!(got, expected);
+        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub mod termination;
 pub mod trigger;
 
 pub use budget::Budget;
-pub use engine::{chase, chase_naive, chase_with_proof, ChaseConfig};
+pub use engine::{chase, chase_naive, chase_owned, chase_with_proof, ChaseConfig};
 pub use proof::{Firing, ProofLog};
 pub use result::{ChaseOutcome, ChaseStats, Completion};
 pub use termination::is_weakly_acyclic;

@@ -9,14 +9,17 @@
 //! atoms of the creating TGD, instantiated with [`Firing::assignment`], are
 //! the facts the firing used.
 //!
-//! Assignments live in one flat arena (no allocation per firing), and the
-//! fact → firing map is one `u32` per derived row. Row ids are those of the
+//! Assignments live in one flat arena, the engine's trigger arena (no
+//! allocation per firing), and the fact → firing map is one `u32` per
+//! derived row. Row ids are those of the
 //! chased instance, which are stable as long as the FD fixpoint merges no
 //! values: after a merge (`ChaseStats::fd_unifications > 0`) rows are
 //! rewritten and the log no longer describes the instance.
 
 use rbqa_common::{RelationId, Value};
 use rbqa_logic::VarId;
+
+use crate::trigger::TriggerArena;
 
 /// One recorded firing: the TGD that fired and the body assignment it
 /// fired on, sorted by variable.
@@ -31,11 +34,8 @@ pub struct Firing<'a> {
 /// The derivation log of one chase run (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct ProofLog {
-    /// Per firing: its TGD index and the end of its assignment in `arena`
-    /// (the start is the previous firing's end).
-    firings: Vec<(u32, u32)>,
-    /// Every firing's assignment, back to back.
-    arena: Vec<(VarId, Value)>,
+    /// Every firing's TGD index and assignment, in firing order.
+    firings: TriggerArena,
     /// Per relation index, per row: the creating firing plus one; 0 (or a
     /// row past the end) is a fact the run did not derive.
     creators: Vec<Vec<u32>>,
@@ -60,14 +60,7 @@ impl ProofLog {
     /// Records a firing and returns its id, to be passed to
     /// [`ProofLog::record`] for each head fact it inserts.
     pub(crate) fn push_firing(&mut self, tgd_index: usize, assignment: &[(VarId, Value)]) -> u32 {
-        self.arena.extend_from_slice(assignment);
-        let id = u32::try_from(self.firings.len()).expect("firing count fits in u32");
-        let end = u32::try_from(self.arena.len()).expect("proof arena fits in u32");
-        self.firings.push((
-            u32::try_from(tgd_index).expect("TGD index fits in u32"),
-            end,
-        ));
-        id
+        self.firings.push(tgd_index, assignment.iter().copied())
     }
 
     /// Records that `firing` inserted row `row` of `relation`.
@@ -87,15 +80,10 @@ impl ProofLog {
     /// for a fact of the start instance.
     pub fn creator(&self, relation: RelationId, row: u32) -> Option<Firing<'_>> {
         let id = *self.creators.get(relation.index())?.get(row as usize)?;
-        let index = id.checked_sub(1)? as usize;
-        let (tgd, end) = self.firings[index];
-        let start = match index {
-            0 => 0,
-            _ => self.firings[index - 1].1 as usize,
-        };
+        let (tgd_index, assignment) = self.firings.get(id.checked_sub(1)? as usize);
         Some(Firing {
-            tgd_index: tgd as usize,
-            assignment: &self.arena[start..end as usize],
+            tgd_index,
+            assignment,
         })
     }
 }

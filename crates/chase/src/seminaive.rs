@@ -27,6 +27,19 @@
 //!    values, every rewritten or collapsed fact is added back to the delta
 //!    (and pending assignments are substituted), so trigger knowledge is
 //!    never stale.
+//! 5. **Allocation per round, not per trigger.** A run owns one set of
+//!    buffers: the kernel's [`rbqa_logic::homomorphism::MatchScratch`] and
+//!    the seed buffer that unification and the head check fill, the
+//!    firing's extended assignment, the FD fixpoint's grouping. A round's
+//!    candidate triggers and the deferred ones are slices of two arenas
+//!    ([`crate::trigger`]), deduplicated by hashing the slice — and only
+//!    for bodies of several atoms, since a one-atom body cannot reach one
+//!    homomorphism from two delta facts. The delta grouping, the affected
+//!    rule list and the dedup tables keep their capacity from round to
+//!    round, each TGD's plan caches its existential variables, and an
+//!    instance built only to be chased ([`crate::engine::chase_owned`]) is
+//!    taken over, not copied. What a run still allocates follows the facts
+//!    it inserts and the rules it compiles.
 //!
 //! The engine preserves the naive engine's semantics: same [`Completion`]
 //! classification (saturation, depth capping, budget exhaustion, FD
@@ -43,18 +56,23 @@
 //! equivalence on random schemas and constraint sets (away from the
 //! enumeration cap).
 
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
+
 use rbqa_common::{Instance, RelationId, Value, ValueFactory};
 use rbqa_logic::constraints::ConstraintSet;
 use rbqa_logic::homomorphism::MatchProgram;
 use rbqa_logic::{Atom, Term, Tgd, VarId};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::{FxHashMap, FxHasher};
 
 use crate::engine::{
-    apply_fds_to_fixpoint, fire_trigger, ChaseConfig, DepthMap, FireResult, RowSet,
+    apply_fds_to_fixpoint, fire_trigger, ChaseConfig, DepthMap, FdScratch, FireResult, FireScratch,
+    RowSet,
 };
 use crate::proof::ProofLog;
 use crate::result::{ChaseOutcome, ChaseStats, Completion};
-use crate::trigger::{HeadCheck, Trigger, TriggerAssignment};
+use crate::trigger::{HeadCheck, SearchScratch, TriggerArena};
 
 /// Maps each relation to the (ascending, deduplicated) indices of the TGDs
 /// whose *body* mentions it: the rules that must be re-evaluated when the
@@ -79,16 +97,15 @@ impl DependencyMap {
         DependencyMap { by_relation }
     }
 
-    /// The TGD indices affected by a set of changed relations, ascending.
-    pub fn affected<'a>(&self, relations: impl Iterator<Item = &'a RelationId>) -> Vec<usize> {
-        let mut out: Vec<usize> = relations
-            .filter_map(|rel| self.by_relation.get(rel))
-            .flatten()
-            .copied()
-            .collect();
+    /// Writes to `out` (cleared first) the TGD indices affected by a set of
+    /// changed relations, ascending.
+    pub fn affected_into(&self, relations: &[RelationId], out: &mut Vec<usize>) {
+        out.clear();
+        for deps in relations.iter().filter_map(|rel| self.by_relation.get(rel)) {
+            out.extend_from_slice(deps);
+        }
         out.sort_unstable();
         out.dedup();
-        out
     }
 
     /// The rules whose body mentions `relation`.
@@ -99,103 +116,185 @@ impl DependencyMap {
     }
 }
 
-/// Unifies `atom` with a ground `tuple`, producing the induced partial
-/// assignment as sorted `(variable, value)` seed pairs, or `None` when a
-/// constant mismatches or a repeated variable would need two values.
-fn unify_atom(atom: &Atom, tuple: &[Value]) -> Option<Vec<(VarId, Value)>> {
+/// Unifies `atom` with a ground `tuple`, writing the induced partial
+/// assignment to `seed` (cleared first) as `(variable, value)` pairs sorted
+/// by variable. Returns `false` when a constant mismatches or a repeated
+/// variable would need two values.
+fn unify_atom_into(atom: &Atom, tuple: &[Value], seed: &mut Vec<(VarId, Value)>) -> bool {
     debug_assert_eq!(atom.args().len(), tuple.len());
-    let mut seed: Vec<(VarId, Value)> = Vec::with_capacity(atom.args().len());
+    seed.clear();
     for (term, &val) in atom.args().iter().zip(tuple.iter()) {
         match term {
             Term::Const(c) => {
                 if *c != val {
-                    return None;
+                    return false;
                 }
             }
             Term::Var(v) => match seed.iter().find(|(sv, _)| sv == v) {
-                Some(&(_, prev)) if prev != val => return None,
+                Some(&(_, prev)) if prev != val => return false,
                 Some(_) => {}
                 None => seed.push((*v, val)),
             },
         }
     }
     seed.sort_unstable_by_key(|&(v, _)| v);
-    Some(seed)
+    true
 }
 
-/// Per-TGD state precompiled once per chase run: one [`MatchProgram`] per
-/// seeded body shape plus the shared activeness check.
+/// Per-TGD state compiled on a TGD's first use in a chase run.
 ///
-/// * `without_atom[i]` is the compiled body with atom `i` removed, declared
-///   to be seeded with atom `i`'s variables: unifying a delta fact against
-///   atom `i` pins all of that atom's variables, so the removed atom needs
-///   no re-join — for linear TGDs (IDs, the dominant class) the remaining
-///   program is empty and delta matching is O(1) per delta fact.
+/// * `rest[i]`, for a body of several atoms, is the body without atom `i`,
+///   seeded with atom `i`'s variables: unifying a delta fact against atom
+///   `i` pins all of that atom's variables, so only the other atoms are
+///   joined. A one-atom body (IDs, the dominant class) has no `rest`: the
+///   unified delta fact is the whole match.
 /// * `head` is the engine-shared [`HeadCheck`] (the compiled head program
 ///   seeded with the frontier variables), so the restricted-chase
 ///   activeness check neither rebuilds queries nor re-plans the atom order
 ///   per check — and cannot drift from the naive engine's.
+/// * `existentials` are the TGD's existential variables, for every firing.
 struct TgdPlan {
-    without_atom: Vec<MatchProgram>,
+    rest: Vec<MatchProgram>,
     head: HeadCheck,
+    existentials: Vec<VarId>,
 }
 
 impl TgdPlan {
     fn new(tgd: &Tgd) -> Self {
-        let without_atom = (0..tgd.body().len())
-            .map(|skip| {
-                let atoms: Vec<Atom> = tgd
-                    .body()
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != skip)
-                    .map(|(_, a)| a.clone())
-                    .collect();
-                MatchProgram::compile_atoms(&atoms, &tgd.body()[skip].variables())
-            })
-            .collect();
+        let body = tgd.body();
+        let rest = if body.len() > 1 {
+            (0..body.len())
+                .map(|skip| MatchProgram::compile_atoms_except(body, skip))
+                .collect()
+        } else {
+            Vec::new()
+        };
         TgdPlan {
-            without_atom,
+            rest,
             head: HeadCheck::new(tgd),
+            existentials: tgd.existential_variables(),
         }
-    }
-
-    /// Whether `assignment` extends to a head match in `instance` (the
-    /// trigger is then inactive). See [`HeadCheck`].
-    fn head_satisfied(&self, instance: &Instance, assignment: &[(VarId, Value)]) -> bool {
-        self.head.satisfied(instance, assignment)
     }
 }
 
-/// Enumerates the *active* triggers of `tgd` that touch the delta: body
-/// homomorphisms into `instance` mapping at least one body atom to a fact
-/// in `delta_by_rel`. At most `limit` distinct homomorphisms are collected;
-/// the second component reports truncation (the run is then budget
-/// exhausted, mirroring [`crate::trigger::active_triggers`]).
+/// Which triggers of a [`TriggerArena`] are distinct, by hash of their TGD
+/// index and assignment: the candidates' and the deferred triggers' dedup,
+/// without a key allocation per trigger. Cleared each round; its table keeps
+/// its capacity.
+#[derive(Debug, Default)]
+struct SeenTriggers {
+    /// Hash → the first recorded trigger with that hash.
+    first: FxHashMap<u64, u32>,
+    /// Recorded triggers whose hash an earlier, different trigger holds.
+    collided: Vec<u32>,
+}
+
+impl SeenTriggers {
+    fn clear(&mut self) {
+        self.first.clear();
+        self.collided.clear();
+    }
+
+    /// Whether the newest trigger of `arena` differs from every trigger
+    /// recorded so far; records it when it does.
+    fn insert_last(&mut self, arena: &TriggerArena) -> bool {
+        let last = arena.len() - 1;
+        let key = arena.get(last);
+        let mut hasher = FxHasher::default();
+        key.hash(&mut hasher);
+        match self.first.entry(hasher.finish()) {
+            Entry::Vacant(slot) => {
+                slot.insert(last as u32);
+                true
+            }
+            Entry::Occupied(slot) => {
+                let same = |i: u32| arena.get(i as usize) == key;
+                if same(*slot.get()) || self.collided.iter().any(|&i| same(i)) {
+                    false
+                } else {
+                    self.collided.push(last as u32);
+                    true
+                }
+            }
+        }
+    }
+}
+
+/// A round's delta grouped by relation, each relation's rows ascending, so
+/// that the enumeration order (and hence null naming) is deterministic
+/// regardless of hash-set iteration order — row ids reflect insertion order,
+/// which is itself deterministic. Refilled every round; its lists keep their
+/// capacity.
+#[derive(Debug, Default)]
+struct DeltaByRelation {
+    /// Per relation index: the delta's rows of that relation.
+    rows: Vec<Vec<u32>>,
+    /// The relations with delta rows.
+    relations: Vec<RelationId>,
+}
+
+impl DeltaByRelation {
+    fn fill(&mut self, delta: &RowSet) {
+        for rel in self.relations.drain(..) {
+            self.rows[rel.index()].clear();
+        }
+        for &(rel, row) in delta {
+            if rel.index() >= self.rows.len() {
+                self.rows.resize_with(rel.index() + 1, Vec::new);
+            }
+            let rows = &mut self.rows[rel.index()];
+            if rows.is_empty() {
+                self.relations.push(rel);
+            }
+            rows.push(row);
+        }
+        for rel in &self.relations {
+            self.rows[rel.index()].sort_unstable();
+        }
+    }
+
+    fn rows(&self, relation: RelationId) -> &[u32] {
+        self.rows.get(relation.index()).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// Appends to `found` the triggers of `tgd` (index `tgd_index`) that touch
+/// the delta: body homomorphisms into `instance` mapping at least one body
+/// atom to a delta fact. At most `limit` distinct triggers of this rule are
+/// added; the result reports truncation (the run is then budget exhausted,
+/// mirroring [`crate::trigger::active_triggers`]). A body of several atoms
+/// can reach one homomorphism from two delta facts, so its triggers go
+/// through `seen`; a one-atom body cannot (distinct delta rows unify to
+/// distinct assignments), so its triggers skip the dedup.
+///
 /// Unlike [`crate::trigger::active_triggers`] this does *not* pre-filter
 /// head-satisfied triggers: the firing loop re-checks activeness against
 /// the evolving instance anyway (the authoritative restricted-chase check),
 /// so pre-filtering would only double the number of head searches.
+#[allow(clippy::too_many_arguments)]
 fn delta_triggers(
     tgd: &Tgd,
     tgd_index: usize,
     plan: &TgdPlan,
     instance: &Instance,
-    delta_by_rel: &FxHashMap<RelationId, Vec<u32>>,
+    delta: &DeltaByRelation,
     limit: usize,
-) -> (Vec<Trigger>, bool) {
-    let mut seen: FxHashSet<TriggerAssignment> = FxHashSet::default();
-    let mut triggers: Vec<Trigger> = Vec::new();
-    let mut truncated = false;
-
-    'atoms: for (atom_idx, atom) in tgd.body().iter().enumerate() {
-        let Some(new_rows) = delta_by_rel.get(&atom.relation()) else {
-            continue;
-        };
-        let rest = &plan.without_atom[atom_idx];
-        for &row in new_rows {
+    found: &mut TriggerArena,
+    seen: &mut SeenTriggers,
+    scratch: &mut SearchScratch,
+) -> bool {
+    let first = found.len();
+    for (atom_idx, atom) in tgd.body().iter().enumerate() {
+        for &row in delta.rows(atom.relation()) {
             let tuple = instance.row(atom.relation(), row);
-            let Some(seed) = unify_atom(atom, tuple) else {
+            if !unify_atom_into(atom, tuple, &mut scratch.seed) {
+                continue;
+            }
+            let Some(rest) = plan.rest.get(atom_idx) else {
+                found.push(tgd_index, scratch.seed.iter().copied());
+                if found.len() - first >= limit {
+                    return true;
+                }
                 continue;
             };
             // The seed pins every variable of `atom` to the delta fact
@@ -203,59 +302,45 @@ fn delta_triggers(
             // atoms are joined against the full instance by the cached
             // match program over the sorted posting lists.
             let mut hit_limit = false;
-            rest.for_each(instance, &seed, |binding| {
-                // `iter_bound` yields in slot order, so the assignment is
-                // already sorted — it doubles as its own dedup key.
-                let assignment: TriggerAssignment = binding.iter_bound().collect();
-                if seen.insert(assignment.clone()) {
-                    triggers.push(Trigger {
-                        tgd_index,
-                        assignment,
-                    });
-                    if triggers.len() >= limit {
-                        hit_limit = true;
-                        return false;
-                    }
+            rest.for_each_in(instance, &scratch.seed, &mut scratch.matcher, |binding| {
+                // `iter_bound` yields in slot order: the assignment comes
+                // sorted.
+                found.push(tgd_index, binding.iter_bound());
+                if !seen.insert_last(found) {
+                    found.pop();
+                } else if found.len() - first >= limit {
+                    hit_limit = true;
+                    return false;
                 }
                 true
             });
             if hit_limit {
-                truncated = true;
-                break 'atoms;
+                return true;
             }
         }
     }
-    (triggers, truncated)
+    false
 }
 
-/// Sorted, per-relation view of a delta row set. Row ids are sorted so that
-/// the enumeration order (and hence null naming) is deterministic
-/// regardless of hash-set iteration order — row ids reflect insertion
-/// order, which is itself deterministic.
-fn group_delta(delta: &RowSet) -> FxHashMap<RelationId, Vec<u32>> {
-    let mut by_rel: FxHashMap<RelationId, Vec<u32>> = FxHashMap::default();
-    for &(rel, row) in delta {
-        by_rel.entry(rel).or_default().push(row);
-    }
-    for rows in by_rel.values_mut() {
-        rows.sort_unstable();
-    }
-    by_rel
-}
-
-/// The delta-driven restricted chase, run by [`crate::engine::chase`].
+/// The delta-driven restricted chase, run by [`crate::engine::chase`]. A
+/// run keeps one set of buffers for trigger search, activeness checks,
+/// firings and the FD fixpoint, and reuses each round's delta grouping,
+/// rule list and trigger arenas in the next, so its allocations follow the
+/// facts it inserts and the rules it compiles, not the triggers it visits.
 pub(crate) fn chase_seminaive(
-    instance: &Instance,
+    instance: Cow<'_, Instance>,
     constraints: &ConstraintSet,
     values: &mut ValueFactory,
     config: ChaseConfig,
     mut proof: Option<&mut ProofLog>,
 ) -> ChaseOutcome {
     let budget = config.budget;
-    let mut current = instance.clone();
+    let tgds = constraints.tgds();
+    let mut current = instance.into_owned();
     let mut depths = DepthMap::zeros(&current);
     let mut stats = ChaseStats::default();
-    let mut scratch: Vec<Value> = Vec::new();
+    let mut fire = FireScratch::default();
+    let mut fd = FdScratch::default();
 
     // Initial FD fixpoint, as in the naive engine. No delta bookkeeping is
     // needed yet: the first round treats every fact as new.
@@ -266,6 +351,7 @@ pub(crate) fn chase_seminaive(
             &mut depths,
             &mut stats,
             None,
+            &mut fd,
         )
         .is_err()
     {
@@ -276,12 +362,12 @@ pub(crate) fn chase_seminaive(
         };
     }
 
-    let deps = DependencyMap::new(constraints.tgds());
+    let deps = DependencyMap::new(tgds);
     // Per-TGD plans are compiled on first use: the delta restriction means
     // rules whose body relations never gain facts are never examined at
     // all, and constraint sets like the ID linearization carry hundreds of
     // rules over annotated relations that stay empty on a given run.
-    let mut plans: Vec<Option<TgdPlan>> = constraints.tgds().iter().map(|_| None).collect();
+    let mut plans: Vec<Option<TgdPlan>> = tgds.iter().map(|_| None).collect();
     let trigger_limit = budget.trigger_limit();
 
     // Round 1 sees the whole (FD-repaired) instance as its delta, so its
@@ -292,13 +378,20 @@ pub(crate) fn chase_seminaive(
             (0..current.relation_len(rel) as u32).map(move |row| (rel, row))
         })
         .collect();
+    let mut new_delta = RowSet::default();
+    let mut delta_by_rel = DeltaByRelation::default();
+    let mut affected: Vec<usize> = Vec::new();
+    let mut search = SearchScratch::default();
+    let mut candidates = TriggerArena::default();
+    let mut candidates_seen = SeenTriggers::default();
 
     // Depth-deferred triggers: active triggers whose firing would exceed
     // `max_depth`. Their status can only change when an FD merge lowers a
     // body depth (or satisfies their head), so they are re-examined after
     // FD rewrites and on otherwise-quiescent rounds — the latter is what
     // tells `DepthCapped` from `Saturated`.
-    let mut pending: Vec<Trigger> = Vec::new();
+    let mut pending = TriggerArena::default();
+    let mut pending_seen = SeenTriggers::default();
     let mut recheck_pending = false;
 
     loop {
@@ -332,71 +425,74 @@ pub(crate) fn chase_seminaive(
         // re-examination), then the delta-derived ones in TGD order
         // (mirroring the naive engine's enumeration order as closely as
         // the restriction allows).
-        let delta_by_rel = group_delta(&delta);
+        delta_by_rel.fill(&delta);
         // Whether every trigger in `pending` has been examined by the end
         // of this round: true when the carried-over ones are re-candidated
         // now, or when there were none to carry (anything deferred *during*
         // this round was by definition examined this round).
         let pending_examined = recheck_pending || pending.is_empty();
-        let mut candidates = if recheck_pending {
-            std::mem::take(&mut pending)
-        } else {
-            Vec::new()
-        };
+        candidates.clear();
+        if recheck_pending {
+            std::mem::swap(&mut candidates, &mut pending);
+        }
         recheck_pending = false;
         {
             let mut search_span = rbqa_obs::span("trigger_search");
-            for i in deps.affected(delta_by_rel.keys()) {
-                let plan = plans[i].get_or_insert_with(|| TgdPlan::new(&constraints.tgds()[i]));
-                let (mut found, truncated) = delta_triggers(
-                    &constraints.tgds()[i],
+            deps.affected_into(&delta_by_rel.relations, &mut affected);
+            candidates_seen.clear();
+            for &i in &affected {
+                let plan = plans[i].get_or_insert_with(|| TgdPlan::new(&tgds[i]));
+                if delta_triggers(
+                    &tgds[i],
                     i,
                     plan,
                     &current,
                     &delta_by_rel,
                     trigger_limit,
-                );
-                if truncated {
+                    &mut candidates,
+                    &mut candidates_seen,
+                    &mut search,
+                ) {
                     over_budget = true;
                 }
-                candidates.append(&mut found);
             }
             search_span.num("triggers", candidates.len() as u64);
         }
 
-        let mut new_delta: RowSet = RowSet::default();
-        let mut pending_keys: FxHashSet<(usize, TriggerAssignment)> = FxHashSet::default();
-
-        for trigger in candidates {
-            let tgd = &constraints.tgds()[trigger.tgd_index];
+        new_delta.clear();
+        pending_seen.clear();
+        for k in 0..candidates.len() {
+            let (tgd_index, assignment) = candidates.get(k);
             // Restricted-chase activeness check against the evolving
             // instance: earlier firings in this round (or of past rounds,
             // for deferred triggers) may have satisfied the head already.
-            let plan = plans[trigger.tgd_index]
-                .get_or_insert_with(|| TgdPlan::new(&constraints.tgds()[trigger.tgd_index]));
-            if plan.head_satisfied(&current, &trigger.assignment) {
+            let plan = plans[tgd_index].get_or_insert_with(|| TgdPlan::new(&tgds[tgd_index]));
+            if plan.head.satisfied(&current, assignment, &mut search) {
                 continue;
             }
             match fire_trigger(
-                tgd,
-                &trigger,
+                &tgds[tgd_index],
+                tgd_index,
+                assignment,
+                &plan.existentials,
                 &mut current,
                 &mut depths,
                 &mut stats,
                 values,
                 budget,
                 Some(&mut new_delta),
-                &mut scratch,
+                &mut fire,
                 proof.as_deref_mut(),
             ) {
                 FireResult::Fired => {
                     fired_any = true;
-                    rbqa_obs::counters::add_firing(trigger.tgd_index);
+                    rbqa_obs::counters::add_firing(tgd_index);
                 }
                 FireResult::SkippedForDepth => {
                     skipped_for_depth = true;
-                    if pending_keys.insert((trigger.tgd_index, trigger.assignment.clone())) {
-                        pending.push(trigger);
+                    pending.push(tgd_index, assignment.iter().copied());
+                    if !pending_seen.insert_last(&pending) {
+                        pending.pop();
                     }
                 }
                 FireResult::OverBudget => {
@@ -420,6 +516,7 @@ pub(crate) fn chase_seminaive(
                 &mut depths,
                 &mut stats,
                 Some(&mut new_delta),
+                &mut fd,
             ) {
                 Err(()) => {
                     return ChaseOutcome {
@@ -429,11 +526,9 @@ pub(crate) fn chase_seminaive(
                     };
                 }
                 Ok(rewrite) if rewrite.rewrote() => {
-                    for trigger in &mut pending {
-                        for (_, val) in trigger.assignment.iter_mut() {
-                            if let Some(mapped) = rewrite.subst.get(val) {
-                                *val = *mapped;
-                            }
+                    for val in pending.values_mut() {
+                        if let Some(mapped) = rewrite.subst.get(val) {
+                            *val = *mapped;
                         }
                     }
                     // Merged values may have lowered a deferred trigger's
@@ -460,7 +555,7 @@ pub(crate) fn chase_seminaive(
                 // (Triggers deferred during this round need no extra look —
                 // the naive engine would classify them identically.)
                 recheck_pending = true;
-                delta = RowSet::default();
+                delta.clear();
                 continue;
             }
             let completion = if skipped_for_depth {
@@ -474,15 +569,44 @@ pub(crate) fn chase_seminaive(
                 stats,
             };
         }
-        delta = new_delta;
+        std::mem::swap(&mut delta, &mut new_delta);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trigger::Trigger;
     use rbqa_common::Signature;
     use rbqa_logic::constraints::tgd::{inclusion_dependency, TgdBuilder};
+
+    /// The delta triggers of one rule.
+    fn triggers_of(tgd: &Tgd, inst: &Instance, delta: &RowSet) -> (Vec<Trigger>, bool) {
+        let mut by_rel = DeltaByRelation::default();
+        by_rel.fill(delta);
+        let mut found = TriggerArena::default();
+        let truncated = delta_triggers(
+            tgd,
+            0,
+            &TgdPlan::new(tgd),
+            inst,
+            &by_rel,
+            usize::MAX,
+            &mut found,
+            &mut SeenTriggers::default(),
+            &mut SearchScratch::default(),
+        );
+        let triggers = (0..found.len())
+            .map(|k| {
+                let (tgd_index, assignment) = found.get(k);
+                Trigger {
+                    tgd_index,
+                    assignment: assignment.to_vec(),
+                }
+            })
+            .collect();
+        (triggers, truncated)
+    }
 
     #[test]
     fn dependency_map_indexes_body_relations() {
@@ -499,8 +623,11 @@ mod tests {
         assert_eq!(map.rules_for(r), &[0, 2]);
         assert_eq!(map.rules_for(s), &[1]);
         assert!(map.rules_for(t).is_empty());
-        assert_eq!(map.affected([r, s].iter()), vec![0, 1, 2]);
-        assert_eq!(map.affected([t].iter()), Vec::<usize>::new());
+        let mut affected = vec![9];
+        map.affected_into(&[s, r], &mut affected);
+        assert_eq!(affected, vec![0, 1, 2]);
+        map.affected_into(&[t], &mut affected);
+        assert_eq!(affected, Vec::<usize>::new());
     }
 
     #[test]
@@ -519,9 +646,26 @@ mod tests {
         let atom = &tgd.body()[0];
 
         // R(x, x) unifies with (a, a) but not (a, b).
-        let seed = unify_atom(atom, &[a, a]).unwrap();
-        assert_eq!(seed.len(), 1);
-        assert!(unify_atom(atom, &[a, b]).is_none());
+        let mut seed = Vec::new();
+        assert!(unify_atom_into(atom, &[a, a], &mut seed));
+        assert_eq!(seed, vec![(x, a)]);
+        assert!(!unify_atom_into(atom, &[a, b], &mut seed));
+    }
+
+    #[test]
+    fn seen_triggers_tell_apart_rules_and_assignments() {
+        let mut vf = ValueFactory::new();
+        let (a, b) = (vf.constant("a"), vf.constant("b"));
+        let x = VarId::from_index(0);
+        let mut arena = TriggerArena::default();
+        let mut seen = SeenTriggers::default();
+        for (tgd, value, new) in [(0, a, true), (0, b, true), (1, a, true), (0, a, false)] {
+            arena.push(tgd, [(x, value)]);
+            assert_eq!(seen.insert_last(&arena), new, "({tgd}, {value:?})");
+        }
+        seen.clear();
+        arena.push(0, [(x, a)]);
+        assert!(seen.insert_last(&arena));
     }
 
     #[test]
@@ -542,15 +686,13 @@ mod tests {
         let mut delta = RowSet::default();
         let row = inst.row_id(r, &[vals[0], vals[0]]).unwrap();
         delta.insert((r, row));
-        let plan = TgdPlan::new(&tgd);
-        let by_rel = group_delta(&delta);
-        let (triggers, truncated) = delta_triggers(&tgd, 0, &plan, &inst, &by_rel, usize::MAX);
+        let (triggers, truncated) = triggers_of(&tgd, &inst, &delta);
         assert!(!truncated);
         assert_eq!(triggers.len(), 1);
+        assert_eq!(triggers[0].assignment.len(), 2);
 
         // An empty delta yields no triggers at all.
-        let by_rel = group_delta(&RowSet::default());
-        let (triggers, truncated) = delta_triggers(&tgd, 0, &plan, &inst, &by_rel, usize::MAX);
+        let (triggers, truncated) = triggers_of(&tgd, &inst, &RowSet::default());
         assert!(!truncated);
         assert!(triggers.is_empty());
     }
@@ -578,10 +720,9 @@ mod tests {
         let delta: RowSet = (0..inst.relation_len(r) as u32)
             .map(|row| (r, row))
             .collect();
-        let by_rel = group_delta(&delta);
-        let (triggers, _) =
-            delta_triggers(&tgd, 0, &TgdPlan::new(&tgd), &inst, &by_rel, usize::MAX);
+        let (triggers, _) = triggers_of(&tgd, &inst, &delta);
         // Exactly one join: R(a,b) ⋈ R(b,c).
         assert_eq!(triggers.len(), 1);
+        assert_eq!(triggers[0].assignment, vec![(x, a), (y, b), (z, c)]);
     }
 }

@@ -6,14 +6,17 @@
 //! dependency on an active trigger adds head facts with fresh nulls for the
 //! existentially quantified variables.
 //!
-//! Trigger assignments are stored as sorted `(variable, value)` pair lists
-//! ([`TriggerAssignment`]) rather than hash maps: trigger-heavy rounds
-//! create thousands of them, and a sorted `Vec` costs one allocation, reads
-//! with a branch-free binary search, and is produced directly from the
-//! kernel's dense [`rbqa_logic::homomorphism::Binding`].
+//! A trigger assignment is a list of `(variable, value)` pairs sorted by
+//! variable ([`TriggerAssignment`]), read with a branch-free binary search
+//! and produced directly from the kernel's dense
+//! [`rbqa_logic::homomorphism::Binding`]. The semi-naive engine keeps a
+//! round's candidate triggers, its deferred triggers and a proof's firings
+//! as slices of flat arenas (`TriggerArena`): one buffer per round, not
+//! one allocation per trigger. The activeness check runs on a reusable
+//! [`SearchScratch`], so checking a trigger allocates nothing either.
 
 use rbqa_common::{Instance, Value};
-use rbqa_logic::homomorphism::MatchProgram;
+use rbqa_logic::homomorphism::{MatchProgram, MatchScratch};
 use rbqa_logic::{Tgd, VarId};
 
 /// A body-variable assignment as `(variable, value)` pairs sorted by
@@ -38,6 +41,80 @@ pub struct Trigger {
     pub assignment: TriggerAssignment,
 }
 
+/// Trigger assignments back to back in one flat buffer, each tagged with its
+/// TGD index: a list of triggers that costs a few buffers, however many
+/// triggers it holds, and keeps their capacity across
+/// [`TriggerArena::clear`]s.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TriggerArena {
+    pairs: Vec<(VarId, Value)>,
+    /// Per trigger: its TGD index and the end of its assignment in `pairs`
+    /// (the start is the previous trigger's end).
+    ends: Vec<(u32, u32)>,
+}
+
+impl TriggerArena {
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Trigger `index`: its TGD index and sorted assignment.
+    pub(crate) fn get(&self, index: usize) -> (usize, &[(VarId, Value)]) {
+        let (tgd, end) = self.ends[index];
+        let start = match index {
+            0 => 0,
+            _ => self.ends[index - 1].1 as usize,
+        };
+        (tgd as usize, &self.pairs[start..end as usize])
+    }
+
+    /// Appends a trigger of TGD `tgd_index` (the pairs must come sorted by
+    /// variable) and returns its index.
+    pub(crate) fn push(
+        &mut self,
+        tgd_index: usize,
+        assignment: impl IntoIterator<Item = (VarId, Value)>,
+    ) -> u32 {
+        self.pairs.extend(assignment);
+        let index = u32::try_from(self.ends.len()).expect("trigger count fits in u32");
+        let end = u32::try_from(self.pairs.len()).expect("trigger arena fits in u32");
+        self.ends.push((
+            u32::try_from(tgd_index).expect("TGD index fits in u32"),
+            end,
+        ));
+        index
+    }
+
+    /// Removes the newest trigger.
+    pub(crate) fn pop(&mut self) {
+        self.ends.pop();
+        let end = self.ends.last().map_or(0, |&(_, end)| end as usize);
+        self.pairs.truncate(end);
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.pairs.clear();
+        self.ends.clear();
+    }
+
+    /// Every assigned value, for rewriting in place.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut Value> {
+        self.pairs.iter_mut().map(|(_, value)| value)
+    }
+}
+
+/// Reusable buffers of trigger searches and activeness checks: the kernel's
+/// [`MatchScratch`] and a seed-pair buffer. One per chase run.
+#[derive(Debug, Default)]
+pub struct SearchScratch {
+    pub(crate) matcher: MatchScratch,
+    pub(crate) seed: Vec<(VarId, Value)>,
+}
+
 /// The cached restricted-chase activeness check of one TGD: the compiled
 /// head program seeded with the exported (frontier) variables. Shared by
 /// both engines' per-TGD caches ([`TgdKernel`] for the naive engine, the
@@ -45,30 +122,35 @@ pub struct Trigger {
 #[derive(Debug)]
 pub struct HeadCheck {
     head: MatchProgram,
-    exported: Vec<VarId>,
 }
 
 impl HeadCheck {
     /// Compiles the head program of `tgd`, seeded with its exported
     /// variables.
     pub fn new(tgd: &Tgd) -> Self {
-        let exported = tgd.exported_variables();
         HeadCheck {
-            head: MatchProgram::compile_atoms(tgd.head(), &exported),
-            exported,
+            head: MatchProgram::compile_atoms(tgd.head(), &tgd.exported_variables()),
         }
     }
 
     /// Whether the full body `assignment` extends to a head match in
     /// `instance` (the trigger is then inactive). The assignment must bind
     /// every exported variable — which any body homomorphism does.
-    pub fn satisfied(&self, instance: &Instance, assignment: &[(VarId, Value)]) -> bool {
-        let seed: Vec<(VarId, Value)> = self
-            .exported
-            .iter()
-            .filter_map(|v| assignment_get(assignment, *v).map(|val| (*v, val)))
-            .collect();
-        self.head.exists(instance, &seed)
+    pub fn satisfied(
+        &self,
+        instance: &Instance,
+        assignment: &[(VarId, Value)],
+        scratch: &mut SearchScratch,
+    ) -> bool {
+        let SearchScratch { matcher, seed } = scratch;
+        seed.clear();
+        seed.extend(
+            self.head
+                .seed_vars()
+                .iter()
+                .filter_map(|&v| assignment_get(assignment, v).map(|val| (v, val))),
+        );
+        self.head.exists_in(instance, seed, matcher)
     }
 }
 
@@ -94,8 +176,13 @@ impl TgdKernel {
 
     /// Whether the full body `assignment` extends to a head match in
     /// `instance` (the trigger is then inactive). See [`HeadCheck`].
-    pub fn head_satisfied(&self, instance: &Instance, assignment: &[(VarId, Value)]) -> bool {
-        self.head.satisfied(instance, assignment)
+    pub fn head_satisfied(
+        &self,
+        instance: &Instance,
+        assignment: &[(VarId, Value)],
+        scratch: &mut SearchScratch,
+    ) -> bool {
+        self.head.satisfied(instance, assignment, scratch)
     }
 
     /// Enumerates the active triggers of this TGD (identified by
@@ -111,17 +198,19 @@ impl TgdKernel {
         instance: &Instance,
         limit: usize,
     ) -> (Vec<Trigger>, bool) {
+        let mut scratch = SearchScratch::default();
         let mut assignments: Vec<TriggerAssignment> = Vec::new();
         if limit > 0 {
-            self.body.for_each(instance, &[], |binding| {
-                assignments.push(binding.iter_bound().collect());
-                assignments.len() < limit
-            });
+            self.body
+                .for_each_in(instance, &[], &mut scratch.matcher, |binding| {
+                    assignments.push(binding.iter_bound().collect());
+                    assignments.len() < limit
+                });
         }
         let truncated = assignments.len() >= limit;
         let triggers = assignments
             .into_iter()
-            .filter(|assignment| !self.head_satisfied(instance, assignment))
+            .filter(|assignment| !self.head_satisfied(instance, assignment, &mut scratch))
             .map(|assignment| Trigger {
                 tgd_index,
                 assignment,
@@ -136,7 +225,7 @@ impl TgdKernel {
 /// compatibility wrapper over [`HeadCheck`] (only the head program is
 /// compiled); engines cache a [`TgdKernel`] per TGD instead.
 pub fn head_satisfied(tgd: &Tgd, instance: &Instance, assignment: &[(VarId, Value)]) -> bool {
-    HeadCheck::new(tgd).satisfied(instance, assignment)
+    HeadCheck::new(tgd).satisfied(instance, assignment, &mut SearchScratch::default())
 }
 
 /// Enumerates the *active* triggers of `tgd` (identified by `tgd_index`) in
@@ -252,7 +341,7 @@ mod tests {
         for trigger in &fast {
             assert_eq!(trigger.tgd_index, 3);
             assert_eq!(
-                kernel.head_satisfied(&inst, &trigger.assignment),
+                kernel.head_satisfied(&inst, &trigger.assignment, &mut SearchScratch::default()),
                 head_satisfied(&tgd, &inst, &trigger.assignment)
             );
         }
@@ -271,6 +360,28 @@ mod tests {
         // The only trigger maps the exported variable to b, and S has no
         // fact with b in position 0, so the trigger is active.
         assert_eq!(active_triggers(&tgd, 0, &inst, usize::MAX).0.len(), 1);
+    }
+
+    #[test]
+    fn arena_triggers_round_trip_and_pop() {
+        let mut vf = ValueFactory::new();
+        let (a, b) = (vf.constant("a"), vf.constant("b"));
+        let (x, y) = (VarId::from_index(0), VarId::from_index(1));
+        let mut arena = TriggerArena::default();
+        assert_eq!(arena.push(3, [(x, a)]), 0);
+        assert_eq!(arena.push(5, [(x, b), (y, a)]), 1);
+        assert_eq!(arena.get(0), (3, &[(x, a)][..]));
+        assert_eq!(arena.get(1), (5, &[(x, b), (y, a)][..]));
+        arena.pop();
+        assert_eq!(arena.len(), 1);
+        assert_eq!(arena.push(7, []), 1);
+        assert_eq!(arena.get(1), (7, &[][..]));
+        for value in arena.values_mut() {
+            *value = b;
+        }
+        assert_eq!(arena.get(0), (3, &[(x, b)][..]));
+        arena.clear();
+        assert!(arena.is_empty());
     }
 
     #[test]

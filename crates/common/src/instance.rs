@@ -19,7 +19,7 @@ use rustc_hash::{FxBuildHasher, FxHashMap, FxHashSet};
 
 use crate::error::{Error, Result};
 use crate::fact::Fact;
-use crate::signature::{RelationId, Signature};
+use crate::signature::{RelationId, Signature, MAX_ARITY};
 use crate::value::Value;
 
 /// Hash of a tuple slice, used as the membership key.
@@ -130,20 +130,10 @@ impl RelationData {
                 }
             }
             _ => {
-                let Some(lists) = self.probe_lists(probe) else {
-                    return;
-                };
-                let (driver, rest) = lists.split_first().expect("probe is non-empty");
-                let mut cursors = vec![0usize; rest.len()];
-                'candidates: for &id in *driver {
-                    for (list, cursor) in rest.iter().zip(cursors.iter_mut()) {
-                        *cursor = gallop(list, *cursor, id);
-                        if list.get(*cursor) != Some(&id) {
-                            continue 'candidates;
-                        }
-                    }
+                self.intersect(probe, |id| {
                     out.push(id);
-                }
+                    true
+                });
             }
         }
     }
@@ -155,32 +145,49 @@ impl RelationData {
             [] => (self.rows > 0).then_some(0),
             [(pos, value)] => self.posting(*pos, *value).and_then(|l| l.first().copied()),
             _ => {
-                let lists = self.probe_lists(probe)?;
-                let (driver, rest) = lists.split_first().expect("probe is non-empty");
-                let mut cursors = vec![0usize; rest.len()];
-                'candidates: for &id in *driver {
-                    for (list, cursor) in rest.iter().zip(cursors.iter_mut()) {
-                        *cursor = gallop(list, *cursor, id);
-                        if list.get(*cursor) != Some(&id) {
-                            continue 'candidates;
-                        }
-                    }
-                    return Some(id);
-                }
-                None
+                let mut first = None;
+                self.intersect(probe, |id| {
+                    first = Some(id);
+                    false
+                });
+                first
             }
         }
     }
 
-    /// The posting lists of a multi-pair probe, shortest first (the driver),
-    /// or `None` when some pair has no postings at all.
-    fn probe_lists(&self, probe: &[(usize, Value)]) -> Option<Vec<&[u32]>> {
-        let mut lists: Vec<&[u32]> = Vec::with_capacity(probe.len());
-        for &(pos, value) in probe {
-            lists.push(self.posting(pos, value)?);
+    /// Visits, ascending, the row ids in every posting list of a multi-pair
+    /// probe, until `visit` returns `false`. The shortest list drives a
+    /// galloping intersection. A probe of at most [`MAX_ARITY`] pairs (one
+    /// per position, as the kernel builds them) keeps its lists and cursors
+    /// on the stack.
+    fn intersect(&self, probe: &[(usize, Value)], mut visit: impl FnMut(u32) -> bool) {
+        let mut inline: [(&[u32], usize); MAX_ARITY] = [(&[], 0); MAX_ARITY];
+        let mut spilled: Vec<(&[u32], usize)>;
+        let lists: &mut [(&[u32], usize)] = if probe.len() <= MAX_ARITY {
+            &mut inline[..probe.len()]
+        } else {
+            spilled = vec![(&[], 0); probe.len()];
+            &mut spilled
+        };
+        for (slot, &(pos, value)) in lists.iter_mut().zip(probe) {
+            match self.posting(pos, value) {
+                Some(list) => slot.0 = list,
+                None => return,
+            }
         }
-        lists.sort_unstable_by_key(|l| l.len());
-        Some(lists)
+        lists.sort_unstable_by_key(|(list, _)| list.len());
+        let (driver, rest) = lists.split_first_mut().expect("probe is non-empty");
+        'candidates: for &id in driver.0 {
+            for (list, cursor) in rest.iter_mut() {
+                *cursor = gallop(list, *cursor, id);
+                if list.get(*cursor) != Some(&id) {
+                    continue 'candidates;
+                }
+            }
+            if !visit(id) {
+                return;
+            }
+        }
     }
 
     fn iter_rows(&self) -> impl Iterator<Item = &[Value]> {

@@ -9,6 +9,8 @@
 //! `R_Accessed`, `accessible`, existence-check views `R_mt`, ...), which is
 //! supported by [`Signature::add_relation`] on a cloned signature.
 
+use std::sync::Arc;
+
 use rustc_hash::FxHashMap;
 
 use crate::error::{Error, Result};
@@ -64,8 +66,20 @@ impl Relation {
 /// assert_eq!(sig.relation(prof).name(), "Prof");
 /// assert_eq!(sig.arity(udir), 3);
 /// ```
+///
+/// The declarations are shared copy-on-write: cloning a signature (as every
+/// [`crate::Instance`] over it and every extended copy does) costs no
+/// allocation, and the first [`Signature::add_relation`] on a shared
+/// signature copies it.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Signature {
+    /// `None` while no relation is declared, so an empty signature
+    /// allocates nothing.
+    shared: Option<Arc<Declarations>>,
+}
+
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct Declarations {
     relations: Vec<Relation>,
     by_name: FxHashMap<String, RelationId>,
 }
@@ -93,8 +107,8 @@ impl Signature {
                 "relation `{name}` declares arity {arity}, above the supported maximum {MAX_ARITY}"
             )));
         }
-        if let Some(&id) = self.by_name.get(name) {
-            let existing = self.relations[id.index()].arity;
+        if let Some(id) = self.relation_by_name(name) {
+            let existing = self.arity(id);
             if existing == arity {
                 return Ok(id);
             }
@@ -104,18 +118,23 @@ impl Signature {
                 requested: arity,
             });
         }
-        let id = RelationId::from_index(self.relations.len());
-        self.relations.push(Relation {
+        let decls = Arc::make_mut(self.shared.get_or_insert_with(Default::default));
+        let id = RelationId::from_index(decls.relations.len());
+        decls.relations.push(Relation {
             name: name.to_owned(),
             arity,
         });
-        self.by_name.insert(name.to_owned(), id);
+        decls.by_name.insert(name.to_owned(), id);
         Ok(id)
+    }
+
+    fn relations(&self) -> &[Relation] {
+        self.shared.as_deref().map_or(&[], |d| &d.relations)
     }
 
     /// Looks up a relation by name.
     pub fn relation_by_name(&self, name: &str) -> Option<RelationId> {
-        self.by_name.get(name).copied()
+        self.shared.as_deref()?.by_name.get(name).copied()
     }
 
     /// Looks up a relation by name, returning an error if it is unknown.
@@ -130,7 +149,7 @@ impl Signature {
     ///
     /// Panics if `id` does not belong to this signature.
     pub fn relation(&self, id: RelationId) -> &Relation {
-        &self.relations[id.index()]
+        &self.relations()[id.index()]
     }
 
     /// Shorthand for `self.relation(id).arity()`.
@@ -145,22 +164,22 @@ impl Signature {
 
     /// Whether `id` belongs to this signature.
     pub fn contains(&self, id: RelationId) -> bool {
-        id.index() < self.relations.len()
+        id.index() < self.relations().len()
     }
 
     /// Number of declared relations.
     pub fn len(&self) -> usize {
-        self.relations.len()
+        self.relations().len()
     }
 
     /// Whether no relations are declared.
     pub fn is_empty(&self) -> bool {
-        self.relations.is_empty()
+        self.relations().is_empty()
     }
 
     /// Iterates over `(id, relation)` pairs in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (RelationId, &Relation)> {
-        self.relations
+        self.relations()
             .iter()
             .enumerate()
             .map(|(i, r)| (RelationId::from_index(i), r))
@@ -168,7 +187,7 @@ impl Signature {
 
     /// Maximum arity over all relations (0 for an empty signature).
     pub fn max_arity(&self) -> usize {
-        self.relations.iter().map(|r| r.arity).max().unwrap_or(0)
+        self.relations().iter().map(|r| r.arity).max().unwrap_or(0)
     }
 
     /// Validates that `position` is a legal position of `relation`.
@@ -252,6 +271,21 @@ mod tests {
         let r = sig.add_relation("R", 3).unwrap();
         let ps: Vec<_> = sig.relation(r).positions().collect();
         assert_eq!(ps, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn clones_share_declarations_until_one_extends() {
+        let mut sig = Signature::new();
+        let r = sig.add_relation("R", 2).unwrap();
+        let mut extended = sig.clone();
+        assert_eq!(extended, sig);
+        let s = extended.add_relation("S", 1).unwrap();
+        assert_eq!(extended.name(s), "S");
+        assert_eq!(extended.relation_by_name("R"), Some(r));
+        // The original does not see the extension.
+        assert_eq!(sig.len(), 1);
+        assert_eq!(sig.relation_by_name("S"), None);
+        assert_ne!(extended, sig);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! An FD failure during the chase (two distinct constants forced equal)
 //! means `Q ∧ Σ` is unsatisfiable, so the containment holds vacuously.
 
-use rbqa_chase::{chase, chase_with_proof, ChaseConfig, Completion, ProofLog};
+use std::borrow::Cow;
+
+use rbqa_chase::{chase, chase_owned, chase_with_proof, ChaseConfig, Completion, ProofLog};
 use rbqa_common::{Instance, ValueFactory};
 use rbqa_logic::constraints::ConstraintSet;
 use rbqa_logic::homomorphism::{find_homomorphism, Homomorphism};
@@ -117,7 +119,7 @@ pub fn decide_from_instance_any(
     completeness_depth: Option<usize>,
 ) -> (ContainmentOutcome, Option<usize>) {
     let (outcome, matched) = decide_any(
-        start,
+        Cow::Borrowed(start),
         targets,
         constraints,
         values,
@@ -158,7 +160,7 @@ pub fn decide_from_instance_any_with_proof(
 ) -> (ContainmentOutcome, Option<ContainmentProof>) {
     let mut log = ProofLog::new();
     let (outcome, matched) = decide_any(
-        start,
+        Cow::Borrowed(start),
         targets,
         constraints,
         values,
@@ -178,10 +180,11 @@ pub fn decide_from_instance_any_with_proof(
 /// The shared body of the `decide_from_instance_any` entry points: chases
 /// `start` (recording into `proof` when given) and returns the outcome with
 /// the first matching target, its match, and — on a proof run — the chased
-/// instance.
+/// instance. An owned `start` is chased in place (see
+/// [`rbqa_chase::chase_owned`]).
 #[allow(clippy::type_complexity)]
-fn decide_any(
-    start: &Instance,
+pub(crate) fn decide_any(
+    start: Cow<'_, Instance>,
     targets: &[(&ConjunctiveQuery, &Homomorphism)],
     constraints: &ConstraintSet,
     values: &mut ValueFactory,
@@ -196,9 +199,10 @@ fn decide_any(
         return (stopped, None);
     }
     let keep_instance = proof.is_some();
-    let outcome = match proof {
-        Some(log) => chase_with_proof(start, constraints, values, config, log),
-        None => chase(start, constraints, values, config),
+    let outcome = match (proof, start) {
+        (Some(log), start) => chase_with_proof(&start, constraints, values, config, log),
+        (None, Cow::Borrowed(start)) => chase(start, constraints, values, config),
+        (None, Cow::Owned(start)) => chase_owned(start, constraints, values, config),
     };
 
     if outcome.is_fd_failure() {

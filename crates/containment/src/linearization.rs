@@ -32,17 +32,22 @@
 use rbqa_chase::Budget;
 use rbqa_common::{Instance, RelationId, Signature, Value, ValueFactory};
 use rbqa_logic::constraints::ConstraintSet;
-use rbqa_logic::{Atom, ConjunctiveQuery, Term, Tgd};
+use rbqa_logic::{Atom, ConjunctiveQuery, Term, Tgd, VarId, VarPool};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
 use crate::bounds::completeness_depth_for;
 use crate::problem::ContainmentOutcome;
-use crate::saturation::{
-    saturate_truncated_axioms, subsets_up_to, MethodSignature, TruncatedAxiom,
-};
+use crate::saturation::{mask_positions, saturate_transfers, MethodSignature, Transfers};
 
 /// The linearized signature, rules and derived axioms for one schema.
+///
+/// Position sets are packed into `u32` bitmasks throughout (arities are at
+/// most [`rbqa_common::MAX_ARITY`]), rules share their variable pools, and
+/// the relations and variables are named once each, so the build allocates
+/// per relation and per rule, not per position set looked up.
 #[derive(Debug, Clone)]
 pub struct LinearizedSchema {
     /// The original signature `S`.
@@ -52,32 +57,21 @@ pub struct LinearizedSchema {
     pub lin_signature: Signature,
     /// The ID width bound `w` used for the construction.
     pub width: usize,
-    /// Derived truncated accessibility axioms of breadth at most `w`.
-    pub axioms: Vec<TruncatedAxiom>,
     /// The linear rules `Σ^Lin` (Lift, Transfer, Result-bounded Fact
     /// Transfer) together with the primed copies of the original IDs.
     pub rules: ConstraintSet,
-    rp: FxHashMap<(RelationId, Vec<usize>), RelationId>,
-    primed: FxHashMap<RelationId, RelationId>,
+    /// The derived truncated accessibility axioms of breadth at most `w`,
+    /// packed per premise set (see [`crate::saturation`]).
+    transfers: Transfers,
+    /// `(R, P)` → `R_P`, with `P` as a position mask.
+    rp: FxHashMap<(RelationId, u32), RelationId>,
+    /// Per base relation index: the primed copy `R'`.
+    primed: Vec<RelationId>,
 }
 
-/// Renames every atom of `tgd` through `map` (identity on unmapped
-/// relations), keeping terms unchanged.
-fn remap_tgd(tgd: &Tgd, map: &FxHashMap<RelationId, RelationId>) -> Tgd {
-    let remap_atoms = |atoms: &[Atom]| -> Vec<Atom> {
-        atoms
-            .iter()
-            .map(|a| {
-                let rel = *map.get(&a.relation()).unwrap_or(&a.relation());
-                Atom::new(rel, a.args().to_vec())
-            })
-            .collect()
-    };
-    Tgd::new(
-        tgd.vars().clone(),
-        remap_atoms(tgd.body()),
-        remap_atoms(tgd.head()),
-    )
+/// The mask of a position set.
+fn mask_of(positions: &BTreeSet<usize>) -> u32 {
+    positions.iter().fold(0, |mask, &p| mask | (1 << p))
 }
 
 impl LinearizedSchema {
@@ -96,97 +90,99 @@ impl LinearizedSchema {
         // maximal ID width (and at least 1).
         let id_width = ids.iter().map(|t| t.width()).max().unwrap_or(0);
         let width = width.max(id_width).max(1);
-        let axioms = saturate_truncated_axioms(sig, ids, methods, width);
+        let transfers = saturate_transfers(sig, ids, methods, width);
 
-        // One pass over the axioms instead of a rescan per (relation,
-        // subset) in the rule loops below.
-        let mut transferred_of: FxHashMap<(RelationId, Vec<usize>), BTreeSet<usize>> =
-            FxHashMap::default();
-        for ax in &axioms {
-            transferred_of
-                .entry((ax.relation, ax.premises.iter().copied().collect()))
-                .or_default()
-                .insert(ax.conclusion);
-        }
-        let transferred_of = |rid: RelationId, subset: &BTreeSet<usize>| -> BTreeSet<usize> {
-            let key: Vec<usize> = subset.iter().copied().collect();
-            let mut out = subset.clone();
-            if let Some(extra) = transferred_of.get(&(rid, key)) {
-                out.extend(extra.iter().copied());
-            }
-            out
-        };
-
-        // Expanded signature.
+        // Expanded signature: per relation, its annotated relations in the
+        // premise-set order of the saturation, then its primed copy.
+        let mut name = String::new();
         let mut lin_signature = sig.clone();
-        let mut rp: FxHashMap<(RelationId, Vec<usize>), RelationId> = FxHashMap::default();
-        let mut primed: FxHashMap<RelationId, RelationId> = FxHashMap::default();
+        let mut rp: FxHashMap<(RelationId, u32), RelationId> = FxHashMap::default();
+        let mut primed: Vec<RelationId> = Vec::with_capacity(sig.len());
         for (rid, rel) in sig.iter() {
-            for subset in subsets_up_to(rel.arity(), width) {
-                let key: Vec<usize> = subset.iter().copied().collect();
-                let suffix: Vec<String> = key.iter().map(|p| p.to_string()).collect();
-                let name = format!("{}__acc_{}", rel.name(), suffix.join("_"));
+            for &(premises, _) in &transfers.per_relation[rid.index()] {
+                name.clear();
+                let _ = write!(name, "{}__acc_", rel.name());
+                for (k, p) in mask_positions(premises).enumerate() {
+                    let _ = write!(name, "{}{p}", if k == 0 { "" } else { "_" });
+                }
                 let new_rel = lin_signature
                     .add_relation(&name, rel.arity())
                     .expect("fresh relation name");
-                rp.insert((rid, key), new_rel);
+                rp.insert((rid, premises), new_rel);
             }
-            let primed_rel = lin_signature
-                .add_relation(&format!("{}__prime", rel.name()), rel.arity())
-                .expect("fresh relation name");
-            primed.insert(rid, primed_rel);
+            name.clear();
+            let _ = write!(name, "{}__prime", rel.name());
+            primed.push(
+                lin_signature
+                    .add_relation(&name, rel.arity())
+                    .expect("fresh relation name"),
+            );
         }
 
         let mut rules = ConstraintSet::new();
 
         // Primed copies of the original IDs.
         for id in ids {
-            rules.push_tgd(remap_tgd(id, &primed));
+            rules.push_tgd(id.map_relations(|r| primed.get(r.index()).copied().unwrap_or(r)));
         }
 
-        // (Transfer) and (Result-bounded Fact Transfer).
+        // (Transfer) and (Result-bounded Fact Transfer). The rules of one
+        // relation differ only in their body relation, so each shape (its
+        // variable pool and terms) is built once per relation or method.
+        let input_mask = |m: &MethodSignature| mask_of(&m.input_positions);
         for (rid, rel) in sig.iter() {
             let arity = rel.arity();
-            for subset in subsets_up_to(arity, width) {
-                let key: Vec<usize> = subset.iter().copied().collect();
-                let rp_rel = rp[&(rid, key)];
-                let transferred = transferred_of(rid, &subset);
-
-                // (Transfer): some non-result-bounded method's inputs are
-                // covered by the transferred positions.
-                let has_full_access = methods.iter().any(|m| {
-                    m.relation == rid
-                        && !m.result_bounded
-                        && m.input_positions.iter().all(|i| transferred.contains(i))
-                });
-                if has_full_access {
-                    let mut b = rbqa_logic::constraints::TgdBuilder::new();
-                    let vars: Vec<_> = (0..arity).map(|i| b.var(&format!("x{i}"))).collect();
-                    b.body_atom(rp_rel, vars.iter().map(|v| Term::Var(*v)).collect());
-                    b.head_atom(primed[&rid], vars.iter().map(|v| Term::Var(*v)).collect());
-                    rules.push_tgd(b.build());
-                }
-
-                // (Result-bounded Fact Transfer): for each result-bounded
-                // method on R, R_P(x, y) → ∃z R'(x, z).
-                for m in methods
-                    .iter()
-                    .filter(|m| m.relation == rid && m.result_bounded)
-                {
-                    let mut b = rbqa_logic::constraints::TgdBuilder::new();
-                    let body_vars: Vec<_> = (0..arity).map(|i| b.var(&format!("x{i}"))).collect();
-                    let head_terms: Vec<Term> = (0..arity)
+            let on_rel: Vec<&MethodSignature> =
+                methods.iter().filter(|m| m.relation == rid).collect();
+            if on_rel.is_empty() {
+                continue;
+            }
+            let x_pool = VarPool::numbered("x", arity);
+            let x_terms: Vec<Term> = (0..arity)
+                .map(|i| Term::Var(VarId::from_index(i)))
+                .collect();
+            // Per result-bounded method: `R_P(x, y) → ∃z R'(x, z)`, whose
+            // pool adds `zi` for every non-input position `i`.
+            let bounded: Vec<(VarPool, Vec<Term>)> = on_rel
+                .iter()
+                .filter(|m| m.result_bounded)
+                .map(|m| {
+                    let mut pool = x_pool.clone();
+                    let head = (0..arity)
                         .map(|i| {
                             if m.input_positions.contains(&i) {
-                                Term::Var(body_vars[i])
+                                x_terms[i]
                             } else {
-                                Term::Var(b.var(&format!("z{i}")))
+                                name.clear();
+                                let _ = write!(name, "z{i}");
+                                Term::Var(pool.var(&name))
                             }
                         })
                         .collect();
-                    b.body_atom(rp_rel, body_vars.iter().map(|v| Term::Var(*v)).collect());
-                    b.head_atom(primed[&rid], head_terms);
-                    rules.push_tgd(b.build());
+                    (pool, head)
+                })
+                .collect();
+            let rule = |pool: &VarPool, body_rel: RelationId, head: &[Term]| {
+                Tgd::new(
+                    pool.clone(),
+                    vec![Atom::new(body_rel, x_terms.clone())],
+                    vec![Atom::new(primed[rid.index()], head.to_vec())],
+                )
+            };
+            for &(premises, transferred) in &transfers.per_relation[rid.index()] {
+                let rp_rel = rp[&(rid, premises)];
+                // (Transfer): some non-result-bounded method's inputs are
+                // covered by the transferred positions.
+                let has_full_access = on_rel
+                    .iter()
+                    .any(|m| !m.result_bounded && input_mask(m) & !transferred == 0);
+                if has_full_access {
+                    rules.push_tgd(rule(&x_pool, rp_rel, &x_terms));
+                }
+                // (Result-bounded Fact Transfer): for each result-bounded
+                // method on R, R_P(x, y) → ∃z R'(x, z).
+                for (pool, head) in &bounded {
+                    rules.push_tgd(rule(pool, rp_rel, head));
                 }
             }
         }
@@ -198,23 +194,25 @@ impl LinearizedSchema {
                 .expect("linearization input must consist of IDs");
             let body_rel = id.body()[0].relation();
             let head_rel = id.head()[0].relation();
-            let body_arity = sig.arity(body_rel);
-            for subset in subsets_up_to(body_arity, width) {
-                let key: Vec<usize> = subset.iter().copied().collect();
-                let body_rp = rp[&(body_rel, key)];
-                let transferred = transferred_of(body_rel, &subset);
+            for &(premises, transferred) in &transfers.per_relation[body_rel.index()] {
+                let body_rp = rp[&(body_rel, premises)];
                 // Exported body positions whose accessibility transfers.
-                let head_positions: BTreeSet<usize> = map
+                let head_premises = map
                     .iter()
-                    .filter(|(b, _)| transferred.contains(b))
-                    .map(|(_, h)| *h)
-                    .collect();
-                let head_key: Vec<usize> = head_positions.iter().copied().collect();
-                let head_rp = rp[&(head_rel, head_key)];
-                let mut relmap = FxHashMap::default();
-                relmap.insert(body_rel, body_rp);
-                relmap.insert(head_rel, head_rp);
-                rules.push_tgd(remap_tgd(id, &relmap));
+                    .filter(|&&(b, _)| transferred & (1 << b) != 0)
+                    .fold(0u32, |mask, &(_, h)| mask | (1 << h));
+                let head_rp = rp[&(head_rel, head_premises)];
+                // The head relation is mapped last: an ID from R into R
+                // reads and writes R's head annotation.
+                rules.push_tgd(id.map_relations(|r| {
+                    if r == head_rel {
+                        head_rp
+                    } else if r == body_rel {
+                        body_rp
+                    } else {
+                        r
+                    }
+                }));
             }
         }
 
@@ -222,8 +220,8 @@ impl LinearizedSchema {
             base_signature: sig.clone(),
             lin_signature,
             width,
-            axioms,
             rules,
+            transfers,
             rp,
             primed,
         }
@@ -236,13 +234,15 @@ impl LinearizedSchema {
         relation: RelationId,
         positions: &BTreeSet<usize>,
     ) -> Option<RelationId> {
-        let key: Vec<usize> = positions.iter().copied().collect();
-        self.rp.get(&(relation, key)).copied()
+        if positions.iter().any(|&p| p >= 32) {
+            return None;
+        }
+        self.rp.get(&(relation, mask_of(positions))).copied()
     }
 
     /// The primed copy `R'` of a base relation.
     pub fn primed_relation(&self, relation: RelationId) -> Option<RelationId> {
-        self.primed.get(&relation).copied()
+        self.primed.get(relation.index()).copied()
     }
 
     /// Rewrites a query over the base signature into the same query over the
@@ -269,24 +269,16 @@ impl LinearizedSchema {
         seed: &FxHashSet<Value>,
     ) -> FxHashSet<Value> {
         let mut accessible = seed.clone();
-        // Group the axioms per relation once; the fixpoint then scans each
-        // tuple against its own relation's axioms only.
-        let mut by_relation: FxHashMap<RelationId, Vec<&TruncatedAxiom>> = FxHashMap::default();
-        for ax in &self.axioms {
-            by_relation.entry(ax.relation).or_default().push(ax);
-        }
         loop {
             let mut changed = false;
             for (rid, _) in self.base_signature.iter() {
-                let Some(axioms) = by_relation.get(&rid) else {
-                    continue;
-                };
+                let sets = &self.transfers.per_relation[rid.index()];
                 for tuple in instance.tuples(rid) {
-                    for ax in axioms {
-                        if ax.premises.iter().all(|&p| accessible.contains(&tuple[p]))
-                            && accessible.insert(tuple[ax.conclusion])
-                        {
-                            changed = true;
+                    for &(premises, transferred) in sets {
+                        if mask_positions(premises).all(|p| accessible.contains(&tuple[p])) {
+                            for j in mask_positions(transferred) {
+                                changed |= accessible.insert(tuple[j]);
+                            }
                         }
                     }
                 }
@@ -306,24 +298,23 @@ impl LinearizedSchema {
         let mut out = Instance::new(self.lin_signature.clone());
         for (rid, rel) in self.base_signature.iter() {
             let arity = rel.arity();
-            // One subset lattice per relation, not per tuple.
-            let subsets = subsets_up_to(arity, self.width);
+            let sets = &self.transfers.per_relation[rid.index()];
             for tuple in base.tuples(rid) {
                 // Keep the original fact (harmless; the rules only read the
                 // annotated and primed relations).
-                out.insert(rid, tuple.to_vec()).expect("same arity");
-                let acc_positions: BTreeSet<usize> = (0..arity)
+                out.insert_slice(rid, tuple).expect("same arity");
+                let acc_positions = (0..arity)
                     .filter(|&i| accessible.contains(&tuple[i]))
-                    .collect();
-                for subset in &subsets {
-                    if subset.is_subset(&acc_positions) {
-                        let rp_rel = self.rp_relation(rid, subset).expect("subset within width");
-                        out.insert(rp_rel, tuple.to_vec()).expect("same arity");
+                    .fold(0u32, |mask, i| mask | (1 << i));
+                for &(premises, _) in sets {
+                    if premises & !acc_positions == 0 {
+                        let rp_rel = self.rp[&(rid, premises)];
+                        out.insert_slice(rp_rel, tuple).expect("same arity");
                     }
                 }
-                if acc_positions.len() == arity {
-                    let primed = self.primed_relation(rid).expect("base relation");
-                    out.insert(primed, tuple.to_vec()).expect("same arity");
+                if acc_positions.count_ones() as usize == arity {
+                    out.insert_slice(self.primed[rid.index()], tuple)
+                        .expect("same arity");
                 }
             }
         }
@@ -380,15 +371,18 @@ impl LinearizedSchema {
             budget: config.budget.with_max_depth(depth),
             ..config
         };
-        crate::generic::decide_from_instance_seeded(
-            &start,
-            &rhs_primed,
-            &rhs_seed,
+        // The start instance exists only for this chase, which takes it
+        // over instead of copying it.
+        crate::generic::decide_any(
+            Cow::Owned(start),
+            &[(&rhs_primed, &rhs_seed)],
             &self.rules,
             values,
             config,
             Some(bound),
+            None,
         )
+        .0
     }
 }
 

@@ -76,23 +76,67 @@ impl TruncatedAxiom {
 /// All subsets of `{0, ..., positions-1}` of size at most `k`, in a
 /// deterministic order (by size, then lexicographically).
 pub fn subsets_up_to(positions: usize, k: usize) -> Vec<BTreeSet<usize>> {
-    let mut out: Vec<BTreeSet<usize>> = vec![BTreeSet::new()];
-    for size in 1..=k.min(positions) {
-        let prev: Vec<BTreeSet<usize>> = out
-            .iter()
-            .filter(|s| s.len() == size - 1)
-            .cloned()
-            .collect();
-        for s in prev {
-            let start = s.iter().max().map_or(0, |m| m + 1);
+    subset_masks_up_to(positions, k)
+        .into_iter()
+        .map(|mask| mask_positions(mask).collect())
+        .collect()
+}
+
+/// [`subsets_up_to`] as position bitmasks (bit `p` set for position `p`),
+/// in the same order. Positions fit a `u32`: `Signature::add_relation` caps
+/// arities at [`rbqa_common::MAX_ARITY`] (= 32).
+pub(crate) fn subset_masks_up_to(positions: usize, k: usize) -> Vec<u32> {
+    let mut out: Vec<u32> = vec![0];
+    let mut level = 0..1;
+    for _ in 1..=k.min(positions) {
+        let next_start = out.len();
+        for i in level {
+            let s = out[i];
+            let start = if s == 0 {
+                0
+            } else {
+                32 - s.leading_zeros() as usize
+            };
             for p in start..positions {
-                let mut t = s.clone();
-                t.insert(p);
-                out.push(t);
+                out.push(s | (1 << p));
             }
         }
+        level = next_start..out.len();
     }
     out
+}
+
+/// The positions of a bitmask, ascending.
+pub(crate) fn mask_positions(mask: u32) -> impl Iterator<Item = usize> {
+    (0..32).filter(move |p| mask & (1 << p) != 0)
+}
+
+/// The derived truncated accessibility axioms in packed form: per relation
+/// index, every premise set of at most the saturation's breadth (in
+/// [`subsets_up_to`] order) with the positions it transfers, both as
+/// position bitmasks. The transferred set always contains the premises (the
+/// trivial axioms).
+#[derive(Debug, Clone)]
+pub(crate) struct Transfers {
+    pub(crate) per_relation: Vec<Vec<(u32, u32)>>,
+}
+
+impl Transfers {
+    /// Unpacks into the public axiom representation, sorted.
+    pub(crate) fn axioms(&self) -> Vec<TruncatedAxiom> {
+        let mut out: Vec<TruncatedAxiom> = Vec::new();
+        for (rel, sets) in self.per_relation.iter().enumerate() {
+            let rid = RelationId::from_index(rel);
+            for &(premises, transferred) in sets {
+                let premise_set: BTreeSet<usize> = mask_positions(premises).collect();
+                for j in mask_positions(transferred) {
+                    out.push(TruncatedAxiom::new(rid, premise_set.clone(), j));
+                }
+            }
+        }
+        out.sort();
+        out
+    }
 }
 
 /// Runs the saturation algorithm of Proposition E.1: computes every derived
@@ -108,6 +152,17 @@ pub fn saturate_truncated_axioms(
     methods: &[MethodSignature],
     breadth: usize,
 ) -> Vec<TruncatedAxiom> {
+    saturate_transfers(sig, ids, methods, breadth).axioms()
+}
+
+/// [`saturate_truncated_axioms`] in packed form, as the linearization reads
+/// it.
+pub(crate) fn saturate_transfers(
+    sig: &Signature,
+    ids: &[Tgd],
+    methods: &[MethodSignature],
+    breadth: usize,
+) -> Transfers {
     let mut obs = rbqa_obs::phase_span("saturation", rbqa_obs::Phase::Saturation);
 
     // The saturation state is a map from `(relation, premise set)` to the
@@ -116,7 +171,6 @@ pub fn saturate_truncated_axioms(
     // machine words instead of allocated `BTreeSet`s — the snapshot-free
     // formulation below is what keeps `LinearizedSchema::build` off the
     // Decide hot path.
-    let mask_of = |set: &BTreeSet<usize>| -> u32 { set.iter().fold(0u32, |m, &p| m | (1 << p)) };
 
     // Dense premise-set table per relation: `premise_sets[rel]` lists every
     // subset of the relation's positions of size at most `breadth` (as
@@ -132,10 +186,7 @@ pub fn saturate_truncated_axioms(
             rel.arity() <= rbqa_common::MAX_ARITY,
             "saturation packs positions into u32"
         );
-        let masks: Vec<u32> = subsets_up_to(rel.arity(), breadth)
-            .iter()
-            .map(&mask_of)
-            .collect();
+        let masks = subset_masks_up_to(rel.arity(), breadth);
         reachable.push(masks.clone());
         premise_sets.push(masks);
     }
@@ -260,24 +311,20 @@ pub fn saturate_truncated_axioms(
         }
     }
 
-    // Unpack the masks into the public axiom representation.
-    let mut out: Vec<TruncatedAxiom> = Vec::new();
-    for (rid, rel) in sig.iter() {
-        let arity = rel.arity();
-        for (k, &premises) in premise_sets[rid.index()].iter().enumerate() {
-            let premise_set: BTreeSet<usize> =
-                (0..arity).filter(|&p| premises & (1 << p) != 0).collect();
-            let t = reachable[rid.index()][k];
-            for j in (0..arity).filter(|&j| t & (1 << j) != 0) {
-                out.push(TruncatedAxiom::new(rid, premise_set.clone(), j));
-            }
-        }
-    }
-    out.sort();
+    let per_relation: Vec<Vec<(u32, u32)>> = premise_sets
+        .into_iter()
+        .zip(reachable)
+        .map(|(premises, reachable)| premises.into_iter().zip(reachable).collect())
+        .collect();
+    let axioms: u32 = per_relation
+        .iter()
+        .flatten()
+        .map(|&(_, transferred)| transferred.count_ones())
+        .sum();
     rbqa_obs::counters::add_saturation_iters(iters);
     obs.num("iters", iters);
-    obs.num("axioms", out.len() as u64);
-    out
+    obs.num("axioms", axioms as u64);
+    Transfers { per_relation }
 }
 
 /// The positions of `relation` *transferred by* the premise set `premises`
@@ -307,6 +354,19 @@ mod tests {
         let prof = sig.add_relation("Prof", 3).unwrap();
         let udir = sig.add_relation("Udirectory", 3).unwrap();
         (sig, prof, udir)
+    }
+
+    #[test]
+    fn subset_masks_follow_the_subset_order() {
+        for (positions, k) in [(3, 2), (4, 3), (5, 1), (0, 2), (6, 6)] {
+            let sets: Vec<u32> = subsets_up_to(positions, k)
+                .iter()
+                .map(|s| s.iter().fold(0, |m, &p| m | (1 << p)))
+                .collect();
+            assert_eq!(subset_masks_up_to(positions, k), sets);
+        }
+        // The reference order: by size, then lexicographically.
+        assert_eq!(subset_masks_up_to(3, 2), vec![0, 1, 2, 4, 3, 5, 6]);
     }
 
     #[test]

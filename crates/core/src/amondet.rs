@@ -32,7 +32,7 @@ use rbqa_containment::ContainmentOutcome;
 use rbqa_logic::constraints::{ConstraintSet, TgdBuilder};
 use rbqa_logic::homomorphism::Homomorphism;
 use rbqa_logic::implication::det_by;
-use rbqa_logic::{Atom, ConjunctiveQuery, Fd, Term, Tgd};
+use rbqa_logic::{Atom, ConjunctiveQuery, Fd, Term, Tgd, VarId, VarPool};
 use rustc_hash::FxHashMap;
 
 /// How the accessibility axioms for result-bounded methods are written.
@@ -117,15 +117,17 @@ impl AmondetProblem {
             .expect("fresh relation name");
         let mut accessed: FxHashMap<RelationId, RelationId> = FxHashMap::default();
         let mut primed: FxHashMap<RelationId, RelationId> = FxHashMap::default();
+        let mut name = String::new();
         for (rid, rel) in base.iter() {
-            let a = signature
-                .add_relation(&format!("{}__accessed", rel.name()), rel.arity())
-                .expect("fresh relation name");
-            accessed.insert(rid, a);
-            let p = signature
-                .add_relation(&format!("{}__prime", rel.name()), rel.arity())
-                .expect("fresh relation name");
-            primed.insert(rid, p);
+            for (suffix, copies) in [("__accessed", &mut accessed), ("__prime", &mut primed)] {
+                name.clear();
+                name.push_str(rel.name());
+                name.push_str(suffix);
+                let copy = signature
+                    .add_relation(&name, rel.arity())
+                    .expect("fresh relation name");
+                copies.insert(rid, copy);
+            }
         }
 
         let mut constraints = ConstraintSet::new();
@@ -133,7 +135,7 @@ impl AmondetProblem {
         // Σ and Σ'.
         for tgd in schema.constraints().tgds() {
             constraints.push_tgd(tgd.clone());
-            constraints.push_tgd(remap_tgd(tgd, &primed));
+            constraints.push_tgd(tgd.map_relations(|r| primed.get(&r).copied().unwrap_or(r)));
         }
         for fd in schema.constraints().fds() {
             constraints.push_fd(fd.clone());
@@ -215,16 +217,17 @@ impl AmondetProblem {
         // R_Accessed(w) -> R(w) ∧ R'(w) ∧ accessible(w_i).
         for (rid, rel) in base.iter() {
             let arity = rel.arity();
-            let mut b = TgdBuilder::new();
-            let vars: Vec<_> = (0..arity).map(|i| b.var(&format!("w{i}"))).collect();
-            let terms: Vec<Term> = vars.iter().map(|v| Term::Var(*v)).collect();
-            b.body_atom(accessed[&rid], terms.clone());
-            b.head_atom(rid, terms.clone());
-            b.head_atom(primed[&rid], terms.clone());
-            for v in &vars {
-                b.head_atom(accessible, vec![Term::Var(*v)]);
-            }
-            constraints.push_tgd(b.build());
+            let terms = positional_terms(arity);
+            let mut head = vec![
+                Atom::new(rid, terms.clone()),
+                Atom::new(primed[&rid], terms.clone()),
+            ];
+            head.extend(terms.iter().map(|&t| Atom::new(accessible, vec![t])));
+            constraints.push_tgd(Tgd::new(
+                VarPool::numbered("w", arity),
+                vec![Atom::new(accessed[&rid], terms)],
+                head,
+            ));
         }
         axiom_methods.resize(constraints.tgds().len(), None);
 
@@ -429,21 +432,12 @@ impl AmondetProblem {
     }
 }
 
-/// Renames the relations of a TGD through `map` (identity on unmapped
-/// relations).
-fn remap_tgd(tgd: &Tgd, map: &FxHashMap<RelationId, RelationId>) -> Tgd {
-    let remap = |atoms: &[Atom]| -> Vec<Atom> {
-        atoms
-            .iter()
-            .map(|a| {
-                Atom::new(
-                    *map.get(&a.relation()).unwrap_or(&a.relation()),
-                    a.args().to_vec(),
-                )
-            })
-            .collect()
-    };
-    Tgd::new(tgd.vars().clone(), remap(tgd.body()), remap(tgd.head()))
+/// The terms `v0, …, v{arity-1}` of a pool whose variable `i` names
+/// position `i` ([`VarPool::numbered`]).
+fn positional_terms(arity: usize) -> Vec<Term> {
+    (0..arity)
+        .map(|i| Term::Var(VarId::from_index(i)))
+        .collect()
 }
 
 /// `accessible(x_i for i ∈ inputs) ∧ R(x) → R_Accessed(x)` — the axiom for a
@@ -457,14 +451,17 @@ fn transfer_axiom(
     accessible: RelationId,
     _extra_exported: &[usize],
 ) -> Tgd {
-    let mut b = TgdBuilder::new();
-    let vars: Vec<_> = (0..arity).map(|i| b.var(&format!("x{i}"))).collect();
-    for &i in inputs {
-        b.body_atom(accessible, vec![Term::Var(vars[i])]);
-    }
-    b.body_atom(relation, vars.iter().map(|v| Term::Var(*v)).collect());
-    b.head_atom(accessed, vars.iter().map(|v| Term::Var(*v)).collect());
-    b.build()
+    let terms = positional_terms(arity);
+    let mut body: Vec<Atom> = inputs
+        .iter()
+        .map(|&i| Atom::new(accessible, vec![terms[i]]))
+        .collect();
+    body.push(Atom::new(relation, terms.clone()));
+    Tgd::new(
+        VarPool::numbered("x", arity),
+        body,
+        vec![Atom::new(accessed, terms)],
+    )
 }
 
 /// `accessible(x_i) ∧ R(x, y) → ∃z R_Accessed(x, z)` — the axiom for a
@@ -479,23 +476,23 @@ fn lower_bound_axiom(
     accessible: RelationId,
     extra_exported: &[usize],
 ) -> Tgd {
-    let mut b = TgdBuilder::new();
-    let vars: Vec<_> = (0..arity).map(|i| b.var(&format!("x{i}"))).collect();
-    for &i in inputs {
-        b.body_atom(accessible, vec![Term::Var(vars[i])]);
-    }
-    b.body_atom(relation, vars.iter().map(|v| Term::Var(*v)).collect());
+    let mut vars = VarPool::numbered("x", arity);
+    let terms = positional_terms(arity);
+    let mut body: Vec<Atom> = inputs
+        .iter()
+        .map(|&i| Atom::new(accessible, vec![terms[i]]))
+        .collect();
+    body.push(Atom::new(relation, terms.clone()));
     let head_terms: Vec<Term> = (0..arity)
         .map(|i| {
             if inputs.contains(&i) || extra_exported.contains(&i) {
-                Term::Var(vars[i])
+                terms[i]
             } else {
-                Term::Var(b.var(&format!("z{i}")))
+                Term::Var(vars.var(&format!("z{i}")))
             }
         })
         .collect();
-    b.head_atom(accessed, head_terms);
-    b.build()
+    Tgd::new(vars, body, vec![Atom::new(accessed, head_terms)])
 }
 
 /// The `j`-th naive-cardinality proxy axiom: `j` body copies of `R` sharing

@@ -74,13 +74,18 @@ impl Tgd {
         exported
     }
 
-    /// The existential variables: head variables not occurring in the body.
+    /// The existential variables: head variables not occurring in the body,
+    /// in order of first occurrence in the head.
     pub fn existential_variables(&self) -> Vec<VarId> {
-        let body: FxHashSet<VarId> = self.body_variables().into_iter().collect();
-        self.head_variables()
-            .into_iter()
-            .filter(|v| !body.contains(v))
-            .collect()
+        let mut existential = Vec::new();
+        for term in self.head.iter().flat_map(|a| a.args()) {
+            if let Term::Var(v) = term {
+                if !existential.contains(v) && !self.body.iter().any(|b| b.args().contains(term)) {
+                    existential.push(*v);
+                }
+            }
+        }
+        existential
     }
 
     /// Whether the TGD is full (no existential head variable).
@@ -164,6 +169,19 @@ impl Tgd {
             }
         }
         out
+    }
+
+    /// The same dependency over renamed relations: every atom's relation
+    /// goes through `map`, terms and variable pool stay (the pool is shared,
+    /// not copied).
+    pub fn map_relations(&self, map: impl Fn(RelationId) -> RelationId) -> Tgd {
+        let remap = |atoms: &[Atom]| -> Vec<Atom> {
+            atoms
+                .iter()
+                .map(|a| Atom::new(map(a.relation()), a.args().to_vec()))
+                .collect()
+        };
+        Tgd::new(self.vars.clone(), remap(&self.body), remap(&self.head))
     }
 
     /// Renders the TGD in the `body -> head` concrete syntax.

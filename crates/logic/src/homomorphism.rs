@@ -20,7 +20,9 @@
 //!   `first_matching_row`); fully-bound atoms degrade to a single O(1)
 //!   membership test. Programs are cached per TGD by the chase engines (see
 //!   `rbqa-chase`), and compiled on the fly by the one-shot entry points
-//!   below.
+//!   below. A run's binding, probe, tuple and per-step row buffers live in
+//!   a caller-owned [`MatchScratch`], so a caller that runs many programs
+//!   allocates them once.
 //! * **The [`mod@reference`] kernel**. The original backtracking join, kept as
 //!   the executable specification: the differential property test in
 //!   `tests/hom_kernel_differential.rs` pins the compiled kernel against it
@@ -94,7 +96,7 @@ pub fn kernel_mode() -> KernelMode {
 /// for backtracking. Replaces the hash-map `Homomorphism` inside the search
 /// (zero clones and zero hashing per search step); convert with
 /// [`Binding::to_homomorphism`] at the boundary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Binding {
     slots: Vec<Option<Value>>,
     trail: Vec<VarId>,
@@ -159,6 +161,17 @@ impl Binding {
     pub fn to_homomorphism(&self) -> Homomorphism {
         self.iter_bound().collect()
     }
+
+    /// Makes room for `slots` variables; the binding must be empty.
+    fn reserve_slots(&mut self, slots: usize) {
+        debug_assert!(
+            self.trail.is_empty(),
+            "reusing a binding that is still bound"
+        );
+        if self.slots.len() < slots {
+            self.slots.resize(slots, None);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -166,27 +179,40 @@ impl Binding {
 // ---------------------------------------------------------------------------
 
 /// One compiled body atom: positions classified against the variables known
-/// to be bound when the step runs.
+/// to be bound when the step runs. The operations live in the program's flat
+/// `consts` and `vars` arrays; a step holds the bounds of its sections.
 #[derive(Debug, Clone)]
 struct Step {
     relation: RelationId,
-    /// `(position, constant)` pairs — resolved at compile time.
-    const_probe: Vec<(usize, Value)>,
-    /// `(position, variable)` pairs whose variable is bound before this
-    /// step; the probe value is read from the binding at run time.
-    var_probe: Vec<(usize, VarId)>,
-    /// First occurrences of unbound variables: bind from the matched row.
-    binds: Vec<(usize, VarId)>,
-    /// Repeated occurrences within this atom: check against the value just
-    /// bound by `binds`.
-    checks: Vec<(usize, VarId)>,
+    /// Index of the atom in the source list (the reference kernel rebuilds
+    /// the atoms in source order).
+    source: u32,
+    /// `consts[consts_lo..consts_hi]`: `(position, constant)` probe pairs,
+    /// resolved at compile time.
+    consts_lo: u32,
+    consts_hi: u32,
+    /// `vars[probes_lo..binds_lo]`: `(position, variable)` pairs whose
+    /// variable is bound before this step (probe values read from the
+    /// binding at run time); `vars[binds_lo..checks_lo]`: first occurrences
+    /// of unbound variables, bound from the matched row;
+    /// `vars[checks_lo..checks_hi]`: repeated occurrences within this atom,
+    /// checked against the value just bound.
+    probes_lo: u32,
+    binds_lo: u32,
+    checks_lo: u32,
+    checks_hi: u32,
 }
 
 impl Step {
     /// Whether the probe determines the whole tuple (no binds, no checks):
     /// the step degrades to a single membership test.
     fn is_full_probe(&self) -> bool {
-        self.binds.is_empty() && self.checks.is_empty()
+        self.binds_lo == self.checks_hi
+    }
+
+    /// Whether no repeated variable of the atom needs checking.
+    fn has_no_checks(&self) -> bool {
+        self.checks_lo == self.checks_hi
     }
 }
 
@@ -196,7 +222,15 @@ impl Step {
 ///
 /// Compile once, run many times — the chase engines cache one program per
 /// TGD body/head (see `rbqa-chase`); the free functions of this module
-/// compile throwaway programs for one-shot queries.
+/// compile throwaway programs for one-shot queries. A program is three flat
+/// arrays (steps, constant probes, variable operations) plus its seed list,
+/// so compiling one costs a handful of allocations whatever its size.
+///
+/// Every run goes through one path, [`MatchProgram::for_each_in`] /
+/// [`MatchProgram::exists_in`], on a caller-owned [`MatchScratch`]; a caller
+/// that runs many programs (the chase) keeps one scratch and allocates
+/// nothing per run. The scratch-free entry points are thin wrappers that
+/// bring a fresh scratch.
 ///
 /// ```
 /// use rbqa_common::{Instance, Signature, ValueFactory};
@@ -220,139 +254,190 @@ impl Step {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MatchProgram {
-    /// Source atoms in original order — the reference kernel's input.
-    atoms: Vec<Atom>,
     /// Compiled steps in execution order.
     steps: Vec<Step>,
+    /// Constant probe pairs of every step, step after step.
+    consts: Vec<(usize, Value)>,
+    /// Variable operations of every step, step after step (see [`Step`]).
+    vars: Vec<(usize, VarId)>,
     /// Variables the caller must bind before running (sorted).
     seed_vars: Vec<VarId>,
     /// Dense slot count covering every variable of atoms and seed.
     slots: usize,
 }
 
+/// Reusable run-time buffers of [`MatchProgram`]: the dense binding and its
+/// undo trail, the probe and tuple buffers and one row-id buffer per program
+/// depth. A run leaves the binding empty, so one scratch serves any number of
+/// runs of any programs; its buffers only grow.
+#[derive(Debug, Default)]
+pub struct MatchScratch {
+    binding: Binding,
+    probe: Vec<(usize, Value)>,
+    tuple: Vec<Value>,
+    rows: Vec<Vec<u32>>,
+}
+
+impl MatchScratch {
+    /// An empty scratch (allocates nothing until its first run).
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 impl MatchProgram {
     /// Compiles the body of `query`, assuming the variables in `seed_vars`
     /// are bound by the caller before execution.
     pub fn compile(query: &ConjunctiveQuery, seed_vars: &[VarId]) -> MatchProgram {
-        Self::compile_atoms_with_slots(query.atoms(), seed_vars, query.vars().len())
+        Self::compile_from(
+            query.atoms(),
+            None,
+            seed_vars.iter().copied(),
+            query.vars().len(),
+        )
     }
 
     /// Compiles a bare atom list (used by the chase, whose TGD bodies and
     /// heads share one variable pool without being full queries).
     pub fn compile_atoms(atoms: &[Atom], seed_vars: &[VarId]) -> MatchProgram {
-        Self::compile_atoms_with_slots(atoms, seed_vars, 0)
+        Self::compile_from(atoms, None, seed_vars.iter().copied(), 0)
     }
 
-    fn compile_atoms_with_slots(
+    /// Compiles `atoms` without `atoms[skip]`, seeded with the variables of
+    /// `atoms[skip]`: the delta-driven shape, where a new fact unified with
+    /// one atom pins its variables and the program joins the other atoms.
+    pub fn compile_atoms_except(atoms: &[Atom], skip: usize) -> MatchProgram {
+        let seed = atoms[skip].args().iter().filter_map(|t| t.as_var());
+        Self::compile_from(atoms, Some(skip), seed, 0)
+    }
+
+    fn compile_from(
         atoms: &[Atom],
-        seed_vars: &[VarId],
+        skip: Option<usize>,
+        seed: impl Iterator<Item = VarId> + Clone,
         min_slots: usize,
     ) -> MatchProgram {
+        let included = |i: usize| Some(i) != skip;
         let mut slots = min_slots;
-        for atom in atoms {
-            for term in atom.args() {
-                if let Term::Var(v) = term {
-                    slots = slots.max(v.index() + 1);
-                }
+        for (_, atom) in atoms.iter().enumerate().filter(|(i, _)| included(*i)) {
+            for v in atom.args().iter().filter_map(|t| t.as_var()) {
+                slots = slots.max(v.index() + 1);
             }
         }
-        for v in seed_vars {
+        for v in seed.clone() {
             slots = slots.max(v.index() + 1);
         }
-
-        let mut bound = vec![false; slots];
-        for v in seed_vars {
-            bound[v.index()] = true;
+        let mut seed_vars: Vec<VarId> = seed.clone().collect();
+        seed_vars.sort_unstable();
+        seed_vars.dedup();
+        let step_count = atoms.len() - usize::from(skip.is_some());
+        let mut program = MatchProgram {
+            steps: Vec::with_capacity(step_count),
+            consts: Vec::new(),
+            vars: Vec::new(),
+            seed_vars,
+            slots,
+        };
+        if step_count == 0 {
+            return program;
         }
 
-        // Most-constrained-first ordering with bound-variable lookahead:
-        // pick the atom with the most probe-able positions; break ties by
-        // how many positions of the *other* remaining atoms become bound
-        // once this atom's variables are, then by original index (for
-        // determinism).
-        let mut remaining: Vec<usize> = (0..atoms.len()).collect();
-        let mut order: Vec<usize> = Vec::with_capacity(atoms.len());
-        while !remaining.is_empty() {
-            let bound_positions = |atom: &Atom, bound: &[bool]| {
-                atom.args()
-                    .iter()
-                    .filter(|t| match t {
-                        Term::Const(_) => true,
-                        Term::Var(v) => bound[v.index()],
-                    })
-                    .count()
-            };
-            let mut best = (0usize, (0usize, 0usize));
-            for (slot, &ai) in remaining.iter().enumerate() {
-                let atom = &atoms[ai];
-                let score = bound_positions(atom, &bound);
-                let mut with_atom = bound.clone();
-                for v in atom.variables() {
-                    with_atom[v.index()] = true;
+        // One flag buffer: which variables are bound, then which atoms are
+        // placed.
+        let mut flags = vec![false; slots + atoms.len()];
+        let (bound, placed) = flags.split_at_mut(slots);
+        for v in seed {
+            bound[v.index()] = true;
+        }
+        if let Some(skip) = skip {
+            placed[skip] = true;
+        }
+        // Positions of `atom` determined when `bound` holds, and also the
+        // variables of `with` when given (the lookahead).
+        let determined = |atom: &Atom, bound: &[bool], with: Option<&Atom>| {
+            atom.args()
+                .iter()
+                .filter(|t| match t {
+                    Term::Const(_) => true,
+                    Term::Var(v) => bound[v.index()] || with.is_some_and(|w| w.args().contains(t)),
+                })
+                .count()
+        };
+
+        for _ in 0..step_count {
+            // Most-constrained-first ordering with bound-variable lookahead:
+            // pick the atom with the most probe-able positions; break ties by
+            // how many positions of the *other* remaining atoms become bound
+            // once this atom's variables are, then by original index (for
+            // determinism).
+            let mut best: Option<(usize, (usize, usize))> = None;
+            for (ai, atom) in atoms.iter().enumerate() {
+                if placed[ai] {
+                    continue;
                 }
-                let lookahead: usize = remaining
+                let score = determined(atom, bound, None);
+                let lookahead: usize = atoms
                     .iter()
-                    .filter(|&&other| other != ai)
-                    .map(|&other| bound_positions(&atoms[other], &with_atom))
+                    .enumerate()
+                    .filter(|&(other, _)| other != ai && !placed[other])
+                    .map(|(_, other)| determined(other, bound, Some(atom)))
                     .sum();
-                if slot == 0 || (score, lookahead) > best.1 {
-                    best = (slot, (score, lookahead));
+                if best.is_none_or(|(_, key)| (score, lookahead) > key) {
+                    best = Some((ai, (score, lookahead)));
                 }
             }
-            let ai = remaining.remove(best.0);
-            for v in atoms[ai].variables() {
-                bound[v.index()] = true;
-            }
-            order.push(ai);
-        }
+            let (ai, _) = best.expect("an unplaced atom remains");
+            placed[ai] = true;
 
-        // Classify every position of every atom, replaying boundness in
-        // execution order.
-        let mut bound = vec![false; slots];
-        for v in seed_vars {
-            bound[v.index()] = true;
-        }
-        let mut steps = Vec::with_capacity(order.len());
-        for &ai in &order {
+            // Classify every position of the atom against the variables
+            // bound before it, section by section.
             let atom = &atoms[ai];
-            let mut step = Step {
-                relation: atom.relation(),
-                const_probe: Vec::new(),
-                var_probe: Vec::new(),
-                binds: Vec::new(),
-                checks: Vec::new(),
-            };
-            let mut local: Vec<VarId> = Vec::new();
-            for (pos, term) in atom.args().iter().enumerate() {
-                match term {
-                    Term::Const(c) => step.const_probe.push((pos, *c)),
-                    Term::Var(v) => {
-                        if bound[v.index()] {
-                            step.var_probe.push((pos, *v));
-                        } else if local.contains(v) {
-                            step.checks.push((pos, *v));
-                        } else {
-                            step.binds.push((pos, *v));
-                            local.push(*v);
-                        }
+            let args = atom.args();
+            let first_in_atom = |pos: usize, v: VarId| !args[..pos].contains(&Term::Var(v));
+            let consts_lo = program.consts.len() as u32;
+            for (pos, term) in args.iter().enumerate() {
+                if let Term::Const(c) = term {
+                    program.consts.push((pos, *c));
+                }
+            }
+            let consts_hi = program.consts.len() as u32;
+            let probes_lo = program.vars.len() as u32;
+            let unbound = |t: &Term| t.as_var().filter(|v| !bound[v.index()]);
+            for (pos, term) in args.iter().enumerate() {
+                if let Term::Var(v) = term {
+                    if bound[v.index()] {
+                        program.vars.push((pos, *v));
                     }
                 }
             }
-            for v in local {
+            let binds_lo = program.vars.len() as u32;
+            for (pos, term) in args.iter().enumerate() {
+                if let Some(v) = unbound(term).filter(|&v| first_in_atom(pos, v)) {
+                    program.vars.push((pos, v));
+                }
+            }
+            let checks_lo = program.vars.len() as u32;
+            for (pos, term) in args.iter().enumerate() {
+                if let Some(v) = unbound(term).filter(|&v| !first_in_atom(pos, v)) {
+                    program.vars.push((pos, v));
+                }
+            }
+            let checks_hi = program.vars.len() as u32;
+            for v in args.iter().filter_map(|t| t.as_var()) {
                 bound[v.index()] = true;
             }
-            steps.push(step);
+            program.steps.push(Step {
+                relation: atom.relation(),
+                source: ai as u32,
+                consts_lo,
+                consts_hi,
+                probes_lo,
+                binds_lo,
+                checks_lo,
+                checks_hi,
+            });
         }
-
-        let mut seed_vars = seed_vars.to_vec();
-        seed_vars.sort_unstable();
-        seed_vars.dedup();
-        MatchProgram {
-            atoms: atoms.to_vec(),
-            steps,
-            seed_vars,
-            slots,
-        }
+        program
     }
 
     /// The declared seed variables (sorted).
@@ -365,6 +450,14 @@ impl MatchProgram {
         self.slots
     }
 
+    fn step_consts(&self, step: &Step) -> &[(usize, Value)] {
+        &self.consts[step.consts_lo as usize..step.consts_hi as usize]
+    }
+
+    fn step_vars(&self, lo: u32, hi: u32) -> &[(usize, VarId)] {
+        &self.vars[lo as usize..hi as usize]
+    }
+
     /// Runs the program, calling `visit` for every homomorphism extending
     /// `seed`; `visit` returns `false` to stop the enumeration. The seed
     /// must bind exactly the variables declared at compile time.
@@ -374,7 +467,19 @@ impl MatchProgram {
         seed: &[(VarId, Value)],
         mut visit: F,
     ) {
-        self.run(instance, seed, false, &mut visit);
+        self.run(instance, seed, false, &mut MatchScratch::new(), &mut visit);
+    }
+
+    /// [`MatchProgram::for_each`] on a caller-owned scratch: a run allocates
+    /// nothing once the scratch has grown to the program's size.
+    pub fn for_each_in<F: FnMut(&Binding) -> bool>(
+        &self,
+        instance: &Instance,
+        seed: &[(VarId, Value)],
+        scratch: &mut MatchScratch,
+        mut visit: F,
+    ) {
+        self.run(instance, seed, false, scratch, &mut visit);
     }
 
     fn run<F: FnMut(&Binding) -> bool>(
@@ -382,6 +487,7 @@ impl MatchProgram {
         instance: &Instance,
         seed: &[(VarId, Value)],
         first_only: bool,
+        scratch: &mut MatchScratch,
         visit: &mut F,
     ) {
         if kernel_mode() == KernelMode::Reference {
@@ -389,29 +495,39 @@ impl MatchProgram {
             return;
         }
         debug_assert!(
-            {
-                let mut vars: Vec<VarId> = seed.iter().map(|(v, _)| *v).collect();
-                vars.sort_unstable();
-                vars.dedup();
-                vars == self.seed_vars
-            },
+            seed.iter()
+                .all(|(v, _)| self.seed_vars.binary_search(v).is_ok())
+                && self
+                    .seed_vars
+                    .iter()
+                    .all(|v| seed.iter().any(|(s, _)| s == v)),
             "seed variables differ from the compile-time declaration"
         );
-        let mut binding = Binding::new(self.slots);
+        let MatchScratch {
+            binding,
+            probe,
+            tuple,
+            rows,
+        } = scratch;
+        binding.reserve_slots(self.slots);
         for &(var, value) in seed {
             binding.bind(var, value);
         }
+        if rows.len() < self.steps.len() {
+            rows.resize_with(self.steps.len(), Vec::new);
+        }
         let mut ctx = ExecContext {
             instance,
-            probe: Vec::new(),
-            tuple: Vec::new(),
-            rows: vec![Vec::new(); self.steps.len()],
+            probe,
+            tuple,
+            rows,
             first_only,
             probes: 0,
             backtracks: 0,
         };
-        self.exec(0, &mut binding, &mut ctx, visit);
-        // Profiling counts are batched in the scratch (register
+        self.exec(0, binding, &mut ctx, visit);
+        binding.undo_to(0);
+        // Profiling counts are batched in the context (register
         // increments) and flushed once per run, so the kernel's hot loop
         // never pays even the tracing-disabled branch.
         rbqa_obs::counters::flush_kernel(ctx.probes, ctx.backtracks);
@@ -433,8 +549,18 @@ impl MatchProgram {
     /// candidate rows, so the visited binding may leave that step's
     /// variables unbound — irrelevant for existence).
     pub fn exists(&self, instance: &Instance, seed: &[(VarId, Value)]) -> bool {
+        self.exists_in(instance, seed, &mut MatchScratch::new())
+    }
+
+    /// [`MatchProgram::exists`] on a caller-owned scratch.
+    pub fn exists_in(
+        &self,
+        instance: &Instance,
+        seed: &[(VarId, Value)],
+        scratch: &mut MatchScratch,
+    ) -> bool {
         let mut found = false;
-        self.run(instance, seed, true, &mut |_| {
+        self.run(instance, seed, true, scratch, &mut |_| {
             found = true;
             false
         });
@@ -473,8 +599,8 @@ impl MatchProgram {
         // Assemble the probe: compile-time constants plus bound-variable
         // values read from the binding.
         ctx.probe.clear();
-        ctx.probe.extend_from_slice(&step.const_probe);
-        for &(pos, var) in &step.var_probe {
+        ctx.probe.extend_from_slice(self.step_consts(step));
+        for &(pos, var) in self.step_vars(step.probes_lo, step.binds_lo) {
             let value = binding.get(var).expect("probe variable is bound");
             ctx.probe.push((pos, value));
         }
@@ -487,11 +613,11 @@ impl MatchProgram {
                 ctx.probe.len(),
                 Value::Null(rbqa_common::NullId::from_raw(0)),
             );
-            for &(pos, value) in &ctx.probe {
+            for &(pos, value) in ctx.probe.iter() {
                 ctx.tuple[pos] = value;
             }
             ctx.probes += 1;
-            if ctx.instance.contains(step.relation, &ctx.tuple) {
+            if ctx.instance.contains(step.relation, ctx.tuple) {
                 return self.exec(depth + 1, binding, ctx, visit);
             }
             return true;
@@ -502,11 +628,11 @@ impl MatchProgram {
         // intersection suffices and no candidate rows are materialised
         // (the step's bind variables are left unbound — the visitor only
         // records that a match exists).
-        if ctx.first_only && depth + 1 == self.steps.len() && step.checks.is_empty() {
+        if ctx.first_only && depth + 1 == self.steps.len() && step.has_no_checks() {
             ctx.probes += 1;
             if ctx
                 .instance
-                .first_matching_row(step.relation, &ctx.probe)
+                .first_matching_row(step.relation, ctx.probe)
                 .is_some()
             {
                 return visit(binding);
@@ -520,13 +646,15 @@ impl MatchProgram {
         rows.clear();
         ctx.probes += 1;
         ctx.instance
-            .matching_rows_into(step.relation, &ctx.probe, &mut rows);
+            .matching_rows_into(step.relation, ctx.probe, &mut rows);
+        let binds = self.step_vars(step.binds_lo, step.checks_lo);
+        let checks = self.step_vars(step.checks_lo, step.checks_hi);
         let mut keep_going = true;
         for &row in &rows {
             let tuple = ctx.instance.row(step.relation, row);
             let mark = binding.mark();
             let mut ok = true;
-            for &(pos, var) in &step.binds {
+            for &(pos, var) in binds {
                 match binding.get(var) {
                     None => binding.bind(var, tuple[pos]),
                     // Defensive: tolerate a caller that over-seeds.
@@ -538,7 +666,7 @@ impl MatchProgram {
                 }
             }
             if ok {
-                for &(pos, var) in &step.checks {
+                for &(pos, var) in checks {
                     if binding.get(var) != Some(tuple[pos]) {
                         ok = false;
                         break;
@@ -558,6 +686,30 @@ impl MatchProgram {
         keep_going
     }
 
+    /// The source atoms, rebuilt from the steps in source order: the
+    /// reference kernel's input.
+    fn source_atoms(&self) -> Vec<Atom> {
+        let mut steps: Vec<&Step> = self.steps.iter().collect();
+        steps.sort_unstable_by_key(|s| s.source);
+        steps
+            .into_iter()
+            .map(|step| {
+                let ops = self.step_vars(step.probes_lo, step.checks_hi);
+                let mut args = vec![None; self.step_consts(step).len() + ops.len()];
+                for &(pos, c) in self.step_consts(step) {
+                    args[pos] = Some(Term::Const(c));
+                }
+                for &(pos, v) in ops {
+                    args[pos] = Some(Term::Var(v));
+                }
+                let args = args
+                    .into_iter()
+                    .map(|t| t.expect("every position compiled"));
+                Atom::new(step.relation, args.collect())
+            })
+            .collect()
+    }
+
     /// Reference-mode execution: delegate to the retained baseline search
     /// over the source atoms, then re-present each result as a [`Binding`].
     fn for_each_reference<F: FnMut(&Binding) -> bool>(
@@ -569,30 +721,34 @@ impl MatchProgram {
         let seed_map: Homomorphism = seed.iter().copied().collect();
         let mut slots = self.slots;
         let mut keep_going = true;
-        reference::search_atoms(&self.atoms, instance, seed_map, &mut |assignment| {
-            for v in assignment.keys() {
-                slots = slots.max(v.index() + 1);
-            }
-            let mut binding = Binding::new(slots);
-            let mut pairs: Vec<(VarId, Value)> =
-                assignment.iter().map(|(v, val)| (*v, *val)).collect();
-            pairs.sort_unstable();
-            for (v, val) in pairs {
-                binding.bind(v, val);
-            }
-            keep_going = visit(&binding);
-            keep_going
-        });
+        reference::search_atoms(
+            &self.source_atoms(),
+            instance,
+            seed_map,
+            &mut |assignment| {
+                for v in assignment.keys() {
+                    slots = slots.max(v.index() + 1);
+                }
+                let mut binding = Binding::new(slots);
+                let mut pairs: Vec<(VarId, Value)> =
+                    assignment.iter().map(|(v, val)| (*v, *val)).collect();
+                pairs.sort_unstable();
+                for (v, val) in pairs {
+                    binding.bind(v, val);
+                }
+                keep_going = visit(&binding);
+                keep_going
+            },
+        );
     }
 }
 
-/// Reusable per-execution scratch: probe pairs, a tuple buffer for
-/// membership tests and one row-id buffer per program depth.
+/// One run's view of a [`MatchScratch`], plus its mode and batched counts.
 struct ExecContext<'a> {
     instance: &'a Instance,
-    probe: Vec<(usize, Value)>,
-    tuple: Vec<Value>,
-    rows: Vec<Vec<u32>>,
+    probe: &'a mut Vec<(usize, Value)>,
+    tuple: &'a mut Vec<Value>,
+    rows: &'a mut Vec<Vec<u32>>,
     /// Existence mode: the caller only needs to know whether a match
     /// exists, enabling the final-step `first_matching_row` short-circuit.
     first_only: bool,
@@ -1025,6 +1181,7 @@ mod tests {
         let q = builder.atom(e, vec![x.into(), y.into()]).build();
         let program = MatchProgram::compile(&q, &[x, y]);
         assert!(program.steps[0].is_full_probe());
+        assert_eq!(program.source_atoms(), q.atoms());
         assert!(program.exists(&inst, &[(x, a), (y, b)]));
         assert!(!program.exists(&inst, &[(x, b), (y, a)]));
         assert_eq!(

@@ -39,7 +39,9 @@ pub use canonical::{canonical_atoms_code, canonical_query_code, canonical_ucq_co
 pub use constraints::{Constraint, ConstraintSet, Fd, Tgd};
 pub use cq::{CanonicalDatabase, ConjunctiveQuery, CqBuilder};
 pub use evaluate::evaluate;
-pub use homomorphism::{find_homomorphism, holds, Binding, Homomorphism, KernelMode, MatchProgram};
+pub use homomorphism::{
+    find_homomorphism, holds, Binding, Homomorphism, KernelMode, MatchProgram, MatchScratch,
+};
 pub use minimize::{cq_contained_in, cq_equivalent, minimize, minimize_under_fds};
 pub use term::{Term, VarId, VarPool};
 pub use ucq::UnionOfConjunctiveQueries;

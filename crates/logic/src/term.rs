@@ -2,7 +2,8 @@
 
 use rbqa_common::Value;
 use rustc_hash::FxHashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// Identifier of a variable within one query or dependency.
 ///
@@ -78,6 +79,11 @@ impl fmt::Display for Term {
 
 /// Allocator of named variables for one query or dependency.
 ///
+/// The names are shared copy-on-write: cloning a pool (as every renamed or
+/// relation-remapped copy of a query or dependency does) costs no
+/// allocation, and the first [`VarPool::var`] or [`VarPool::fresh`] that
+/// adds a name to a shared pool copies it.
+///
 /// ```
 /// use rbqa_logic::VarPool;
 /// let mut pool = VarPool::new();
@@ -88,6 +94,12 @@ impl fmt::Display for Term {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct VarPool {
+    /// `None` while the pool is empty, so an empty pool allocates nothing.
+    shared: Option<Arc<PoolNames>>,
+}
+
+#[derive(Debug, Default, Clone)]
+struct PoolNames {
     names: Vec<String>,
     by_name: FxHashMap<String, VarId>,
 }
@@ -98,23 +110,41 @@ impl VarPool {
         Self::default()
     }
 
+    fn names(&self) -> &[String] {
+        self.shared.as_deref().map_or(&[], |pool| &pool.names)
+    }
+
+    /// The pool `{prefix}0, …, {prefix}{count-1}`: variable `i` is named
+    /// `{prefix}{i}`.
+    pub fn numbered(prefix: &str, count: usize) -> Self {
+        let mut pool = VarPool::new();
+        let mut name = String::new();
+        for i in 0..count {
+            name.clear();
+            let _ = write!(name, "{prefix}{i}");
+            pool.var(&name);
+        }
+        pool
+    }
+
     /// Returns the variable named `name`, creating it if necessary.
     pub fn var(&mut self, name: &str) -> VarId {
-        if let Some(&v) = self.by_name.get(name) {
+        if let Some(v) = self.get(name) {
             return v;
         }
-        let v = VarId::from_index(self.names.len());
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), v);
+        let pool = Arc::make_mut(self.shared.get_or_insert_with(Default::default));
+        let v = VarId::from_index(pool.names.len());
+        pool.names.push(name.to_owned());
+        pool.by_name.insert(name.to_owned(), v);
         v
     }
 
     /// Creates a fresh variable with a generated name.
     pub fn fresh(&mut self, hint: &str) -> VarId {
-        let mut k = self.names.len();
+        let mut k = self.len();
         loop {
             let candidate = format!("{hint}_{k}");
-            if !self.by_name.contains_key(&candidate) {
+            if self.get(&candidate).is_none() {
                 return self.var(&candidate);
             }
             k += 1;
@@ -123,7 +153,7 @@ impl VarPool {
 
     /// Looks up a variable by name without creating it.
     pub fn get(&self, name: &str) -> Option<VarId> {
-        self.by_name.get(name).copied()
+        self.shared.as_deref()?.by_name.get(name).copied()
     }
 
     /// The name of `var`.
@@ -132,22 +162,22 @@ impl VarPool {
     ///
     /// Panics if `var` was not created by this pool.
     pub fn name(&self, var: VarId) -> &str {
-        &self.names[var.index()]
+        &self.names()[var.index()]
     }
 
     /// Number of variables allocated.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.names().len()
     }
 
     /// Whether no variables have been allocated.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.names().is_empty()
     }
 
     /// Iterates over all variables in allocation order.
     pub fn iter(&self) -> impl Iterator<Item = VarId> {
-        (0..self.names.len()).map(VarId::from_index)
+        (0..self.len()).map(VarId::from_index)
     }
 }
 
@@ -195,6 +225,29 @@ mod tests {
         assert!(pool.get("x").is_none());
         pool.var("x");
         assert!(pool.get("x").is_some());
+    }
+
+    #[test]
+    fn clones_share_names_until_one_adds_a_variable() {
+        let mut pool = VarPool::new();
+        let x = pool.var("x");
+        let mut copy = pool.clone();
+        assert_eq!(copy.var("x"), x);
+        let y = copy.var("y");
+        assert_eq!(copy.name(y), "y");
+        assert_eq!(copy.len(), 2);
+        // The original is untouched by the copy's addition.
+        assert_eq!(pool.len(), 1);
+        assert!(pool.get("y").is_none());
+        assert!(VarPool::new().is_empty());
+    }
+
+    #[test]
+    fn numbered_pools_name_variables_by_index() {
+        let pool = VarPool::numbered("x", 3);
+        assert_eq!(pool.len(), 3);
+        assert_eq!(pool.get("x2"), Some(VarId::from_index(2)));
+        assert_eq!(pool.name(VarId::from_index(0)), "x0");
     }
 
     #[test]

@@ -628,8 +628,10 @@ const CHAOS_HEAVY_CHAIN: usize = 192;
 /// Constant-led side atoms of the heavy decide's query (see
 /// [`heavy_decide`]): chase work that checks the deadline every round,
 /// where a longer chain would also lengthen the unchecked linearization
-/// build.
-const CHAOS_HEAVY_BRANCHES: usize = 2;
+/// build. With six, an undisturbed fresh decide takes about 1.5x the
+/// deadline; a faster decide needs more of them, or the storm stops
+/// timing out.
+const CHAOS_HEAVY_BRANCHES: usize = 6;
 /// Requests in the timeout storm (and its no-deadline replay).
 const CHAOS_TIMEOUT_REQUESTS: usize = 12;
 
