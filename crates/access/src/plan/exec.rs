@@ -58,8 +58,6 @@ pub struct PlanRun {
     /// Binding-level accesses answered from the [`AdaptiveWindow`] memo
     /// without a backend call. Always 0 without a window.
     pub accesses_skipped: usize,
-    /// Final contents of every temporary table (for inspection/debugging).
-    pub tables: FxHashMap<String, TempTable>,
 }
 
 impl PlanRun {
@@ -239,11 +237,11 @@ fn run_plan(
     }
 
     let output_table = tables
-        .get(plan.output_table())
+        .remove(plan.output_table())
         .ok_or_else(|| PlanError::UnknownTable(plan.output_table().to_owned()))?;
     rbqa_obs::counters::add_adaptive(accesses_skipped as u64, 0);
     Ok(PlanRun {
-        output: output_table.sorted_rows(),
+        output: output_table.into_sorted_rows(),
         accesses_performed,
         tuples_fetched,
         tuples_matched,
@@ -252,7 +250,6 @@ fn run_plan(
         wall_micros: wall_start.elapsed().as_micros() as u64,
         calls_per_method,
         accesses_skipped,
-        tables,
     })
 }
 
@@ -396,18 +393,6 @@ mod tests {
         assert_eq!(run.accesses_performed, 1);
         let name2 = vf.constant("name2");
         assert_eq!(run.output[0][0], name2);
-    }
-
-    #[test]
-    fn tables_are_available_for_inspection() {
-        let (schema, inst, mut vf) = setup(None);
-        let plan = salary_plan(&mut vf, "10000");
-        let mut sel = TruncatingSelection::new();
-        let run = execute(&plan, &schema, &inst, &mut sel).unwrap();
-        assert!(run.tables.contains_key("ids"));
-        assert_eq!(run.tables["ids"].arity(), 1);
-        assert_eq!(run.tables["ids"].len(), 5);
-        assert_eq!(run.tables["profs"].len(), 5);
     }
 
     #[test]

@@ -163,8 +163,8 @@ impl TempTable {
     }
 
     /// The rows as a sorted vector (for deterministic comparison).
-    pub fn sorted_rows(&self) -> Vec<Vec<Value>> {
-        let mut rows = self.rows.clone();
+    pub fn into_sorted_rows(self) -> Vec<Vec<Value>> {
+        let mut rows = self.rows;
         rows.sort();
         rows
     }

@@ -3,12 +3,14 @@
 //! Shared harness code for the report binaries that regenerate the paper's
 //! Table 1 and the derived figures (DESIGN.md §4, EXPERIMENTS.md).
 //!
-//! The binaries under `src/bin/` print the qualitative content (which
-//! simplification is applied, which queries are answerable, whether plans
-//! return complete answers) as text tables and JSON, and the committed
-//! `BENCH_*.json` reports. The paper's claims themselves are asserted as
-//! deterministic counts by the root `tests/`; end-to-end timings belong to
-//! perfbench (`python3 perfbench/run.py`).
+//! Every binary under `src/bin/` asserts what it prints and exits nonzero
+//! when a check fails: `table1_report` (the worked examples' verdicts),
+//! `plan_exec_report` (plans are complete, valid and correct),
+//! `adapt_report` (row parity and the call-reduction bar; writes
+//! `BENCH_adapt.json`) and `trace_report` (the tracing-off overhead guard;
+//! writes `BENCH_profile.json`). The paper's claims themselves are
+//! asserted as deterministic counts by the root `tests/`; end-to-end
+//! timings belong to perfbench (`python3 perfbench/run.py`).
 
 use rbqa_access::Schema;
 use rbqa_chase::Budget;
@@ -169,327 +171,10 @@ pub fn records_to_json_pretty(records: &[DecisionRecord]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Chase-engine comparison harness (chase_report, BENCH_chase.json)
+// Table-1 decide cases (trace_report, tests/hom_kernel_chase_modes.rs)
 // ---------------------------------------------------------------------------
 
-use rbqa_chase::{ChaseConfig, ChaseOutcome, Completion};
-use rbqa_common::Instance;
-use rbqa_core::{fd_simplification, AmondetProblem, AxiomStyle};
-use rbqa_logic::constraints::ConstraintSet;
 use rbqa_workloads::random::{RandomClass, RandomSchemaConfig};
-
-/// One prepared chase problem of a Table-1 suite: the AMonDet start
-/// instance and constraint set that the decision pipeline would chase for
-/// a chain query over a generated schema of that suite's constraint class.
-#[derive(Debug, Clone)]
-pub struct ChaseCase {
-    /// Suite id, matching DESIGN.md §4 (e.g. `T1-row-IDs`).
-    pub suite: String,
-    /// Case label (schema size / query size).
-    pub label: String,
-    /// The instance the chase starts from.
-    pub start: Instance,
-    /// The constraint set chased over it.
-    pub constraints: ConstraintSet,
-    /// Factory supplying fresh nulls (cloned per run).
-    pub values: ValueFactory,
-    /// The chase budget (depth-capped so cyclic suites terminate).
-    pub budget: Budget,
-}
-
-/// Builds the chase cases compared by the engine benchmark: the AMonDet
-/// chase problems of the cyclic-ID, bounded-width-ID, FD and UID+FD
-/// Table-1 suites. `quick` shrinks the sweep for CI smoke runs.
-pub fn chase_engine_cases(quick: bool) -> Vec<ChaseCase> {
-    let mut cases = Vec::new();
-    let suites: &[(&str, RandomClass, AxiomStyle, usize, &[usize])] = &[
-        (
-            "T1-row-IDs",
-            RandomClass::Ids { width: 2 },
-            AxiomStyle::Simplified,
-            26,
-            &[8, 10, 12],
-        ),
-        (
-            "T1-row-BWIDs",
-            RandomClass::Ids { width: 1 },
-            AxiomStyle::Simplified,
-            44,
-            &[14, 18, 22],
-        ),
-        (
-            "T1-row-FDs",
-            RandomClass::Fds,
-            AxiomStyle::Simplified,
-            48,
-            &[10, 14, 18],
-        ),
-        (
-            "T1-row-UIDFD",
-            RandomClass::UidsAndFds,
-            AxiomStyle::SeparabilityRewriting,
-            30,
-            &[10, 12, 14],
-        ),
-    ];
-    for &(suite, class, style, max_depth, sizes) in suites {
-        let sizes: &[usize] = if quick { &sizes[..1] } else { sizes };
-        for &relations in sizes {
-            let config = RandomSchemaConfig {
-                relations,
-                dependencies: 2 * relations,
-                class,
-                result_bound: 100,
-                ..Default::default()
-            };
-            let mut workload = config.generate(relations as u64);
-            let query = workload
-                .queries
-                .last()
-                .expect("generator emits queries")
-                .clone();
-            // The same schema preparation the Table-1 decision pipeline
-            // applies before chasing (the class simplification), so the
-            // measured chase is the decision's actual hot path.
-            let prepared = match class {
-                RandomClass::Fds => fd_simplification(&workload.schema),
-                _ => workload.schema.choice_simplification(),
-            };
-            let problem = AmondetProblem::build(&prepared, &query, &mut workload.values, style);
-            cases.push(ChaseCase {
-                suite: suite.to_owned(),
-                label: format!("{suite}/rel{relations}"),
-                start: problem.start,
-                constraints: problem.constraints,
-                values: workload.values.clone(),
-                budget: Budget::generous().with_max_depth(max_depth),
-            });
-        }
-    }
-    cases
-}
-
-/// Mean wall-clock time and chase statistics of one engine on one case.
-#[derive(Debug, Clone)]
-pub struct ChaseMeasurement {
-    /// Mean duration over `iters` runs, in microseconds.
-    pub mean_micros: f64,
-    /// Number of timed runs.
-    pub iters: usize,
-    /// How the chase completed (identical across engines by construction).
-    pub completion: Completion,
-    /// Chase rounds of the last run.
-    pub rounds: usize,
-    /// TGD firings of the last run.
-    pub tgd_firings: usize,
-    /// Facts in the chased instance.
-    pub facts: usize,
-}
-
-/// Runs `case` with `engine` (`rbqa_chase::chase` or the
-/// `rbqa_chase::chase_naive` oracle) `iters` times (after one warm-up run)
-/// and reports the mean duration plus the saturation statistics.
-pub fn measure_chase_case(
-    case: &ChaseCase,
-    engine: fn(&Instance, &ConstraintSet, &mut ValueFactory, ChaseConfig) -> ChaseOutcome,
-    iters: usize,
-) -> ChaseMeasurement {
-    let config = ChaseConfig::with_budget(case.budget);
-    let run = || {
-        let mut vf = case.values.clone();
-        engine(&case.start, &case.constraints, &mut vf, config)
-    };
-    let mut outcome = run(); // warm-up, also the stats sample
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        outcome = run();
-    }
-    let mean_micros = start.elapsed().as_micros() as f64 / iters.max(1) as f64;
-    ChaseMeasurement {
-        mean_micros,
-        iters,
-        completion: outcome.completion,
-        rounds: outcome.stats.rounds,
-        tgd_firings: outcome.stats.tgd_firings,
-        facts: outcome.instance.len(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Homomorphism-kernel comparison harness (hom_report, BENCH_hom.json)
-// ---------------------------------------------------------------------------
-
-use rbqa_logic::homomorphism::{self, KernelMode};
-use rbqa_logic::{CqBuilder, Term};
-
-/// One prepared homomorphism-matching microbenchmark case: a query joined
-/// against a fixed instance, enumerated to exhaustion.
-#[derive(Debug, Clone)]
-pub struct HomCase {
-    /// Case label (`shape/size`).
-    pub label: String,
-    /// The instance matched against.
-    pub instance: rbqa_common::Instance,
-    /// The query whose homomorphisms are enumerated.
-    pub query: ConjunctiveQuery,
-}
-
-/// Deterministic xorshift generator for benchmark instances (no reliance on
-/// platform RNG — reports must be reproducible run to run).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> usize {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0 as usize
-    }
-}
-
-/// Builds the kernel microbenchmark cases: path and triangle joins over
-/// sparse random digraphs, star joins around shared sources, and a
-/// constant-filtered scan — the atom shapes the chase, containment and
-/// evaluation paths actually run. `quick` shrinks the sweep for CI smoke
-/// runs.
-pub fn hom_kernel_cases(quick: bool) -> Vec<HomCase> {
-    use rbqa_common::{Instance, Signature};
-
-    let sizes: &[usize] = if quick { &[64] } else { &[64, 128, 256] };
-    let mut cases = Vec::new();
-    for &n in sizes {
-        let mut sig = Signature::new();
-        let e = sig.add_relation("E", 2).unwrap();
-        let p = sig.add_relation("P", 3).unwrap();
-        let mut vf = ValueFactory::new();
-        let nodes: Vec<_> = (0..n).map(|i| vf.constant(&format!("n{i}"))).collect();
-        let salary = vf.constant("10000");
-        let other = vf.constant("20000");
-        let mut inst = Instance::new(sig);
-        let mut rng = XorShift(0x5eed_0000 + n as u64);
-        // Sparse digraph: 4 out-edges per node on average.
-        for i in 0..n {
-            for _ in 0..4 {
-                let j = rng.next() % n;
-                inst.insert(e, vec![nodes[i], nodes[j]]).unwrap();
-            }
-        }
-        // A wide fact table with a selective constant column.
-        for i in 0..n {
-            let pay = if i % 8 == 0 { salary } else { other };
-            inst.insert(p, vec![nodes[i], nodes[rng.next() % n], pay])
-                .unwrap();
-        }
-
-        let path2 = {
-            let mut b = CqBuilder::new();
-            let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
-            b.atom(e, vec![x.into(), y.into()])
-                .atom(e, vec![y.into(), z.into()])
-                .build()
-        };
-        let triangle = {
-            let mut b = CqBuilder::new();
-            let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
-            b.atom(e, vec![x.into(), y.into()])
-                .atom(e, vec![y.into(), z.into()])
-                .atom(e, vec![z.into(), x.into()])
-                .build()
-        };
-        let star = {
-            let mut b = CqBuilder::new();
-            let (x, y, z, w) = (b.var("x"), b.var("y"), b.var("z"), b.var("w"));
-            b.atom(e, vec![x.into(), y.into()])
-                .atom(e, vec![x.into(), z.into()])
-                .atom(e, vec![x.into(), w.into()])
-                .build()
-        };
-        let const_join = {
-            let mut b = CqBuilder::new();
-            let (i, n_, x) = (b.var("i"), b.var("n"), b.var("x"));
-            b.atom(p, vec![i.into(), n_.into(), Term::Const(salary)])
-                .atom(e, vec![i.into(), x.into()])
-                .build()
-        };
-        for (shape, query) in [
-            ("path2", path2),
-            ("triangle", triangle),
-            ("star3", star),
-            ("const-join", const_join),
-        ] {
-            cases.push(HomCase {
-                label: format!("{shape}/n{n}"),
-                instance: inst.clone(),
-                query,
-            });
-        }
-    }
-    cases
-}
-
-/// Mean wall-clock time of full homomorphism enumeration on one case.
-#[derive(Debug, Clone)]
-pub struct HomMeasurement {
-    /// The kernel measured.
-    pub mode: KernelMode,
-    /// Mean duration over `iters` runs, in microseconds.
-    pub mean_micros: f64,
-    /// Homomorphisms found (identical across kernels by the differential
-    /// test; repeated here as a sanity check).
-    pub matches: usize,
-}
-
-/// Enumerates every homomorphism of `case` under `mode`, visiting each
-/// result in the kernel's native representation (dense binding vs hash-map
-/// assignment — neither side pays a boundary conversion), and returns the
-/// match count. This is the operation the benchmarks time; compilation is
-/// included on the compiled side. Both arms pin the kernel explicitly, so
-/// a stale process-wide [`KernelMode`] (e.g. left behind by an aborted
-/// decide measurement) cannot silently turn a "compiled" measurement into
-/// a reference run.
-pub fn enumerate_hom_case(case: &HomCase, mode: KernelMode) -> usize {
-    let mut count = 0usize;
-    match mode {
-        KernelMode::Compiled => {
-            // `MatchProgram::for_each` consults the process-wide mode;
-            // force the compiled kernel for this measurement.
-            homomorphism::set_kernel_mode(KernelMode::Compiled);
-            let program = homomorphism::MatchProgram::compile(&case.query, &[]);
-            program.for_each(&case.instance, &[], |_| {
-                count += 1;
-                true
-            });
-        }
-        KernelMode::Reference => {
-            homomorphism::reference::for_each_homomorphism(
-                &case.query,
-                &case.instance,
-                &homomorphism::Homomorphism::default(),
-                &mut |_| {
-                    count += 1;
-                    true
-                },
-            );
-        }
-    }
-    count
-}
-
-/// Runs `case` under `mode` `iters` times (after one warm-up run) and
-/// reports the mean duration.
-pub fn measure_hom_case(case: &HomCase, mode: KernelMode, iters: usize) -> HomMeasurement {
-    let matches = enumerate_hom_case(case, mode); // warm-up
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(enumerate_hom_case(case, mode));
-    }
-    let mean_micros = start.elapsed().as_micros() as f64 / iters.max(1) as f64;
-    HomMeasurement {
-        mode,
-        mean_micros,
-        matches,
-    }
-}
 
 /// One end-to-end uncached Decide case of a Table-1 suite: the full
 /// `decide_monotone_answerability` pipeline (classification, simplification,
@@ -510,9 +195,11 @@ pub struct DecideCase {
     pub options: AnswerabilityOptions,
 }
 
-/// Builds the uncached-Decide cases for the kernel report: the same four
-/// Table-1 suites and schema sizes as [`chase_engine_cases`], but measuring
-/// the whole decision pipeline rather than the isolated chase.
+/// Builds the uncached-Decide cases of the phase profile and of the root
+/// kernel-mode differential: the last chain query over a generated schema
+/// of each of four Table-1 suites (cyclic IDs, bounded-width IDs, FDs,
+/// UIDs + FDs), three schema sizes each, with the schema seeded by its
+/// size. `quick` keeps the smallest size per suite.
 pub fn decide_cases(quick: bool) -> Vec<DecideCase> {
     let suites: &[(&str, RandomClass, usize, &[usize])] = &[
         (
@@ -561,44 +248,6 @@ pub fn decide_cases(quick: bool) -> Vec<DecideCase> {
         }
     }
     cases
-}
-
-/// Mean wall-clock time of one uncached Decide under a kernel mode.
-#[derive(Debug, Clone)]
-pub struct DecideMeasurement {
-    /// The kernel measured.
-    pub mode: KernelMode,
-    /// Mean duration over `iters` runs, in microseconds.
-    pub mean_micros: f64,
-    /// The verdict (identical across kernels; sanity-checked by the
-    /// report).
-    pub answerable: String,
-}
-
-/// Runs the full decision of `case` under `mode` `iters` times (after one
-/// warm-up run). Restores the compiled kernel afterwards.
-pub fn measure_decide_case(case: &DecideCase, mode: KernelMode, iters: usize) -> DecideMeasurement {
-    homomorphism::set_kernel_mode(mode);
-    let run = || {
-        let mut vf = case.values.clone();
-        decide_monotone_answerability(&case.schema, &case.query, &mut vf, &case.options)
-    };
-    let result = run(); // warm-up, also the verdict sample
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(run());
-    }
-    let mean_micros = start.elapsed().as_micros() as f64 / iters.max(1) as f64;
-    homomorphism::set_kernel_mode(KernelMode::Compiled);
-    DecideMeasurement {
-        mode,
-        mean_micros,
-        answerable: match result.answerability {
-            Answerability::Answerable => "yes".to_owned(),
-            Answerability::NotAnswerable => "no".to_owned(),
-            Answerability::Unknown => "unknown".to_owned(),
-        },
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -676,7 +325,7 @@ pub fn hook_crossings(trace: &Trace) -> u64 {
 
 /// The Example 1.2 crawling plan over the university scenario: list the
 /// directory, look each professor up by id, filter on salary, return
-/// names. Shared by the `backend_report` and `adapt_report` binaries.
+/// names. `adapt_report` checks that its salary crawl is this plan.
 pub fn example_1_2_salary_plan(values: &mut ValueFactory) -> rbqa_access::Plan {
     use rbqa_access::{Condition, PlanBuilder, RaExpr};
     let salary = values.constant("10000");
@@ -689,27 +338,6 @@ pub fn example_1_2_salary_plan(values: &mut ValueFactory) -> rbqa_access::Plan {
         )
         .middleware("names", RaExpr::project(RaExpr::table("matching"), vec![1]))
         .returns("names")
-}
-
-/// The backend roster measured by FIG-backend (label, spec): the
-/// in-memory baseline, two shard counts, and the zero-fault simulated
-/// remote.
-pub fn fig_backend_roster() -> Vec<(&'static str, rbqa_engine::BackendSpec)> {
-    use rbqa_engine::BackendSpec;
-    vec![
-        ("instance", BackendSpec::Instance),
-        ("sharded2", BackendSpec::Sharded { shards: 2 }),
-        ("sharded4", BackendSpec::Sharded { shards: 4 }),
-        (
-            "remote",
-            BackendSpec::SimulatedRemote {
-                seed: 7,
-                latency_micros: 150,
-                fault_rate_pct: 0,
-                transient: false,
-            },
-        ),
-    ]
 }
 
 fn truncate(s: &str, max: usize) -> String {
@@ -808,15 +436,6 @@ mod tests {
         use rbqa_api::json::json_escape;
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("plain"), "plain");
-    }
-
-    #[test]
-    fn hom_kernel_cases_agree_across_kernels() {
-        for case in hom_kernel_cases(true) {
-            let compiled = enumerate_hom_case(&case, KernelMode::Compiled);
-            let reference = enumerate_hom_case(&case, KernelMode::Reference);
-            assert_eq!(compiled, reference, "kernels disagree on {}", case.label);
-        }
     }
 
     /// Structural JSON balance check: every `{`/`[` outside string

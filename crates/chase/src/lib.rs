@@ -37,17 +37,19 @@
 //! * [`chase`] — the delta-driven (semi-naive) engine of [`seminaive`]:
 //!   per-relation indexes, a TGD→relation dependency map, and
 //!   delta-restricted trigger search (at least one body atom must match a
-//!   fact derived in the previous round). 5–10× faster on the chase-heavy
-//!   Table-1 suites (see `BENCH_chase.json`). This is the engine every
-//!   caller runs.
+//!   fact derived in the previous round). 2.5–3.7× faster than the naive
+//!   engine on the chase-heavy Table-1 suites when last timed
+//!   (EXPERIMENTS.md "FIG-chase-engine"). This is the engine every caller
+//!   runs.
 //! * [`chase_naive`] — the textbook engine: each round re-enumerates every
 //!   body homomorphism of every TGD against the full instance.
 //!   `O(rounds × |hom space|)`; kept only as the differential oracle of the
-//!   tests and the baseline of `chase_report`. No option selects it.
+//!   tests. No option selects it.
 //!
 //! Both report the same [`Completion`] and produce homomorphically
 //! equivalent instances; `tests/chase_differential.rs` (repo root) checks
-//! this on 256 random schema/constraint cases:
+//! this on 256 random schema/constraint cases and on the AMonDet chases of
+//! four Table-1 suites:
 //!
 //! ```
 //! use rbqa_chase::{chase, chase_naive, Budget, ChaseConfig};

@@ -202,17 +202,11 @@ impl LinearizedSchema {
                     .filter(|&&(b, _)| transferred & (1 << b) != 0)
                     .fold(0u32, |mask, &(_, h)| mask | (1 << h));
                 let head_rp = rp[&(head_rel, head_premises)];
-                // The head relation is mapped last: an ID from R into R
-                // reads and writes R's head annotation.
-                rules.push_tgd(id.map_relations(|r| {
-                    if r == head_rel {
-                        head_rp
-                    } else if r == body_rel {
-                        body_rp
-                    } else {
-                        r
-                    }
-                }));
+                rules.push_tgd(Tgd::new(
+                    id.vars().clone(),
+                    vec![Atom::new(body_rp, id.body()[0].args().to_vec())],
+                    vec![Atom::new(head_rp, id.head()[0].args().to_vec())],
+                ));
             }
         }
 
@@ -548,5 +542,52 @@ mod tests {
         // The empty annotation is always present.
         let acc_empty = lin.rp_relation(prof, &BTreeSet::new()).unwrap();
         assert_eq!(start.relation_len(acc_empty), 1);
+    }
+
+    #[test]
+    fn lift_rules_of_a_self_id_read_the_body_annotation() {
+        // R(x, y) -> R(z, x) with a method on R taking position 0. The
+        // Lift rule for P reads R_P and writes the annotation that the
+        // transferred exported position carries into the head.
+        let mut sig = Signature::new();
+        let r = sig.add_relation("R", 2).unwrap();
+        let id = inclusion_dependency(&sig, r, &[0], r, &[1]);
+        let methods = vec![MethodSignature::new(r, &[0], false)];
+        let lin = LinearizedSchema::build(&sig, std::slice::from_ref(&id), &methods, 1);
+        let acc = |p: &[usize]| lin.rp_relation(r, &p.iter().copied().collect()).unwrap();
+        let annotated: Vec<RelationId> = lin.rp.values().copied().collect();
+        let mut lifts: Vec<(RelationId, RelationId)> = lin
+            .rules
+            .tgds()
+            .iter()
+            .filter(|t| annotated.contains(&t.head()[0].relation()))
+            .map(|t| (t.body()[0].relation(), t.head()[0].relation()))
+            .collect();
+        lifts.sort();
+        let mut expected = vec![
+            (acc(&[]), acc(&[])),
+            // x accessible: m makes y accessible too, and x lands at 1.
+            (acc(&[0]), acc(&[1])),
+            (acc(&[1]), acc(&[])),
+        ];
+        expected.sort();
+        assert_eq!(lifts, expected);
+
+        // Facts annotated {1} no longer mark their position 0 accessible,
+        // so the chase for the Boolean query stays small.
+        let mut vf = ValueFactory::new();
+        let q = parse_cq("Q() :- R(x, 'c')", &mut sig, &mut vf).unwrap();
+        let config = rbqa_chase::ChaseConfig::with_budget(Budget::generous());
+        let out = lin.decide(&q, &q, &mut vf, config);
+        assert_eq!(out.chased_facts, 18);
+
+        // With R[1] ⊆ R[0] as well, R[0] and R[1] hold the same values, so
+        // R(x, 'c') holds exactly when m('c') returns a tuple: the
+        // containment holds. Reading the head's annotation in the body
+        // refuted it, certified complete.
+        let back = inclusion_dependency(&sig, r, &[1], r, &[0]);
+        let lin = LinearizedSchema::build(&sig, &[id, back], &methods, 1);
+        let out = lin.decide(&q, &q, &mut vf, config);
+        assert_eq!(out.verdict, Verdict::Holds);
     }
 }

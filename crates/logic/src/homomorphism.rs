@@ -26,8 +26,9 @@
 //! * **The [`mod@reference`] kernel**. The original backtracking join, kept as
 //!   the executable specification: the differential property test in
 //!   `tests/hom_kernel_differential.rs` pins the compiled kernel against it
-//!   on random queries and instances, and the `hom_report` benchmark
-//!   binary uses it as the speedup baseline via [`set_kernel_mode`].
+//!   on random instances, for random queries and for fixed path, triangle,
+//!   star and constant-join shapes, and `tests/hom_kernel_chase_modes.rs`
+//!   runs whole chases and Decides on it via [`set_kernel_mode`].
 //!
 //! The free functions ([`find_homomorphism`], [`holds`],
 //! [`all_homomorphisms`], [`all_homomorphisms_seeded`]) are the stable
@@ -56,19 +57,10 @@ pub enum KernelMode {
     /// The compiled match-program kernel over flat storage (default).
     #[default]
     Compiled,
-    /// The retained reference backtracking search — the baseline
-    /// implementation used by differential tests and benchmark baselines.
+    /// The retained reference backtracking search — the executable
+    /// specification the differential tests and perfbench's answer check
+    /// run.
     Reference,
-}
-
-impl KernelMode {
-    /// Stable lowercase name, used in benchmark reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KernelMode::Compiled => "compiled",
-            KernelMode::Reference => "reference",
-        }
-    }
 }
 
 static KERNEL_MODE: AtomicU8 = AtomicU8::new(0);
@@ -876,19 +868,6 @@ pub mod reference {
             out.len() < limit
         });
         out
-    }
-
-    /// Visits every homomorphism extending `seed` in the reference kernel's
-    /// native representation (no per-result cloning); `visit` returns
-    /// `false` to stop. This is the baseline side of the kernel
-    /// microbenchmarks — the mirror of [`MatchProgram::for_each`].
-    pub fn for_each_homomorphism(
-        query: &ConjunctiveQuery,
-        instance: &Instance,
-        seed: &Homomorphism,
-        visit: &mut dyn FnMut(&Homomorphism) -> bool,
-    ) {
-        search_atoms(query.atoms(), instance, seed.clone(), visit);
     }
 
     /// Backtracking search over a bare atom list. `atoms` is processed in a

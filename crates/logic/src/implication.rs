@@ -9,10 +9,10 @@
 //! * [`finite_closure`] computes the finite closure `Σ*` of a set of UIDs and
 //!   FDs in the style of Cosmadakis, Kanellakis and Vardi: on top of
 //!   the unrestricted closure it applies the *cycle rule* — every UID or
-//!   unary FD edge lying on a cycle of the combined (UID ∪ unary-FD) graph
-//!   gets its reverse added. This is the ingredient of Theorem 7.4 /
-//!   Corollary 7.3 that reduces finite monotone answerability to
-//!   unrestricted monotone answerability for UIDs + FDs.
+//!   unary FD edge lying on a cycle of the combined (UID ∪ unary-FD)
+//!   cardinality graph gets its reverse added. This is the ingredient of
+//!   Theorem 7.4 / Corollary 7.3 that reduces finite monotone answerability
+//!   to unrestricted monotone answerability for UIDs + FDs.
 
 use rbqa_common::{RelationId, Signature};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -149,10 +149,14 @@ pub fn implies_uid(uids: &[Uid], candidate: &Uid) -> bool {
 /// 2. FD implication is left implicit (checked via [`implies_fd`] /
 ///    [`fd_closure`] on demand) except that unary FDs participate in rule 3;
 /// 3. the *cycle rule*: build the directed graph whose nodes are positions
-///    `(R, i)`, with a UID edge for every (derived) UID and an FD edge
-///    `(R, a) → (R, b)` for every implied unary FD `{a} → b`; every UID or
-///    unary FD edge inside a strongly connected component of this graph gets
-///    its reverse added (as a UID, resp. unary FD).
+///    `(R, i)`, with an edge `X → Y` for every (derived) UID `X ⊆ Y` and an
+///    edge `(R, b) → (R, a)` for every implied unary FD `{a} → b`. Every
+///    edge points from a position with at most as many distinct values to
+///    one with at least as many: `X ⊆ Y` gives `|X| ≤ |Y|`, and `a → b`
+///    gives `|b| ≤ |a|`. On a finite instance all positions of a cycle
+///    therefore hold equally many values, so a UID inside a strongly
+///    connected component is an equality and a unary FD inside one is a
+///    bijection: each gets its reverse added (as a UID, resp. unary FD).
 ///
 /// Iterating 1–3 to fixpoint yields the closure of Cosmadakis–Kanellakis–
 /// Vardi for unary inclusion dependencies and functional dependencies.
@@ -236,8 +240,9 @@ fn implied_unary_fd_edges(sig: &Signature, fds: &[Fd]) -> Vec<(RelationId, usize
     out
 }
 
-/// Strongly connected components of the combined UID ∪ unary-FD graph,
-/// returned as a map from position to SCC index.
+/// Strongly connected components of the combined UID ∪ unary-FD
+/// cardinality graph of [`finite_closure`], returned as a map from position
+/// to SCC index.
 fn combined_sccs(
     sig: &Signature,
     uids: &FxHashSet<Uid>,
@@ -259,9 +264,11 @@ fn combined_sccs(
             adj[a].push(b);
         }
     }
+    // `{a} → b` gives `|b| ≤ |a|`: the edge runs from the determined
+    // position to its determinant, as a UID's runs from its smaller side.
     for &(rel, a, b) in unary_fd_edges {
         if let (Some(&x), Some(&y)) = (index_of.get(&(rel, a)), index_of.get(&(rel, b))) {
-            adj[x].push(y);
+            adj[y].push(x);
         }
     }
 
@@ -400,20 +407,29 @@ mod tests {
 
     #[test]
     fn finite_closure_reverses_uid_cycle() {
-        // A cycle of UIDs R[0] ⊆ T[0] ⊆ R[0] stays a cycle; but a cycle
-        // through a unary FD forces the reverse dependencies in the finite
-        // case: T[0] ⊆ R[0], FD R: 0 -> 1, R[1] ⊆ T[0].
+        // R[0] ⊆ R[1] gives |R[0]| ≤ |R[1]| and FD R: 0 -> 1 gives
+        // |R[1]| ≤ |R[0]|: on a finite instance the columns hold the same
+        // values and 0 -> 1 is a bijection, so both reverses follow.
         let (s, r, t) = sig();
-        let uids = vec![Uid::new((t, 0), (r, 0)), Uid::new((r, 1), (t, 0))];
+        let uids = vec![Uid::new((r, 0), (r, 1))];
         let fds = vec![Fd::new(r, vec![0], 1)];
         let (cu, cf) = finite_closure(&s, &uids, &fds);
-        // The cycle is (t,0) -> (r,0) -FD-> (r,1) -> (t,0); finitely this
-        // forces the reverses.
-        assert!(cu.contains(&Uid::new((r, 0), (t, 0))));
-        assert!(cu.contains(&Uid::new((t, 0), (r, 1))));
-        assert!(cf.iter().any(|f| f.relation() == r
-            && f.determiners() == &BTreeSet::from([1])
-            && f.determined() == 0));
+        assert_eq!(cu, vec![Uid::new((r, 0), (r, 1)), Uid::new((r, 1), (r, 0))]);
+        assert!(cf.contains(&Fd::new(r, vec![1], 0)));
+        assert_eq!(cf.len(), 2);
+
+        // T[0] ⊆ R[0], R[1] ⊆ T[0] and R: 0 -> 1 only give
+        // |R[1]| ≤ |T[0]| ≤ |R[0]|, which is no cycle. The finite instance
+        // R = {(a, a, _), (b, a, _)}, T = {(a, _)} satisfies them and
+        // refutes R[0] ⊆ T[0] and R: 1 -> 0, so only the transitive
+        // R[1] ⊆ R[0] is added.
+        let uids = vec![Uid::new((t, 0), (r, 0)), Uid::new((r, 1), (t, 0))];
+        let (cu, cf) = finite_closure(&s, &uids, &fds);
+        let mut expected = uids.clone();
+        expected.push(Uid::new((r, 1), (r, 0)));
+        expected.sort();
+        assert_eq!(cu, expected);
+        assert_eq!(cf, fds);
     }
 
     #[test]

@@ -1,19 +1,22 @@
 //! End-to-end kernel differential: running the chase with the compiled
 //! matching kernel and with the reference kernel produces the same
-//! [`Completion`] and homomorphically equivalent results.
+//! [`Completion`] and homomorphically equivalent results, and the whole
+//! uncached Decide of four Table-1 suites reaches the same verdict.
 //!
 //! The kernel selector is process-wide ([`rbqa::logic::homomorphism::set_kernel_mode`]),
-//! so this comparison lives in its own integration-test binary: nothing
-//! else in this process observes the temporary switch to the reference
-//! kernel. (The per-call kernel equivalence is covered by the proptest in
-//! `tests/hom_kernel_differential.rs`.)
+//! so this comparison lives in its own integration-test binary, as one
+//! test: nothing else in this process observes the temporary switch to
+//! the reference kernel. (The per-call kernel equivalence is covered by
+//! the proptest in `tests/hom_kernel_differential.rs`.)
 
 use rbqa::chase::{chase, chase_naive, Budget, ChaseConfig, ChaseOutcome, Completion};
 use rbqa::common::{Instance, Signature, Value, ValueFactory};
+use rbqa::core::{decide_monotone_answerability, Answerability};
 use rbqa::logic::constraints::tgd::{inclusion_dependency, TgdBuilder};
 use rbqa::logic::constraints::ConstraintSet;
 use rbqa::logic::homomorphism::{holds, set_kernel_mode, KernelMode};
 use rbqa::logic::{CqBuilder, Fd, Term};
+use rbqa_bench::decide_cases;
 
 /// Views `instance` as a Boolean CQ (nulls become variables) and checks a
 /// constant-fixing homomorphism into `other`.
@@ -126,5 +129,39 @@ fn chase_agrees_across_kernel_modes() {
                 );
             }
         }
+    }
+
+    // The uncached Decide of the smallest case of four Table-1 suites
+    // (cyclic IDs, bounded-width IDs, FDs, UIDs + FDs), as the phase
+    // profile runs it.
+    let verdicts = [
+        Answerability::Answerable,
+        Answerability::NotAnswerable,
+        Answerability::NotAnswerable,
+        Answerability::NotAnswerable,
+    ];
+    let cases = decide_cases(true);
+    assert_eq!(cases.len(), verdicts.len());
+    for (case, verdict) in cases.iter().zip(verdicts) {
+        let decide = |mode| {
+            set_kernel_mode(mode);
+            let mut values = case.values.clone();
+            let result = decide_monotone_answerability(
+                &case.schema,
+                &case.query,
+                &mut values,
+                &case.options,
+            );
+            set_kernel_mode(KernelMode::Compiled);
+            result.answerability
+        };
+        let compiled = decide(KernelMode::Compiled);
+        let baseline = decide(KernelMode::Reference);
+        assert_eq!(
+            compiled, baseline,
+            "kernels disagree on the verdict ({})",
+            case.label
+        );
+        assert_eq!(compiled, verdict, "{}", case.label);
     }
 }

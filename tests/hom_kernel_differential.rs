@@ -6,10 +6,12 @@
 //! variables, repeated variables and constants) and random instances, both
 //! kernels must enumerate **identical homomorphism sets** — same
 //! assignments, compared as canonicalised sorted sets — both unseeded and
-//! under random partial seed assignments. Together with
-//! `tests/chase_differential.rs` (which runs the chase differential suite
-//! on top of the same storage and kernel) this is the evidence that the
-//! kernel rewrite preserves matching semantics.
+//! under random partial seed assignments. Unseeded, the fixed path,
+//! triangle, star and constant-join shapes are matched against every
+//! random instance as well, and must give the same match counts. Together
+//! with `tests/chase_differential.rs` (which runs the chase differential
+//! suite on top of the same storage and kernel) this is the evidence that
+//! the kernel rewrite preserves matching semantics.
 
 use proptest::prelude::*;
 use rbqa::common::{Instance, Signature, Value, ValueFactory};
@@ -82,6 +84,35 @@ fn build_query(specs: &[(u8, u8, u8)], vf: &mut ValueFactory) -> (ConjunctiveQue
     (builder.build(), vars)
 }
 
+/// The fixed join shapes the chase, containment and evaluation paths run:
+/// a two-edge path, a triangle, a three-edge star around a shared source,
+/// and a constant-filtered atom joined with an edge.
+fn fixed_shapes(vf: &mut ValueFactory) -> [(&'static str, ConjunctiveQuery); 4] {
+    let (_, r, s, _) = signature();
+    let v0 = Term::Const(vf.constant("v0"));
+    let shape = |edges: &[(&str, &str)], filter: Option<Term>| {
+        let mut b = CqBuilder::new();
+        if let Some(c) = filter {
+            let x = b.var("x");
+            b.atom(s, vec![x.into(), c]);
+        }
+        for (from, to) in edges {
+            let (from, to) = (b.var(from), b.var(to));
+            b.atom(r, vec![from.into(), to.into()]);
+        }
+        b.build()
+    };
+    [
+        ("path", shape(&[("x", "y"), ("y", "z")], None)),
+        (
+            "triangle",
+            shape(&[("x", "y"), ("y", "z"), ("z", "x")], None),
+        ),
+        ("star", shape(&[("x", "y"), ("x", "z"), ("x", "w")], None)),
+        ("constant-join", shape(&[("x", "y")], Some(v0))),
+    ]
+}
+
 /// Canonicalises a homomorphism set for comparison.
 fn canonical(homs: Vec<Homomorphism>) -> Vec<Vec<(VarId, Value)>> {
     let mut keys: Vec<Vec<(VarId, Value)>> = homs
@@ -126,6 +157,25 @@ proptest! {
             homomorphism::find_homomorphism(&query, &inst, &Homomorphism::default()).is_some(),
             !baseline.is_empty()
         );
+
+        for (shape, query) in fixed_shapes(&mut vf) {
+            let compiled = homomorphism::all_homomorphisms(&query, &inst, usize::MAX);
+            let baseline = reference::all_homomorphisms(&query, &inst, usize::MAX);
+            prop_assert_eq!(
+                compiled.len(),
+                baseline.len(),
+                "kernels disagree on the {} match count over\n{}",
+                shape,
+                inst.dump()
+            );
+            prop_assert_eq!(
+                canonical(compiled),
+                canonical(baseline),
+                "kernels disagree on the {} matches over\n{}",
+                shape,
+                inst.dump()
+            );
+        }
     }
 }
 

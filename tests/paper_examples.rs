@@ -6,13 +6,14 @@
 use rbqa::access::{AccessMethod, Schema, TruncatingSelection};
 use rbqa::common::{Signature, ValueFactory};
 use rbqa::core::{
-    decide_monotone_answerability, Answerability, AnswerabilityOptions, ConstraintClass,
-    SimplificationKind, Strategy,
+    decide_finite_monotone_answerability, decide_monotone_answerability, Answerability,
+    AnswerabilityOptions, ConstraintClass, FiniteReduction, SimplificationKind, Strategy,
 };
 use rbqa::engine::{university_instance, validate_plan, ServiceSimulator};
+use rbqa::logic::constraints::tgd::inclusion_dependency;
 use rbqa::logic::constraints::ConstraintSet;
 use rbqa::logic::parser::{parse_cq, parse_tgd};
-use rbqa::logic::{evaluate, ConjunctiveQuery};
+use rbqa::logic::{evaluate, ConjunctiveQuery, Fd};
 use rbqa::workloads::scenarios;
 
 fn default_options() -> AnswerabilityOptions {
@@ -96,6 +97,41 @@ fn example_1_5_fd_makes_address_lookup_answerable() {
 /// every level plus `T(y) -> ∃x S0(x)`, an input-free method with result
 /// bound 1 on each `Si` and a Boolean method on `T`. With one level it is
 /// the schema of `scenarios::tgd_example_6_1`. The query asks `∃y T(y)`.
+#[test]
+fn corollary_7_3_finite_closure_makes_a_query_answerable() {
+    // UIDs + FDs are not finitely controllable. R[0] ⊆ R[1] gives
+    // |R[0]| ≤ |R[1]| and R: 0 -> 1 gives |R[1]| ≤ |R[0]|, so on finite
+    // instances R[1] ⊆ R[0] and R: 1 -> 0 hold as well (Theorem 7.4), and
+    // Q() :- R(x, 'c') holds exactly when m('c') returns a tuple. An
+    // infinite chain R(n + 1, n) refutes that, so the unrestricted
+    // variant is not answerable.
+    let mut sig = Signature::new();
+    let r = sig.add_relation("R", 2).unwrap();
+    let mut constraints = ConstraintSet::new();
+    constraints.push_tgd(inclusion_dependency(&sig, r, &[0], r, &[1]));
+    constraints.push_fd(Fd::new(r, vec![0], 1));
+    let mut schema = Schema::with_parts(sig, constraints, vec![]).unwrap();
+    schema
+        .add_method(AccessMethod::unbounded("m", r, &[0]))
+        .unwrap();
+    let mut values = ValueFactory::new();
+    let mut parse_sig = schema.signature().clone();
+    let query = parse_cq("Q() :- R(x, 'c')", &mut parse_sig, &mut values).unwrap();
+
+    let unrestricted =
+        decide_monotone_answerability(&schema, &query, &mut values.clone(), &default_options());
+    assert_ne!(unrestricted.answerability, Answerability::Answerable);
+    let finite =
+        decide_finite_monotone_answerability(&schema, &query, &mut values, &default_options());
+    assert_eq!(
+        finite.reduction,
+        FiniteReduction::FiniteClosure {
+            added_dependencies: 2
+        }
+    );
+    assert_eq!(finite.result.answerability, Answerability::Answerable);
+}
+
 fn example_6_1_family(levels: usize) -> (Schema, ConjunctiveQuery, ValueFactory) {
     let mut sig = Signature::new();
     let t = sig.add_relation("T", 1).unwrap();

@@ -1,16 +1,17 @@
 //! Property-based tests (proptest) for the core invariants of the stack:
 //! chase soundness, homomorphism/evaluation monotonicity, FD-closure
-//! idempotence, access-selection validity and accessible-part monotonicity.
+//! idempotence, finite-closure soundness, access-selection validity and
+//! accessible-part monotonicity.
 
 use proptest::prelude::*;
 use rbqa::access::{
     accessible_part, AccessMethod, GreedySelection, RandomSelection, Schema, TruncatingSelection,
 };
 use rbqa::chase::{chase, Budget, ChaseConfig};
-use rbqa::common::{Instance, Signature, Value, ValueFactory};
+use rbqa::common::{Instance, RelationId, Signature, Value, ValueFactory};
 use rbqa::logic::constraints::tgd::inclusion_dependency;
 use rbqa::logic::constraints::ConstraintSet;
-use rbqa::logic::implication::{det_by, fd_closure};
+use rbqa::logic::implication::{det_by, fd_closure, finite_closure, Uid};
 use rbqa::logic::{evaluate, CqBuilder, Fd};
 use rustc_hash::FxHashSet;
 use std::collections::BTreeSet;
@@ -196,5 +197,79 @@ proptest! {
         let large = part_of(large_bound);
         prop_assert!(small.is_subinstance_of(&large));
         prop_assert!(large.is_subinstance_of(&inst));
+    }
+}
+
+/// Whether the FD holds on `instance`: tuples agreeing on its determiners
+/// agree on its determined position.
+fn fd_holds(instance: &Instance, fd: &Fd) -> bool {
+    let mut seen: rustc_hash::FxHashMap<Vec<Value>, Value> = Default::default();
+    instance.tuples(fd.relation()).all(|t| {
+        let key = fd.determiners().iter().map(|&p| t[p]).collect();
+        *seen.entry(key).or_insert(t[fd.determined()]) == t[fd.determined()]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The finite closure of UIDs and FDs (Theorem 7.4's cycle rule) is
+    /// sound on finite instances: Σ is a random subset of the UIDs and
+    /// unary FDs that hold on a finite instance over R/2 and S/2, and every
+    /// member of the closure of Σ must hold there too.
+    #[test]
+    fn finite_closure_holds_on_finite_instances(
+        pairs_r in prop::collection::vec((0u8..4, 0u8..4), 0..6),
+        pairs_s in prop::collection::vec((0u8..4, 0u8..4), 0..6),
+        pick in any::<u64>(),
+    ) {
+        let (inst, _vf) = build_instance(&pairs_r, &pairs_s, &[]);
+        let (_sig, r, s, _t) = signature();
+        let column = |(rel, p): (RelationId, usize)| -> FxHashSet<Value> {
+            inst.tuples(rel).map(|t| t[p]).collect()
+        };
+        let uid_holds = |uid: &Uid| column(uid.from).is_subset(&column(uid.to));
+        let positions = [(r, 0), (r, 1), (s, 0), (s, 1)];
+        let uids: Vec<Uid> = positions
+            .iter()
+            .flat_map(|&from| positions.iter().map(move |&to| Uid::new(from, to)))
+            .filter(|uid| !uid.is_trivial() && uid_holds(uid))
+            .collect();
+        let fds: Vec<Fd> = [r, s]
+            .iter()
+            .flat_map(|&rel| [Fd::new(rel, vec![0], 1), Fd::new(rel, vec![1], 0)])
+            .filter(|fd| fd_holds(&inst, fd))
+            .collect();
+        // Bit i of `pick` keeps the i-th dependency that holds.
+        let kept = |i: usize| pick & (1 << i) != 0;
+        let sigma_uids: Vec<Uid> =
+            uids.iter().enumerate().filter(|&(i, _)| kept(i)).map(|(_, &u)| u).collect();
+        let sigma_fds: Vec<Fd> = fds
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| kept(uids.len() + i))
+            .map(|(_, fd)| fd.clone())
+            .collect();
+        let (closed_uids, closed_fds) = finite_closure(inst.signature(), &sigma_uids, &sigma_fds);
+        for uid in &closed_uids {
+            prop_assert!(
+                uid_holds(uid),
+                "{:?} from {:?} + {:?} fails on\n{}",
+                uid,
+                sigma_uids,
+                sigma_fds,
+                inst.dump()
+            );
+        }
+        for fd in &closed_fds {
+            prop_assert!(
+                fd_holds(&inst, fd),
+                "{:?} from {:?} + {:?} fails on\n{}",
+                fd,
+                sigma_uids,
+                sigma_fds,
+                inst.dump()
+            );
+        }
     }
 }
